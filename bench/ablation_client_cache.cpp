@@ -2,8 +2,8 @@
 // bandwidth spikes (§IV-A.5: "600-1300MB/s ... because of some buffering
 // effects of the client nodes where data was written and immediately read").
 // With the cache disabled, the intermediate-file reuse spikes vanish and
-// I/O time grows. The cache toggle is runtime PFS state, so each cell sets
-// it through the Scenario prepare hook before the pipeline starts.
+// I/O time grows. The cache is storage state: the disabled cell sets
+// PfsSpec::client_cache_bytes to 0 on its cluster spec.
 #include <algorithm>
 #include <cstdio>
 
@@ -27,12 +27,10 @@ int main(int argc, char** argv) {
     workloads::Scenario s;
     s.name = cell.cache ? "client-cache-on" : "client-cache-off";
     s.spec = cluster::lassen(32);
+    if (!cell.cache) s.spec.pfs.client_cache_bytes = 0;
     s.make = [] {
       return workloads::make_montage_mpi(
           workloads::MontageMpiParams::paper());
-    };
-    s.prepare = [cache = cell.cache](runtime::Simulation& sim) {
-      sim.pfs().set_client_cache_enabled(cache);
     };
     return s;
   };

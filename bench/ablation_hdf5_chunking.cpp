@@ -21,8 +21,7 @@ int main() {
 
   for (bool chunked : {false, true}) {
     advisor::RunConfig cfg;
-    cfg.hdf5_chunking = chunked;
-    cfg.hdf5_chunk_size = util::kMiB;
+    cfg.hdf5_chunk_size = chunked ? util::kMiB : 0;
     auto out = workloads::run(cluster::lassen(P.nodes),
                               workloads::make_cosmoflow(P), cfg);
     char job[32];

@@ -85,10 +85,13 @@ int main() {
   table.set_header({"configuration", "job s", "tier hits", "evictions",
                     "PFS data ops"});
 
+  // Every configuration runs with the PFS client cache off, so the table
+  // isolates the buffering tier.
+  cluster::ClusterSpec spec = cluster::lassen(2);
+  spec.pfs.client_cache_bytes = 0;
   {
-    Simulation sim(cluster::lassen(2));
+    Simulation sim(spec);
     const auto app = sim.tracer().register_app("pipe");
-    sim.pfs().set_client_cache_enabled(false);
     sim.engine().spawn(pipeline_direct(sim, app));
     sim.engine().run();
     char job[32];
@@ -110,8 +113,7 @@ int main() {
              io::TieredBufferConfig::Eviction::kLru},
         Case{"buffered, tight pool, FIFO", 512 * util::kMiB,
              io::TieredBufferConfig::Eviction::kFifo}}) {
-    Simulation sim(cluster::lassen(2));
-    sim.pfs().set_client_cache_enabled(false);
+    Simulation sim(spec);
     io::TieredBufferConfig cfg;
     cfg.capacity_per_node = c.capacity;
     cfg.eviction = c.policy;

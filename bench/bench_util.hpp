@@ -44,8 +44,7 @@ inline std::vector<NamedRun> run_all_paper() {
   std::vector<workloads::Scenario> scenarios;
   for (const auto& e : workloads::paper_workloads()) {
     scenarios.push_back({e.name, cluster::lassen(32), e.make_paper,
-                         advisor::RunConfig{}, analysis::Analyzer::Options{},
-                         {}});
+                         advisor::RunConfig{}, analysis::Analyzer::Options{}});
   }
   std::cerr << "running " << scenarios.size() << " workloads ("
             << util::default_jobs() << " jobs)...\n";

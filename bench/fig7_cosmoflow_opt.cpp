@@ -35,8 +35,7 @@ int main(int argc, char** argv) {
                               cluster::lassen(nodes),
                               [P] { return workloads::make_cosmoflow(P); },
                               advisor::RunConfig{},
-                              analysis::Analyzer::Options{},
-                              {}});
+                              analysis::Analyzer::Options{}});
   }
   const auto bases = workloads::run_many(base_scenarios, jobs);
 
@@ -51,8 +50,7 @@ int main(int argc, char** argv) {
         {"cosmoflow-opt-" + std::to_string(nodes), cluster::lassen(nodes),
          [P] { return workloads::make_cosmoflow(P); },
          advisor::RuleEngine::configure(bases[i].recommendations),
-         analysis::Analyzer::Options{},
-                              {}});
+         analysis::Analyzer::Options{}});
   }
   const auto opts = workloads::run_many(opt_scenarios, jobs);
 

@@ -46,8 +46,7 @@ int main(int argc, char** argv) {
                               cluster::lassen(nodes),
                               [P] { return workloads::make_montage_mpi(P); },
                               advisor::RunConfig{},
-                              analysis::Analyzer::Options{},
-                              {}});
+                              analysis::Analyzer::Options{}});
   }
   const auto bases = workloads::run_many(base_scenarios, jobs);
 
@@ -59,8 +58,7 @@ int main(int argc, char** argv) {
         {"montage-opt-" + std::to_string(nodes), cluster::lassen(nodes),
          [P] { return workloads::make_montage_mpi(P); },
          advisor::RuleEngine::configure(bases[i].recommendations),
-         analysis::Analyzer::Options{},
-                              {}});
+         analysis::Analyzer::Options{}});
   }
   const auto opts = workloads::run_many(opt_scenarios, jobs);
 

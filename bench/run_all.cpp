@@ -109,15 +109,7 @@ WorkloadMetrics measure_workload(const std::string& name,
   }
 
   auto t0 = Clock::now();
-  if (workload.setup) {
-    sim.tracer().set_enabled(false);
-    sim.engine().spawn(workload.setup(sim));
-    sim.engine().run();
-    sim.tracer().set_enabled(true);
-    sim.pfs().drop_client_caches();
-  }
-  workload.launch(sim, advisor::RunConfig{});
-  sim.engine().run();
+  workloads::simulate(sim, workload, advisor::RunConfig{});
   m.sim_seconds = elapsed_sec(t0);
   m.engine_events = sim.engine().events_processed();
   m.trace_rows = sim.tracer().total_records();
@@ -165,8 +157,7 @@ std::vector<workloads::Scenario> cosmoflow_sweep(bool paper_scale) {
                          cluster::lassen(nodes),
                          [P] { return workloads::make_cosmoflow(P); },
                          advisor::RunConfig{},
-                         analysis::Analyzer::Options{},
-                         {}});
+                         analysis::Analyzer::Options{}});
   }
   return scenarios;
 }
@@ -190,8 +181,7 @@ std::vector<workloads::Scenario> montage_sweep(bool paper_scale) {
                          cluster::lassen(nodes),
                          [P] { return workloads::make_montage_mpi(P); },
                          advisor::RunConfig{},
-                         analysis::Analyzer::Options{},
-                         {}});
+                         analysis::Analyzer::Options{}});
   }
   return scenarios;
 }
@@ -209,8 +199,7 @@ std::vector<workloads::Scenario> stripe_sweep() {
                                 workloads::MontageMpiParams::test());
                           },
                           advisor::RunConfig{},
-                          analysis::Analyzer::Options{},
-                          {}};
+                          analysis::Analyzer::Options{}};
     // Test-scale Montage cells run ~700 engine events: far below the
     // fan-out threshold, so run_many keeps the grid serial.
     s.est_events = 700;
@@ -256,9 +245,9 @@ std::string json_num(double v) {
 }
 
 /// Fixed-key registry excerpt per entry. The keys are emitted whether or
-/// not the counters exist (WASP_OBS=OFF snapshots are empty -> all zeros),
-/// so the schema never depends on the build config. pool.queue_wait_ns is
-/// the per-task queue-wait evidence behind the sweeps' --jobs speedups.
+/// not the counters exist (absent ones print 0), so the schema never
+/// depends on which layers ran. pool.queue_wait_ns is the per-task
+/// queue-wait evidence behind the sweeps' --jobs speedups.
 void write_telemetry_block(std::ostream& os, const obs::Snapshot& t) {
   os << "\"telemetry\": {"
      << "\"engine_events\": " << t.value("engine.events") << ", "

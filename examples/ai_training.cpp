@@ -37,7 +37,7 @@ int main() {
   auto cfg = advisor::RuleEngine::configure(base.recommendations);
   std::cout << "running optimized (preload="
             << (cfg.preload_input_to_node_local ? "on" : "off")
-            << ", hdf5 chunking=" << (cfg.hdf5_chunking ? "on" : "off")
+            << ", hdf5 chunking=" << (cfg.hdf5_chunk_size > 0 ? "on" : "off")
             << ")...\n";
   auto opt = workloads::run(cluster::lassen(32), workloads::make_cosmoflow(P),
                             cfg);

@@ -1,7 +1,8 @@
-// RunConfig: every storage/middleware knob the advisor can turn and the
-// workload runner honors. The default-constructed value is the system
-// default configuration (the paper's "baseline"); the advisor rewrites
-// fields based on workload attributes (the paper's "optimized").
+// RunConfig: the application-side knobs the advisor can turn, read only by
+// the pattern compilers (Workload::compile) and, for `faults`, by
+// workloads::simulate. Storage state (stripe layout, client cache, tiers)
+// lives in cluster::ClusterSpec. The default is the paper's "baseline";
+// the advisor rewrites fields from workload attributes ("optimized").
 #pragma once
 
 #include <string>
@@ -13,18 +14,11 @@
 namespace wasp::advisor {
 
 struct RunConfig {
-  // ---- Parallel-file-system configuration (Lustre/GPFS-style) ----
-  util::Bytes stripe_size = util::kMiB;
-  int stripe_count = 4;
-  bool client_page_cache = true;
-  /// GPFS ROMIO-style byte-range locking for shared files.
-  bool shared_file_locking = true;
-
   // ---- Middleware configuration ----
   util::Bytes stdio_buffer = 4 * util::kKiB;  ///< setvbuf size
   io::MpiIoConfig mpiio;                      ///< cb_buffer / aggregators
-  bool hdf5_chunking = false;
-  util::Bytes hdf5_chunk_size = util::kMiB;
+  /// HDF5 dataset chunk size; 0 = contiguous (unchunked) layout.
+  util::Bytes hdf5_chunk_size = 0;
 
   // ---- Data placement ----
   /// Stage the (read-only) input dataset into a node-local tier before the

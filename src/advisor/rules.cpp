@@ -79,7 +79,8 @@ void rule_intermediates_local(const WorkloadCharacterization& c,
 }
 
 /// Rule: match the PFS stripe size to the dominant transfer granularity of
-/// the most important files (§IV-D.3, Lustre example).
+/// the most important files (§IV-D.3, Lustre example). Site advice: the
+/// stripe layout is storage state (cluster::PfsSpec), so there is no apply.
 void rule_stripe_size(const WorkloadCharacterization& c,
                       std::vector<Recommendation>& out) {
   const util::Bytes g = c.high_level_io.data_granularity;
@@ -91,17 +92,17 @@ void rule_stripe_size(const WorkloadCharacterization& c,
   Recommendation r;
   r.id = "stripe-size";
   r.category = Category::kSystemTuning;
-  r.parameter = "stripe_size";
+  r.parameter = "PFS stripe size";
   r.value = util::format_bytes(g);
   r.rationale = attr("io_granularity_data", util::format_bytes(g)) +
                 " on the highest-volume files";
   r.expected_speedup = 1.3;
-  r.apply = [g](RunConfig& cfg) { cfg.stripe_size = g; };
   out.push_back(std::move(r));
 }
 
 /// Rule: disable shared-file locking when no data dependency exists between
-/// processes or apps (§IV-D.3, GPFS ROMIO example).
+/// processes or apps (§IV-D.3, GPFS ROMIO example). Site advice: the PFS
+/// model has no locking switch, so there is no apply.
 void rule_disable_locking(const WorkloadCharacterization& c,
                           std::vector<Recommendation>& out) {
   bool any_dep = c.workflow.has_app_data_dependency;
@@ -112,12 +113,11 @@ void rule_disable_locking(const WorkloadCharacterization& c,
   Recommendation r;
   r.id = "disable-locking";
   r.category = Category::kSystemTuning;
-  r.parameter = "shared_file_locking";
+  r.parameter = "PFS shared-file locking";
   r.value = "false";
   r.rationale = attr("app_data_dependency", "NA") + ", " +
                 attr("process_data_dependency", "NA");
   r.expected_speedup = 1.2;
-  r.apply = [](RunConfig& cfg) { cfg.shared_file_locking = false; };
   out.push_back(std::move(r));
 }
 
@@ -155,7 +155,7 @@ void rule_hdf5_chunking(const WorkloadCharacterization& c,
   Recommendation r;
   r.id = "hdf5-chunking";
   r.category = Category::kDatasetLayout;
-  r.parameter = "hdf5_chunking";
+  r.parameter = "hdf5_chunk_size";
   const util::Bytes chunk = std::max(c.high_level_io.data_granularity,
                                      util::kMiB);
   r.value = "chunk=" + util::format_bytes(chunk);
@@ -164,10 +164,7 @@ void rule_hdf5_chunking(const WorkloadCharacterization& c,
                 attr("io_ops_dist_meta",
                      util::format_percent(1 - c.dataset.data_ops_fraction));
   r.expected_speedup = 1.8;
-  r.apply = [chunk](RunConfig& cfg) {
-    cfg.hdf5_chunking = true;
-    cfg.hdf5_chunk_size = chunk;
-  };
+  r.apply = [chunk](RunConfig& cfg) { cfg.hdf5_chunk_size = chunk; };
   out.push_back(std::move(r));
 }
 
@@ -323,6 +320,9 @@ std::string RuleEngine::report(const std::vector<Recommendation>& recs) {
     os << "[" << to_string(r.category) << "] " << r.id << ": set "
        << r.parameter << " = " << r.value << "\n    because " << r.rationale
        << "\n    expected I/O speedup ~" << r.expected_speedup << "x\n";
+    if (!r.apply) {
+      os << "    site advice: the simulation does not apply this setting\n";
+    }
   }
   return os.str();
 }

@@ -5,6 +5,9 @@
 // category, (b) cites the attributes that drove the decision, and (c)
 // carries an `apply` function that rewrites a RunConfig. This is the
 // "storage system configures itself from the user-provided features" step.
+// Site advice (PFS stripe size, shared-file locking) names storage state
+// the simulated job does not take from RunConfig; it has no `apply`, and
+// RuleEngine::report says so.
 #pragma once
 
 #include <functional>
@@ -29,10 +32,14 @@ const char* to_string(Category c) noexcept;
 struct Recommendation {
   std::string id;         ///< stable rule identifier, e.g. "preload-input"
   Category category = Category::kSoftwareAcceleration;
-  std::string parameter;  ///< RunConfig field (human-readable)
+  /// The RunConfig field `apply` sets, or for site advice the storage
+  /// setting to change (human-readable).
+  std::string parameter;
   std::string value;      ///< target value
   std::string rationale;  ///< the attributes that justified the change
   double expected_speedup = 1.0;  ///< coarse a-priori estimate
+  /// Rewrites a RunConfig; null for site advice the simulation does not
+  /// apply.
   std::function<void(RunConfig&)> apply;
 };
 
@@ -43,7 +50,7 @@ class RuleEngine {
       const charz::WorkloadCharacterization& c) const;
 
   /// Apply every recommendation to a base config (the storage system
-  /// "configuring itself").
+  /// "configuring itself"); site advice leaves it unchanged.
   static RunConfig configure(const std::vector<Recommendation>& recs,
                              RunConfig base = RunConfig{});
 

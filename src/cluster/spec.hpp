@@ -52,7 +52,8 @@ struct PfsSpec {
   int stripe_count = 4;
   MetadataSpec metadata;
   /// Per-node client page cache devoted to this mount (read reuse of
-  /// recently written data; invalidated on cross-node sharing).
+  /// recently written data; invalidated on cross-node sharing). 0 turns
+  /// the cache off.
   Bytes client_cache_bytes = 4 * util::kGiB;
   double client_cache_bandwidth_bps = 8.0e9;
   /// Synchronous small-request latency model: a sync_each_op request pays

@@ -127,7 +127,7 @@ sim::Task<void> ParallelFS::io(const IoRequest& req) {
 
   if (req.kind == IoKind::kRead) {
     counters_.bytes_read += total;
-    if (cache_enabled_ &&
+    if (spec_.client_cache_bytes > 0 &&
         cache_covers(cache, ns_.inode(req.file), req.offset, total)) {
       ++counters_.cache_hits;
       const double sec = static_cast<double>(total) /
@@ -182,7 +182,7 @@ sim::Task<void> ParallelFS::io(const IoRequest& req) {
   }
   co_await wg.wait();
 
-  if (cache_enabled_) {
+  if (spec_.client_cache_bytes > 0) {
     cache_insert(cache, ns_.inode(req.file), req.offset + total);
   }
 }

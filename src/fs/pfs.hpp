@@ -9,7 +9,8 @@
 //     orders of magnitude below peak (CM1's 64MB/s writes).
 //  3. A per-node client page cache with write-invalidation — produce-then-
 //     consume on the same node is fast until capacity or cross-node sharing
-//     evicts it (Montage's intermittent 600-1300MB/s spikes).
+//     evicts it (Montage's intermittent 600-1300MB/s spikes). The cache is
+//     on exactly when PfsSpec::client_cache_bytes > 0.
 #pragma once
 
 #include <deque>
@@ -49,11 +50,6 @@ class ParallelFS final : public FileSystemSim {
     return mds_slots_.queue_length();
   }
 
-  /// Disable/enable the client page cache (ablation studies).
-  void set_client_cache_enabled(bool enabled) noexcept {
-    cache_enabled_ = enabled;
-  }
-
   /// Drop all client caches (used between the untraced staging phase and
   /// the traced run so staging writes don't fake warm caches).
   void drop_client_caches();
@@ -82,7 +78,6 @@ class ParallelFS final : public FileSystemSim {
   std::unordered_map<FileId, int> last_writer_node_;
   Bytes used_ = 0;
   std::size_t active_sync_ = 0;
-  bool cache_enabled_ = true;
 };
 
 }  // namespace wasp::fs

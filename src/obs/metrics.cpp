@@ -5,12 +5,10 @@
 #include <chrono>
 #include <ostream>
 
-#ifndef WASP_OBS_OFF
 #include <array>
 #include <map>
 #include <memory>
 #include <mutex>
-#endif
 
 namespace wasp::obs {
 
@@ -115,8 +113,6 @@ void Snapshot::write_json(std::ostream& os) const {
   }
   os << "\n}\n";
 }
-
-#ifndef WASP_OBS_OFF
 
 std::atomic<bool> Registry::timing_{false};
 
@@ -324,14 +320,5 @@ Snapshot Registry::snapshot() const {
             });
   return out;
 }
-
-#else  // WASP_OBS_OFF
-
-Registry& Registry::instance() {
-  static Registry* inst = new Registry;
-  return *inst;
-}
-
-#endif  // WASP_OBS_OFF
 
 }  // namespace wasp::obs

@@ -23,9 +23,7 @@
 // results: nothing here feeds back into any computation. Counter/histogram
 // accumulation is always on (an uncontended relaxed add); everything that
 // must read a clock gates on Registry::timing_enabled(), so the disabled
-// cost is one branch. Compiling with -DWASP_OBS_OFF replaces the whole API
-// with no-op stubs (CounterCell keeps a real atomic so per-instance
-// accessors like IoStats still work).
+// cost is one branch.
 #pragma once
 
 #include <atomic>
@@ -72,8 +70,6 @@ struct Snapshot {
   ///   "histograms":{"name":{"count":..,"sum":..,"buckets":[[b,n],..]}}}`
   void write_json(std::ostream& os) const;
 };
-
-#ifndef WASP_OBS_OFF
 
 namespace detail {
 inline constexpr std::uint32_t kInvalidSlot = 0xffffffffu;
@@ -206,64 +202,5 @@ class TimerGuard {
   Counter c_;
   std::uint64_t t0_;  // 0 = timing disabled at entry; else now_ns()+1
 };
-
-#else  // WASP_OBS_OFF — null backend: the whole API compiles to nothing.
-
-class Counter {
- public:
-  Counter() = default;
-  void add(std::uint64_t = 1) const noexcept {}
-};
-
-class Gauge {
- public:
-  Gauge() = default;
-  void set(std::int64_t) const noexcept {}
-  void set_max(std::int64_t) const noexcept {}
-};
-
-class Histogram {
- public:
-  Histogram() = default;
-  void add(std::uint64_t) const noexcept {}
-};
-
-/// Keeps a real atomic so per-instance accessors (SpillColumnStore's
-/// IoStats) still report correct values without a registry.
-class CounterCell {
- public:
-  explicit CounterCell(std::string_view) {}
-  CounterCell(const CounterCell&) = delete;
-  CounterCell& operator=(const CounterCell&) = delete;
-  void add(std::uint64_t n = 1) noexcept {
-    v_.fetch_add(n, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const noexcept {
-    return v_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> v_{0};
-};
-
-class Registry {
- public:
-  static Registry& instance();
-  Counter counter(std::string_view) { return {}; }
-  Gauge gauge(std::string_view) { return {}; }
-  Histogram histogram(std::string_view) { return {}; }
-  static constexpr bool timing_enabled() noexcept { return false; }
-  static void set_timing_enabled(bool) noexcept {}
-  Snapshot snapshot() const { return {}; }
-};
-
-class TimerGuard {
- public:
-  explicit TimerGuard(Counter) noexcept {}
-  TimerGuard(const TimerGuard&) = delete;
-  TimerGuard& operator=(const TimerGuard&) = delete;
-};
-
-#endif  // WASP_OBS_OFF
 
 }  // namespace wasp::obs

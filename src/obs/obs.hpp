@@ -8,7 +8,6 @@
 //   obs::TimerGuard t(ns_counter);  // no-op branch unless timing_enabled()
 //   WASP_OBS_SPAN("analyze.scan");  // no-op branch unless tracer enabled
 //
-// Everything compiles to stubs under -DWASP_OBS_OFF (CMake: -DWASP_OBS=OFF).
 // See DESIGN.md §9 for the model and the overhead budget.
 #pragma once
 

@@ -3,18 +3,14 @@
 #include <cstdio>
 #include <ostream>
 
-#ifndef WASP_OBS_OFF
 #include <algorithm>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
-#endif
 
 namespace wasp::obs {
-
-#ifndef WASP_OBS_OFF
 
 namespace {
 
@@ -222,18 +218,5 @@ void SpanTracer::clear() {
     // cleared buffer, unbalanced — tests clear() only between spans.
   }
 }
-
-#else  // WASP_OBS_OFF
-
-SpanTracer& SpanTracer::instance() {
-  static SpanTracer* inst = new SpanTracer;
-  return *inst;
-}
-
-void SpanTracer::write_chrome_trace(std::ostream& os) const {
-  os << "{\"traceEvents\":[\n],\"displayTimeUnit\":\"ms\"}\n";
-}
-
-#endif  // WASP_OBS_OFF
 
 }  // namespace wasp::obs

@@ -15,9 +15,9 @@
 //     and begin reserves the end slot so a pair is never half-dropped).
 //
 // Disabled (the default), a Span costs one relaxed load + branch; nothing
-// reads a clock or touches a buffer. -DWASP_OBS_OFF compiles spans away
-// entirely. Like the metrics registry, span tracing is strictly read-only
-// with respect to simulation and analysis results.
+// reads a clock or touches a buffer. Like the metrics registry, span
+// tracing is strictly read-only with respect to simulation and analysis
+// results.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +41,6 @@ struct SpanAgg {
   std::uint64_t total_ns = 0;
   std::uint64_t self_ns = 0;
 };
-
-#ifndef WASP_OBS_OFF
 
 class SpanTracer {
  public:
@@ -111,31 +109,6 @@ class Span {
  private:
   const char* name_ = nullptr;
 };
-
-#else  // WASP_OBS_OFF
-
-class SpanTracer {
- public:
-  static SpanTracer& instance();
-  void set_enabled(bool) noexcept {}
-  bool enabled() const noexcept { return false; }
-  const char* intern(std::string_view) { return nullptr; }
-  void set_thread_name(std::string_view) {}
-  void set_max_events_per_thread(std::size_t) noexcept {}
-  std::uint64_t dropped_events() const { return 0; }
-  void write_chrome_trace(std::ostream& os) const;
-  std::vector<SpanAgg> aggregate() const { return {}; }
-  void clear() {}
-};
-
-class Span {
- public:
-  explicit Span(const char*) noexcept {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-};
-
-#endif  // WASP_OBS_OFF
 
 #define WASP_OBS_CONCAT_IMPL(a, b) a##b
 #define WASP_OBS_CONCAT(a, b) WASP_OBS_CONCAT_IMPL(a, b)

@@ -151,70 +151,74 @@ Record from_row(const Row& row) {
   return r;
 }
 
-}  // namespace
+/// A file as the log sees it: its namespace (one per node on node-local
+/// filesystems; null for file-less records) and inode id.
+using FileSite = std::pair<const fs::Namespace*, fs::FileId>;
 
-LogData snapshot(const Tracer& tracer) {
-  LogData data;
-  data.apps.reserve(tracer.num_apps());
-  for (std::size_t a = 0; a < tracer.num_apps(); ++a) {
-    data.apps.push_back(tracer.app_name(static_cast<std::uint16_t>(a)));
+struct FileSiteHash {
+  std::size_t operator()(const FileSite& f) const noexcept {
+    return std::hash<const void*>{}(f.first) ^
+           (f.second * 0x9E3779B97F4A7C15ULL);
   }
-  for (std::size_t f = 0; f < tracer.num_filesystems(); ++f) {
-    auto& fsys = tracer.filesystem(static_cast<std::int16_t>(f));
-    data.fs_names.push_back(fsys.name());
-    data.fs_shared.push_back(fsys.shared());
-  }
-  data.records = tracer.records();
-  data.paths.reserve(data.records.size());
-  data.file_sizes.reserve(data.records.size());
-  for (const auto& r : data.records) {
-    data.paths.push_back(tracer.path_of(r.file, r.node));
-    std::uint64_t size = 0;
-    if (r.file.valid()) {
-      auto& fsys = tracer.filesystem(r.file.fs);
-      auto& ns = fsys.ns(fs::ProcSite{fsys.shared() ? 0 : r.node, 0});
-      if (r.file.file < ns.inodes().size()) {
-        size = ns.inodes()[r.file.file].size;
-      }
-    }
-    data.file_sizes.push_back(size);
-  }
-  return data;
-}
+};
+
+}  // namespace
 
 void write_log(const std::string& filename, const Tracer& tracer) {
   std::ofstream os(filename, std::ios::binary | std::ios::trunc);
   WASP_CHECK_MSG(os.good(), "cannot open trace log for write: " + filename);
-  const LogData data = snapshot(tracer);
+  const std::vector<Record>& records = tracer.records();
 
-  // Deduplicate paths into a table.
+  // Resolve each distinct file once, in record order: its path goes into
+  // the deduplicated path table (first-appearance order), and its
+  // end-of-run size is read from the inode.
   std::vector<std::string> path_table;
-  std::vector<std::uint32_t> path_idx(data.records.size(), 0);
-  {
-    std::unordered_map<std::string, std::uint32_t> index;
-    for (std::size_t i = 0; i < data.records.size(); ++i) {
-      auto [it, fresh] = index.try_emplace(
-          data.paths[i], static_cast<std::uint32_t>(path_table.size()));
-      if (fresh) path_table.push_back(data.paths[i]);
-      path_idx[i] = it->second;
+  std::unordered_map<std::string, std::uint32_t> path_ids;
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> files;  // path, size
+  std::unordered_map<FileSite, std::uint32_t, FileSiteHash> file_ids;
+  std::vector<std::uint32_t> file_of(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const Record& r = records[i];
+    FileSite site{nullptr, fs::kInvalidFile};
+    if (r.file.valid()) {
+      auto& fsys = tracer.filesystem(r.file.fs);
+      site = {&fsys.ns(fs::ProcSite{fsys.shared() ? 0 : r.node, 0}),
+              r.file.file};
     }
+    const auto [it, fresh] = file_ids.try_emplace(
+        site, static_cast<std::uint32_t>(files.size()));
+    if (fresh) {
+      const fs::Inode* inode =
+          site.first != nullptr && site.second < site.first->inodes().size()
+              ? &site.first->inodes()[site.second]
+              : nullptr;
+      std::string path = inode != nullptr ? inode->path : "";
+      const auto [pit, new_path] = path_ids.try_emplace(
+          path, static_cast<std::uint32_t>(path_table.size()));
+      if (new_path) path_table.push_back(std::move(path));
+      files.emplace_back(pit->second, inode != nullptr ? inode->size : 0);
+    }
+    file_of[i] = it->second;
   }
 
   CheckedWriter w(os, filename);
   w.write(kMagic, sizeof(kMagic));
-  w.put_u64(data.apps.size());
-  for (const auto& a : data.apps) w.put_string(a);
-  w.put_u64(data.fs_names.size());
-  for (std::size_t f = 0; f < data.fs_names.size(); ++f) {
-    w.put_string(data.fs_names[f]);
-    w.put_u64(data.fs_shared[f] ? 1 : 0);
+  w.put_u64(tracer.num_apps());
+  for (std::size_t a = 0; a < tracer.num_apps(); ++a) {
+    w.put_string(tracer.app_name(static_cast<std::uint16_t>(a)));
+  }
+  w.put_u64(tracer.num_filesystems());
+  for (std::size_t f = 0; f < tracer.num_filesystems(); ++f) {
+    const auto& fsys = tracer.filesystem(static_cast<std::int16_t>(f));
+    w.put_string(fsys.name());
+    w.put_u64(fsys.shared() ? 1 : 0);
   }
   w.put_u64(path_table.size());
   for (const auto& p : path_table) w.put_string(p);
-  w.put_u64(data.records.size());
-  for (std::size_t i = 0; i < data.records.size(); ++i) {
-    const Row row = to_row(data.records[i], path_idx[i],
-                           data.file_sizes[i]);
+  w.put_u64(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const auto& [path_idx, size] = files[file_of[i]];
+    const Row row = to_row(records[i], path_idx, size);
     w.write(&row, sizeof(row));
   }
   w.finish();

@@ -30,7 +30,9 @@ struct LogData {
   std::vector<Record> records;
 };
 
-/// Serialize the tracer's current records (binary, versioned header).
+/// Serialize the tracer's current records (binary, versioned header),
+/// streaming them from tracer.records(): each distinct file's path is
+/// resolved once into a path table kept in first-appearance order.
 void write_log(const std::string& filename, const Tracer& tracer);
 
 /// Everything before a log file's row section.
@@ -69,9 +71,6 @@ class LogReader {
 
 /// Load a log written by write_log. Throws SimError on malformed input.
 LogData read_log(const std::string& filename);
-
-/// Extract LogData from a live tracer without touching disk.
-LogData snapshot(const Tracer& tracer);
 
 /// Human-readable CSV of the records.
 void write_csv(std::ostream& os, const Tracer& tracer);

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "io/posix.hpp"
-#include "pattern/replayer.hpp"
 #include "util/rng.hpp"
 
 namespace wasp::workloads {
@@ -231,9 +230,6 @@ Workload make_cm1(const Cm1Params& params) {
   };
   w.compile = [params](runtime::Simulation&, const advisor::RunConfig&) {
     return compile_cm1(params);
-  };
-  w.launch = [params](runtime::Simulation& sim, const advisor::RunConfig&) {
-    pattern::replay(sim, compile_cm1(params));
   };
   w.launch_reference = [params](runtime::Simulation& sim,
                                 const advisor::RunConfig&) {

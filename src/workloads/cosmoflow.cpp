@@ -6,7 +6,6 @@
 #include "advisor/pattern_rewrites.hpp"
 #include "io/hdf5.hpp"
 #include "io/posix.hpp"
-#include "pattern/replayer.hpp"
 #include "sim/waitgroup.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -109,7 +108,7 @@ sim::Task<void> rank_body(runtime::Simulation& sim, std::uint16_t app,
   // HDF5 reads interleaved with GPU compute.
   io::Hdf5Config h5cfg;
   h5cfg.use_mpiio = true;
-  h5cfg.chunk_size = cfg.hdf5_chunking ? cfg.hdf5_chunk_size : 0;
+  h5cfg.chunk_size = cfg.hdf5_chunk_size;
   h5cfg.meta_reads_per_open = 8;  // unchunked: deep object-header walk
   h5cfg.meta_reads_per_access = 1;
   std::uint64_t processed = 0;
@@ -197,7 +196,7 @@ pattern::JobPattern compile_cosmoflow(runtime::Simulation& sim,
   g.rng_seed = 0xC05;
   g.mpiio = cfg.mpiio;
   g.hdf5.use_mpiio = true;
-  g.hdf5.chunk_size = cfg.hdf5_chunking ? cfg.hdf5_chunk_size : 0;
+  g.hdf5.chunk_size = cfg.hdf5_chunk_size;
   g.hdf5.meta_reads_per_open = 8;  // unchunked: deep object-header walk
   g.hdf5.meta_reads_per_access = 1;
 
@@ -292,10 +291,6 @@ Workload make_cosmoflow(const CosmoflowParams& params) {
   w.compile = [params](runtime::Simulation& sim,
                        const advisor::RunConfig& cfg) {
     return compile_cosmoflow(sim, params, cfg);
-  };
-  w.launch = [params](runtime::Simulation& sim,
-                      const advisor::RunConfig& cfg) {
-    pattern::replay(sim, compile_cosmoflow(sim, params, cfg));
   };
   w.launch_reference = [params](runtime::Simulation& sim,
                                 const advisor::RunConfig& cfg) {

@@ -5,7 +5,6 @@
 
 #include "io/compression.hpp"
 #include "io/posix.hpp"
-#include "pattern/replayer.hpp"
 #include "util/rng.hpp"
 
 namespace wasp::workloads {
@@ -283,10 +282,6 @@ Workload make_hacc(const HaccParams& params) {
   w.compile = [params](runtime::Simulation& sim,
                        const advisor::RunConfig& cfg) {
     return compile_hacc(sim, params, cfg);
-  };
-  w.launch = [params](runtime::Simulation& sim,
-                      const advisor::RunConfig& cfg) {
-    pattern::replay(sim, compile_hacc(sim, params, cfg));
   };
   w.launch_reference = [params](runtime::Simulation& sim,
                                 const advisor::RunConfig& cfg) {

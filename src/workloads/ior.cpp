@@ -4,7 +4,6 @@
 #include <string>
 
 #include "io/posix.hpp"
-#include "pattern/replayer.hpp"
 
 namespace wasp::workloads {
 namespace {
@@ -106,9 +105,6 @@ Workload make_ior(const IorParams& params) {
   w.compile = [params](runtime::Simulation& sim, const advisor::RunConfig&) {
     return compile_ior(sim, params);
   };
-  w.launch = [params](runtime::Simulation& sim, const advisor::RunConfig&) {
-    pattern::replay(sim, compile_ior(sim, params));
-  };
   w.launch_reference = [params](runtime::Simulation& sim,
                                 const advisor::RunConfig&) {
     const auto app = sim.tracer().register_app("ior");
@@ -123,10 +119,11 @@ Workload make_ior(const IorParams& params) {
 
 std::pair<double, double> measure_ior(const cluster::ClusterSpec& spec,
                                       const IorParams& params) {
-  // IOR reports the bandwidth of each phase separately; drop the client
-  // cache so the read phase measures the servers, not local reuse.
-  runtime::Simulation sim(spec);
-  sim.pfs().set_client_cache_enabled(false);
+  // IOR reports the bandwidth of each phase separately; turn the client
+  // cache off so the read phase measures the servers, not local reuse.
+  cluster::ClusterSpec uncached = spec;
+  uncached.pfs.client_cache_bytes = 0;
+  runtime::Simulation sim(uncached);
   auto out = run_with(sim, make_ior(params), advisor::RunConfig{},
                       analysis::Analyzer::Options{});
   const double total = static_cast<double>(params.block) *

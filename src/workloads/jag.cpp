@@ -5,7 +5,6 @@
 
 #include "io/posix.hpp"
 #include "io/stdio.hpp"
-#include "pattern/replayer.hpp"
 #include "util/rng.hpp"
 
 namespace wasp::workloads {
@@ -217,10 +216,6 @@ Workload make_jag(const JagParams& params) {
   };
   w.compile = [params](runtime::Simulation&, const advisor::RunConfig& cfg) {
     return compile_jag(params, cfg);
-  };
-  w.launch = [params](runtime::Simulation& sim,
-                      const advisor::RunConfig& cfg) {
-    pattern::replay(sim, compile_jag(params, cfg));
   };
   w.launch_reference = [params](runtime::Simulation& sim,
                                 const advisor::RunConfig& cfg) {

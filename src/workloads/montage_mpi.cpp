@@ -5,7 +5,6 @@
 
 #include "io/posix.hpp"
 #include "io/stdio.hpp"
-#include "pattern/replayer.hpp"
 #include "sim/sync.hpp"
 #include "util/rng.hpp"
 
@@ -461,10 +460,6 @@ Workload make_montage_mpi(const MontageMpiParams& params) {
   w.compile = [params](runtime::Simulation& sim,
                        const advisor::RunConfig& cfg) {
     return compile_montage_mpi(sim, params, cfg);
-  };
-  w.launch = [params](runtime::Simulation& sim,
-                      const advisor::RunConfig& cfg) {
-    pattern::replay(sim, compile_montage_mpi(sim, params, cfg));
   };
   w.launch_reference = [params](runtime::Simulation& sim,
                                 const advisor::RunConfig& cfg) {

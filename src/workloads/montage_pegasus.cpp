@@ -6,7 +6,6 @@
 
 #include "io/posix.hpp"
 #include "io/stdio.hpp"
-#include "pattern/replayer.hpp"
 #include "sim/waitgroup.hpp"
 #include "util/rng.hpp"
 #include "workflow/dag.hpp"
@@ -569,10 +568,6 @@ Workload make_montage_pegasus(const MontagePegasusParams& params) {
   };
   w.compile = [params](runtime::Simulation&, const advisor::RunConfig& cfg) {
     return compile_montage_pegasus(params, cfg);
-  };
-  w.launch = [params](runtime::Simulation& sim,
-                      const advisor::RunConfig& cfg) {
-    pattern::replay(sim, compile_montage_pegasus(params, cfg));
   };
   w.launch_reference = [params](runtime::Simulation& sim,
                                 const advisor::RunConfig& cfg) {

@@ -2,32 +2,11 @@
 
 #include "analysis/spill_store.hpp"
 #include "obs/obs.hpp"
+#include "pattern/replayer.hpp"
 #include "util/error.hpp"
 
 namespace wasp::workloads {
 namespace {
-
-/// Simulate: untraced setup, then the traced job until all roots finish.
-void execute(runtime::Simulation& sim, const Workload& workload,
-             const advisor::RunConfig& cfg) {
-  WASP_CHECK_MSG(static_cast<bool>(workload.launch), "workload has no launch");
-  if (workload.setup) {
-    sim.tracer().set_enabled(false);
-    sim.engine().spawn(workload.setup(sim));
-    sim.engine().run();
-    sim.tracer().set_enabled(true);
-    sim.pfs().drop_client_caches();
-  }
-  // Faults start with the traced job, never during setup staging. Patterns
-  // may also carry a plan; the RunConfig's wins (replay() checks faults()).
-  if (cfg.faults.enabled() && sim.faults() == nullptr) {
-    sim.install_faults(cfg.faults);
-  }
-  workload.launch(sim, cfg);
-  sim.engine().run();
-  WASP_CHECK_MSG(sim.engine().all_roots_done(),
-                 "workload deadlocked (roots not done)");
-}
 
 /// Characterize + recommend from an already-computed profile.
 RunOutput finish(runtime::Simulation& sim, const Workload& workload,
@@ -47,10 +26,36 @@ RunOutput finish(runtime::Simulation& sim, const Workload& workload,
 
 }  // namespace
 
+void simulate(runtime::Simulation& sim, const Workload& workload,
+              const advisor::RunConfig& cfg) {
+  WASP_CHECK_MSG(workload.launch || workload.compile,
+                 "workload has neither a pattern compiler nor a launch");
+  if (workload.setup) {
+    sim.tracer().set_enabled(false);
+    sim.engine().spawn(workload.setup(sim));
+    sim.engine().run();
+    sim.tracer().set_enabled(true);
+    sim.pfs().drop_client_caches();
+  }
+  // Faults start with the traced job, never during setup staging. Patterns
+  // may also carry a plan; the RunConfig's wins (replay() checks faults()).
+  if (cfg.faults.enabled() && sim.faults() == nullptr) {
+    sim.install_faults(cfg.faults);
+  }
+  if (workload.launch) {
+    workload.launch(sim, cfg);
+  } else {
+    pattern::replay(sim, workload.compile(sim, cfg));
+  }
+  sim.engine().run();
+  WASP_CHECK_MSG(sim.engine().all_roots_done(),
+                 "workload deadlocked (roots not done)");
+}
+
 RunOutput run_with(runtime::Simulation& sim, const Workload& workload,
                    const advisor::RunConfig& cfg,
                    const analysis::Analyzer::Options& analyzer_opts) {
-  execute(sim, workload, cfg);
+  simulate(sim, workload, cfg);
   analysis::Analyzer analyzer(analyzer_opts);
   return finish(sim, workload, analyzer.analyze(sim.tracer()));
 }
@@ -69,7 +74,7 @@ RunOutput run_spilled(runtime::Simulation& sim, const Workload& workload,
   analysis::SpillColumnStore store(store_opts);
 
   sim.tracer().set_sink(&store, policy.flush_rows);
-  execute(sim, workload, cfg);
+  simulate(sim, workload, cfg);
   sim.tracer().flush_sink();
   sim.tracer().set_sink(nullptr);
   store.finalize();
@@ -119,7 +124,6 @@ std::vector<RunOutput> run_many(const std::vector<Scenario>& scenarios,
                                                               s.name)
                          : nullptr);
       runtime::Simulation sim(s.spec);
-      if (s.prepare) s.prepare(sim);
       if (runner.spill().has_value()) {
         return run_spilled(sim, s.make(), s.cfg, s.analyzer_opts,
                            *runner.spill(), s.name);

@@ -1,9 +1,10 @@
 // Uniform workload harness.
 //
 // A Workload bundles (a) the owner-declared attributes, (b) an untraced
-// setup task that stages input data, and (c) a launch function that spawns
-// every simulated process honoring a RunConfig. The runner executes the
-// whole Vani pipeline: run -> trace -> analyze -> characterize -> recommend.
+// setup task that stages input data, and (c) a pattern compiler that turns
+// a RunConfig into the declarative I/O-pattern IR. simulate() replays the
+// compiled pattern; the runner then executes the rest of the Vani
+// pipeline: trace -> analyze -> characterize -> recommend.
 #pragma once
 
 #include <functional>
@@ -24,15 +25,17 @@ struct Workload {
   charz::WorkloadDecl decl;
   /// Stage input datasets (runs untraced before t=0 of the job).
   std::function<sim::Task<void>(runtime::Simulation&)> setup;
-  /// Spawn all job processes into the engine. For the ported models this is
-  /// compile + pattern::replay.
-  std::function<void(runtime::Simulation&, const advisor::RunConfig&)> launch;
-  /// Compile params + RunConfig into the declarative pattern IR (null when
-  /// the model has no pattern compiler). Takes the Simulation because file
-  /// paths depend on its mount table.
+  /// Compile params + RunConfig into the declarative pattern IR: the one
+  /// way a RunConfig reaches the simulated job. Takes the Simulation
+  /// because file paths depend on its mount table.
   std::function<pattern::JobPattern(runtime::Simulation&,
                                     const advisor::RunConfig&)>
       compile;
+  /// Hand-written imperative launch that spawns every job process itself;
+  /// when set, simulate() calls it instead of replaying `compile`. Only
+  /// models with no pattern compiler (ad-hoc bench and example workloads)
+  /// and the equivalence tests' swap-in of `launch_reference` set it.
+  std::function<void(runtime::Simulation&, const advisor::RunConfig&)> launch;
   /// The original imperative launch path, kept as the equivalence oracle:
   /// replaying `compile`'s pattern must produce a byte-identical trace
   /// (tests/test_pattern_equivalence.cpp).
@@ -52,6 +55,13 @@ struct RunOutput {
   /// Simulation alive.
   fs::FsCounters pfs_counters;
 };
+
+/// Simulate the job on `sim`: run the untraced setup and drop the PFS
+/// client caches it warmed, install cfg.faults, spawn the job (replay
+/// workload.compile(sim, cfg), or workload.launch when set) and run the
+/// engine until every root finishes. Leaves the trace in sim.tracer().
+void simulate(runtime::Simulation& sim, const Workload& workload,
+              const advisor::RunConfig& cfg);
 
 /// Execute the full pipeline on a fresh Simulation.
 RunOutput run(const cluster::ClusterSpec& spec, const Workload& workload,
@@ -86,10 +96,6 @@ struct Scenario {
   std::function<Workload()> make;
   advisor::RunConfig cfg;
   analysis::Analyzer::Options analyzer_opts;
-  /// Optional hook run on the fresh Simulation before the pipeline starts —
-  /// for runtime state the ClusterSpec can't express (e.g. toggling the
-  /// PFS client cache). Runs on the scenario's worker thread.
-  std::function<void(runtime::Simulation&)> prepare;
   /// Rough expected engine-event count, when the caller knows it (e.g. a
   /// sweep re-running a measured cell). 0 = unknown. Used only to decide
   /// whether fanning out across threads is worth the pool dispatch cost —

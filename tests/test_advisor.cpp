@@ -1,5 +1,6 @@
 // Rule-engine tests: each §IV-D rule fires exactly on its attribute
-// conditions and rewrites the RunConfig correctly.
+// conditions and rewrites the RunConfig correctly (or, for site advice,
+// leaves it alone).
 #include <gtest/gtest.h>
 
 #include "advisor/rules.hpp"
@@ -63,12 +64,17 @@ charz::WorkloadCharacterization montage_like() {
   return c;
 }
 
+const Recommendation* find_rule(const std::vector<Recommendation>& recs,
+                                const std::string& id) {
+  for (const auto& r : recs) {
+    if (r.id == id) return &r;
+  }
+  return nullptr;
+}
+
 bool has_rule(const std::vector<Recommendation>& recs,
               const std::string& id) {
-  for (const auto& r : recs) {
-    if (r.id == id) return true;
-  }
-  return false;
+  return find_rule(recs, id) != nullptr;
 }
 
 TEST(RuleEngine, PreloadFiresForCosmoflowProfile) {
@@ -109,14 +115,18 @@ TEST(RuleEngine, IntermediatesRuleNeedsAppDependency) {
   EXPECT_FALSE(has_rule(engine.evaluate(c), "intermediates-node-local"));
 }
 
+// Site advice: the value tracks the granularity, but there is no RunConfig
+// field to set, and the report says the simulation does not apply it.
 TEST(RuleEngine, StripeSizeMatchesDominantGranularity) {
   auto c = montage_like();
   c.high_level_io.data_granularity = 16 * util::kMiB;
-  RuleEngine engine;
-  auto recs = engine.evaluate(c);
-  ASSERT_TRUE(has_rule(recs, "stripe-size"));
-  auto cfg = RuleEngine::configure(recs);
-  EXPECT_EQ(cfg.stripe_size, 16 * util::kMiB);
+  const auto recs = RuleEngine().evaluate(c);
+  const Recommendation* stripe = find_rule(recs, "stripe-size");
+  ASSERT_NE(stripe, nullptr);
+  EXPECT_EQ(stripe->value, util::format_bytes(16 * util::kMiB));
+  EXPECT_FALSE(static_cast<bool>(stripe->apply));
+  EXPECT_NE(RuleEngine::report({*stripe}).find("site advice"),
+            std::string::npos);
 }
 
 TEST(RuleEngine, StripeRuleSkipsSmallOrDefaultGranularity) {
@@ -155,7 +165,6 @@ TEST(RuleEngine, Hdf5ChunkingForMetadataHeavyHdf5) {
   auto recs = engine.evaluate(cosmoflow_like());
   ASSERT_TRUE(has_rule(recs, "hdf5-chunking"));
   auto cfg = RuleEngine::configure(recs);
-  EXPECT_TRUE(cfg.hdf5_chunking);
   EXPECT_GE(cfg.hdf5_chunk_size, util::kMiB);
 }
 
@@ -190,9 +199,14 @@ TEST(RuleEngine, ReportMentionsEveryRecommendation) {
 
 TEST(RuleEngine, ConfigureStartsFromGivenBase) {
   RunConfig base;
-  base.stripe_count = 8;
-  auto cfg = RuleEngine::configure({}, base);
-  EXPECT_EQ(cfg.stripe_count, 8);
+  base.stdio_buffer = 64 * util::kKiB;
+  // Each recommendation rewrites only its own field; the base's others stay.
+  const auto recs = RuleEngine().evaluate(cosmoflow_like());
+  const Recommendation* preload = find_rule(recs, "preload-input");
+  ASSERT_NE(preload, nullptr);
+  const auto cfg = RuleEngine::configure({*preload}, base);
+  EXPECT_TRUE(cfg.preload_input_to_node_local);
+  EXPECT_EQ(cfg.stdio_buffer, 64 * util::kKiB);
 }
 
 }  // namespace

@@ -118,7 +118,7 @@ TEST(FaultDeterminism, ProfilesIdenticalAcrossJobCounts) {
     std::vector<workloads::Scenario> scenarios;
     for (std::size_t i = 0; i < n; ++i) {
       scenarios.push_back({entry.id, test_cluster(), entry.make_test,
-                           faulted_cfg(), analysis::Analyzer::Options{}, {}});
+                           faulted_cfg(), analysis::Analyzer::Options{}});
     }
     return scenarios;
   };

@@ -18,8 +18,6 @@
 #include "analysis/spill_store.hpp"
 #include "obs/obs.hpp"
 
-#ifndef WASP_OBS_OFF
-
 namespace wasp {
 namespace {
 
@@ -312,31 +310,3 @@ TEST(ObsSpillStats, IoStatsMatchesRegistrySnapshot) {
 
 }  // namespace
 }  // namespace wasp
-
-#else  // WASP_OBS_OFF
-
-namespace wasp {
-namespace {
-
-// The OFF build keeps the API callable and CounterCell functional; the
-// registry reports nothing.
-TEST(ObsRegistry, OffBuildIsInertButCallable) {
-  obs::Registry::instance().counter("test.obs.off").add(5);
-  obs::Registry::instance().gauge("test.obs.off_g").set(1);
-  obs::Registry::instance().histogram("test.obs.off_h").add(2);
-  EXPECT_TRUE(obs::Registry::instance().snapshot().entries.empty());
-  EXPECT_FALSE(obs::Registry::timing_enabled());
-
-  obs::CounterCell cell("test.obs.off_cell");
-  cell.add(3);
-  EXPECT_EQ(cell.value(), 3u);  // per-instance stats still work
-
-  obs::SpanTracer::instance().set_enabled(true);
-  EXPECT_FALSE(obs::SpanTracer::instance().enabled());
-  { WASP_OBS_SPAN("off"); }
-}
-
-}  // namespace
-}  // namespace wasp
-
-#endif  // WASP_OBS_OFF

@@ -1,6 +1,6 @@
-// Offline-analysis equivalence: analyzing a persisted LogData must produce
-// the same profile as analyzing the live tracer (the wasp_analyze tool's
-// correctness contract), plus IOR sanity at test scale.
+// Offline-analysis equivalence: analyzing a trace log read back from disk
+// must produce the same profile as analyzing the live tracer (the
+// wasp_analyze tool's correctness contract), plus IOR sanity at test scale.
 #include <gtest/gtest.h>
 
 #include "analysis/analyzer.hpp"
@@ -38,31 +38,18 @@ void expect_profiles_equal(const analysis::WorkloadProfile& a,
   }
 }
 
-TEST(OfflineAnalysis, SnapshotProfileMatchesLiveProfile) {
+TEST(OfflineAnalysis, DiskRoundTripProfileMatches) {
+  const std::string path = std::string(::testing::TempDir()) + "/off.wtrc";
   for (const auto& entry : workloads::paper_workloads()) {
     SCOPED_TRACE(entry.name);
-    runtime::Simulation sim2(cluster::lassen(4));
-    auto out = workloads::run_with(sim2, entry.make_test(),
-                                   advisor::RunConfig{},
-                                   analysis::Analyzer::Options{});
+    runtime::Simulation sim(cluster::lassen(4));
+    workloads::simulate(sim, entry.make_test(), advisor::RunConfig{});
+    trace::write_log(path, sim.tracer());
     analysis::Analyzer analyzer;
-    const auto live = analyzer.analyze(sim2.tracer());
-    const auto offline = analyzer.analyze(trace::snapshot(sim2.tracer()));
-    expect_profiles_equal(live, offline);
+    const auto live = analyzer.analyze(sim.tracer());
+    const auto from_disk = analyzer.analyze(trace::read_log(path));
+    expect_profiles_equal(live, from_disk);
   }
-}
-
-TEST(OfflineAnalysis, DiskRoundTripProfileMatches) {
-  runtime::Simulation sim(cluster::lassen(2));
-  auto out = workloads::run_with(
-      sim, workloads::make_hacc(workloads::HaccParams::test()),
-      advisor::RunConfig{}, analysis::Analyzer::Options{});
-  const std::string path = std::string(::testing::TempDir()) + "/off.wtrc";
-  trace::write_log(path, sim.tracer());
-  analysis::Analyzer analyzer;
-  const auto live = analyzer.analyze(sim.tracer());
-  const auto from_disk = analyzer.analyze(trace::read_log(path));
-  expect_profiles_equal(live, from_disk);
   std::remove(path.c_str());
 }
 

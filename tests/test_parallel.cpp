@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -226,7 +227,11 @@ TEST(AnalyzerDeterminism, OfflineLogBitIdenticalAcrossJobCounts) {
   auto out = workloads::run_with(
       sim, workloads::make_montage_mpi(workloads::MontageMpiParams::test()),
       advisor::RunConfig{}, analysis::Analyzer::Options{});
-  const auto log = trace::snapshot(sim.tracer());
+  const std::string path =
+      std::string(::testing::TempDir()) + "/determinism.wtrc";
+  trace::write_log(path, sim.tracer());
+  const auto log = trace::read_log(path);
+  std::remove(path.c_str());
   analysis::Analyzer::Options o1;
   o1.jobs = 1;
   o1.chunk_rows = 257;
@@ -254,17 +259,8 @@ TEST(ScenarioRunner, ConcurrentTracesMatchSequentialRecordForRecord) {
     // paper_workloads() returns by value — copy the entry, don't bind a
     // reference into the temporary vector.
     const auto entry = workloads::paper_workloads()[workload_index];
-    const auto workload = entry.make_test();
     runtime::Simulation sim(cluster::lassen(4));
-    if (workload.setup) {
-      sim.tracer().set_enabled(false);
-      sim.engine().spawn(workload.setup(sim));
-      sim.engine().run();
-      sim.tracer().set_enabled(true);
-      sim.pfs().drop_client_caches();
-    }
-    workload.launch(sim, advisor::RunConfig{});
-    sim.engine().run();
+    workloads::simulate(sim, entry.make_test(), advisor::RunConfig{});
     return sim.tracer().records();
   };
 
@@ -299,8 +295,7 @@ TEST(ScenarioRunner, RunManyMatchesIndividualRuns) {
                                workloads::HaccParams::test());
                          },
                          advisor::RunConfig{},
-                         analysis::Analyzer::Options{},
-                         {}});
+                         analysis::Analyzer::Options{}});
   }
   const auto batch = workloads::run_many(scenarios, 2);
   ASSERT_EQ(batch.size(), scenarios.size());

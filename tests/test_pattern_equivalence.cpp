@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "advisor/pattern_rewrites.hpp"
-#include "pattern/replayer.hpp"
 #include "workloads/ior.hpp"
 #include "workloads/registry.hpp"
 
@@ -26,6 +25,14 @@ cluster::ClusterSpec test_cluster(int nodes = 4) {
 Workload reference_of(Workload w) {
   EXPECT_TRUE(static_cast<bool>(w.launch_reference));
   w.launch = w.launch_reference;
+  return w;
+}
+
+/// The same workload replaying a fixed (e.g. rewritten) pattern.
+Workload with_pattern(Workload w, const pattern::JobPattern& pat) {
+  w.compile = [pat](runtime::Simulation&, const advisor::RunConfig&) {
+    return pat;
+  };
   return w;
 }
 
@@ -99,7 +106,7 @@ TEST(PatternEquivalence, HaccCompressedAsyncDrain) {
 
 TEST(PatternEquivalence, CosmoflowChunkedAndPreloaded) {
   advisor::RunConfig cfg;
-  cfg.hdf5_chunking = true;
+  cfg.hdf5_chunk_size = util::kMiB;
   cfg.preload_input_to_node_local = true;
   expect_byte_identical(make_cosmoflow(CosmoflowParams::test()), cfg);
 }
@@ -196,13 +203,7 @@ TEST(PatternEquivalence, CosmoflowPreloadRewriteReproducesFig7Direction) {
             pattern::to_yaml(w.compile(compile_sim2, preload_cfg)));
 
   auto replay_pattern = [&](const pattern::JobPattern& pat) {
-    Workload v;
-    v.decl = w.decl;
-    v.setup = w.setup;
-    v.launch = [&pat](runtime::Simulation& sim, const advisor::RunConfig&) {
-      pattern::replay(sim, pat);
-    };
-    return run(test_cluster(), v);
+    return run(test_cluster(), with_pattern(w, pat));
   };
   auto base = replay_pattern(baseline_pat);
   auto fast = replay_pattern(rewritten);
@@ -223,13 +224,7 @@ TEST(PatternRewrite, TransferSizeKeepsBytes) {
   EXPECT_GT(changed, 0);
 
   auto run_pattern = [&](const pattern::JobPattern& p) {
-    Workload v;
-    v.decl = w.decl;
-    v.setup = w.setup;
-    v.launch = [&p](runtime::Simulation& sim, const advisor::RunConfig&) {
-      pattern::replay(sim, p);
-    };
-    return run(test_cluster(), v);
+    return run(test_cluster(), with_pattern(w, p));
   };
   auto base = run_pattern(pat);
   auto variant = run_pattern(rewritten);
@@ -249,14 +244,7 @@ TEST(PatternRewrite, InterfaceSwapRespectsPinnedHandles) {
   const int changed =
       advisor::set_interface(rewritten, pattern::Layer::kStdio);
   EXPECT_GT(changed, 0);
-  Workload v;
-  v.decl = w.decl;
-  v.setup = w.setup;
-  v.launch = [&rewritten](runtime::Simulation& sim,
-                          const advisor::RunConfig&) {
-    pattern::replay(sim, rewritten);
-  };
-  auto out = run(test_cluster(), v);
+  auto out = run(test_cluster(), with_pattern(w, rewritten));
   EXPECT_GT(out.profile.totals.io_bytes(), 0u);
 }
 

@@ -123,11 +123,9 @@ TEST(ManifestDeterminism, FingerprintIdenticalAcrossJobCounts) {
   const std::string fp1 = fingerprint_run(1);
   const std::string fp4 = fingerprint_run(4);
   EXPECT_EQ(fp1, fp4);
-#ifndef WASP_OBS_OFF
   EXPECT_FALSE(fp1.empty());
   EXPECT_NE(fp1.find("engine.events="), std::string::npos);
   EXPECT_NE(fp1.find("faults."), std::string::npos);
-#endif
 }
 
 TEST(ManifestDeterminism, FingerprintIdenticalAcrossBackends) {
@@ -161,9 +159,7 @@ TEST(ManifestDeterminism, FingerprintIdenticalAcrossBackends) {
   const std::string memory_fp = fingerprint_analyze(false, "");
   const std::string spill_fp = fingerprint_analyze(true, "manifest.spill");
   EXPECT_EQ(memory_fp, spill_fp);
-#ifndef WASP_OBS_OFF
   EXPECT_NE(memory_fp.find("analyze.rows="), std::string::npos);
-#endif
 }
 
 }  // namespace

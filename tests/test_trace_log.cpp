@@ -62,24 +62,20 @@ TEST(TraceLog, BinaryRoundTripPreservesEverything) {
     EXPECT_EQ(a.count, b.count);
     EXPECT_EQ(a.tstart, b.tstart);
     EXPECT_EQ(a.tend, b.tend);
+    // Node-local paths resolve through the record's node.
     EXPECT_EQ(data.paths[i], sim.tracer().path_of(a.file, a.node));
+    // Every row carries its file's end-of-run size.
+    if (data.paths[i] == "/p/gpfs1/log_t") {
+      EXPECT_EQ(data.file_sizes[i], 4096u * 16);
+    } else if (data.paths[i] == "/dev/shm/local_t") {
+      EXPECT_EQ(data.file_sizes[i], 512u * 2);
+    } else {
+      EXPECT_EQ(data.file_sizes[i], 0u);
+    }
   }
   EXPECT_EQ(data.apps.size(), sim.tracer().num_apps());
+  EXPECT_EQ(data.fs_names.size(), sim.tracer().num_filesystems());
   std::remove(path.c_str());
-}
-
-TEST(TraceLog, SnapshotMatchesWriteRead) {
-  Simulation sim(cluster::tiny(2));
-  populate(sim);
-  const LogData snap = snapshot(sim.tracer());
-  EXPECT_EQ(snap.records.size(), sim.tracer().records().size());
-  EXPECT_EQ(snap.fs_names.size(), sim.tracer().num_filesystems());
-  // Node-local path resolves through the record's node.
-  bool found_local = false;
-  for (const auto& p : snap.paths) {
-    if (p == "/dev/shm/local_t") found_local = true;
-  }
-  EXPECT_TRUE(found_local);
 }
 
 TEST(TraceLog, CsvHasHeaderAndOneLinePerRecord) {

@@ -195,7 +195,7 @@ TEST(YamlLoader, AdvisorDecisionsSurviveTheFile) {
   }
   const auto cfg = advisor::RuleEngine::configure(via_file);
   EXPECT_TRUE(cfg.preload_input_to_node_local);
-  EXPECT_TRUE(cfg.hdf5_chunking);
+  EXPECT_GT(cfg.hdf5_chunk_size, 0u);
 }
 
 TEST(YamlLoader, RejectsNonCharacterizationDocuments) {

@@ -1,8 +1,6 @@
 // Shared --telemetry/--trace-out/--report plumbing for the CLI tools:
 // enable the relevant obs switches up front, write the snapshot JSON,
-// Chrome trace, and run-manifest files at exit. Under -DWASP_OBS_OFF all
-// files are still written (empty schema-stable documents), so scripts
-// never have to special-case the build config.
+// Chrome trace, and run-manifest files at exit.
 #pragma once
 
 #include <chrono>

@@ -26,17 +26,14 @@ int main(int argc, char** argv) {
 
   const auto cfg = advisor::RuleEngine::configure(recs);
   std::cout << "\nresulting storage configuration:\n"
-            << "  stripe_size             = "
-            << util::format_bytes(cfg.stripe_size) << "\n"
-            << "  shared_file_locking     = "
-            << (cfg.shared_file_locking ? "true" : "false") << "\n"
             << "  stdio_buffer            = "
             << util::format_bytes(cfg.stdio_buffer) << "\n"
             << "  mpiio.cb_buffer         = "
             << util::format_bytes(cfg.mpiio.cb_buffer) << "\n"
-            << "  hdf5_chunking           = "
-            << (cfg.hdf5_chunking ? util::format_bytes(cfg.hdf5_chunk_size)
-                                  : "off")
+            << "  hdf5_chunk_size         = "
+            << (cfg.hdf5_chunk_size > 0
+                    ? util::format_bytes(cfg.hdf5_chunk_size)
+                    : "off")
             << "\n"
             << "  preload_input           = "
             << (cfg.preload_input_to_node_local ? cfg.node_local_tier : "off")

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "advisor/pattern_rewrites.hpp"
-#include "pattern/replayer.hpp"
 #include "sim/faults.hpp"
 #include "util/error.hpp"
 #include "util/parse.hpp"
@@ -112,11 +111,9 @@ workloads::RegistryEntry frame_entry(const PatternSource& src,
 workloads::RunOutput replay_pattern(const pattern::JobPattern& pat,
                                     const workloads::Workload& frame,
                                     int nodes) {
-  workloads::Workload w;
-  w.decl = frame.decl;
-  w.setup = frame.setup;
-  w.launch = [&pat](runtime::Simulation& sim, const advisor::RunConfig&) {
-    pattern::replay(sim, pat);
+  workloads::Workload w = frame;
+  w.compile = [&pat](runtime::Simulation&, const advisor::RunConfig&) {
+    return pat;
   };
   runtime::Simulation sim(cluster::lassen(nodes));
   return workloads::run_with(sim, w, advisor::RunConfig{},
