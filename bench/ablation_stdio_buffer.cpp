@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "io/stdio.hpp"
 #include "sweep.hpp"
 #include "workloads/workload.hpp"
 
@@ -14,28 +13,40 @@ namespace {
 
 using namespace wasp;
 
-sim::Task<void> rank_body(runtime::Simulation& sim, std::uint16_t app,
-                          int rank, util::Bytes buffer) {
-  runtime::Proc p(sim, app, rank, rank % sim.spec().nodes);
-  io::Stdio stdio(p, buffer);
-  auto f = co_await stdio.fopen("/p/gpfs1/ab/f" + std::to_string(rank),
-                                io::OpenMode::kWrite);
-  co_await stdio.fwrite(f, 512, 32768);  // 16MiB in 512B ops
-  co_await stdio.fclose(f);
-  auto g = co_await stdio.fopen("/p/gpfs1/ab/f" + std::to_string(rank),
-                                io::OpenMode::kRead);
-  co_await stdio.fread(g, 512, 32768);
-  co_await stdio.fclose(g);
+/// 16 ranks each write, then read back, a private 16MiB file in 512B
+/// STDIO ops through a `buffer`-sized stream buffer.
+pattern::JobPattern stdio_pattern(int nodes, util::Bytes buffer) {
+  namespace po = pattern::ops;
+  using pattern::Expr;
+  using pattern::Layer;
+  pattern::JobPattern pat;
+  pat.name = "stdio-buffer-ablation";
+  pat.apps = {"ab"};
+  pat.comms.push_back({"world", 16, nodes, false});
+  pattern::LaneGroup g;
+  g.comm = "world";
+  g.stdio_buffer = buffer;
+  pattern::PhasePattern ph;
+  ph.app = "ab";
+  const std::string path = "/p/gpfs1/ab/f{rank}";
+  ph.ops.push_back(po::open(Layer::kStdio, "f", path, io::OpenMode::kWrite));
+  ph.ops.push_back(po::write(Layer::kStdio, "f", Expr::lit(512),
+                             Expr::lit(32768)));  // 16MiB in 512B ops
+  ph.ops.push_back(po::close(Layer::kStdio, "f"));
+  ph.ops.push_back(po::open(Layer::kStdio, "g", path, io::OpenMode::kRead));
+  ph.ops.push_back(
+      po::read(Layer::kStdio, "g", Expr::lit(512), Expr::lit(32768)));
+  ph.ops.push_back(po::close(Layer::kStdio, "g"));
+  g.phases.push_back(std::move(ph));
+  pat.groups.push_back(std::move(g));
+  return pat;
 }
 
 workloads::Workload stdio_workload(util::Bytes buffer) {
   workloads::Workload w;
   w.decl.name = "stdio-buffer-ablation";
-  w.launch = [buffer](runtime::Simulation& sim, const advisor::RunConfig&) {
-    const auto app = sim.tracer().register_app("ab");
-    for (int r = 0; r < 16; ++r) {
-      sim.engine().spawn(rank_body(sim, app, r, buffer));
-    }
+  w.compile = [buffer](runtime::Simulation& sim, const advisor::RunConfig&) {
+    return stdio_pattern(sim.spec().nodes, buffer);
   };
   return w;
 }

@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "io/posix.hpp"
 #include "sweep.hpp"
 #include "workloads/workload.hpp"
 
@@ -19,22 +18,35 @@ using namespace wasp;
 constexpr util::Bytes kTotal = 4 * util::kGiB;
 constexpr util::Bytes kTransfer = 64 * util::kMiB;
 
-sim::Task<void> lone_writer(runtime::Simulation& sim, std::uint16_t app,
-                            util::Bytes total, util::Bytes transfer) {
-  runtime::Proc p(sim, app, 0, 0);
-  io::Posix posix(p);
-  auto f = co_await posix.open("/p/gpfs1/stripe_t", io::OpenMode::kWrite);
-  co_await posix.write(f, transfer,
-                       static_cast<std::uint32_t>(total / transfer));
-  co_await posix.close(f);
+/// One rank on one node writes kTotal in kTransfer POSIX writes.
+pattern::JobPattern lone_writer_pattern() {
+  namespace po = pattern::ops;
+  using pattern::Expr;
+  using pattern::Layer;
+  pattern::JobPattern pat;
+  pat.name = "stripe-ablation";
+  pat.apps = {"w"};
+  pat.comms.push_back({"world", 1, 1, false});
+  pattern::LaneGroup g;
+  g.comm = "world";
+  pattern::PhasePattern ph;
+  ph.app = "w";
+  ph.ops.push_back(
+      po::open(Layer::kPosix, "f", "/p/gpfs1/stripe_t", io::OpenMode::kWrite));
+  ph.ops.push_back(
+      po::write(Layer::kPosix, "f", Expr::lit(std::int64_t{kTransfer}),
+                Expr::lit(std::int64_t{kTotal / kTransfer})));
+  ph.ops.push_back(po::close(Layer::kPosix, "f"));
+  g.phases.push_back(std::move(ph));
+  pat.groups.push_back(std::move(g));
+  return pat;
 }
 
 workloads::Workload lone_writer_workload() {
   workloads::Workload w;
   w.decl.name = "stripe-ablation";
-  w.launch = [](runtime::Simulation& sim, const advisor::RunConfig&) {
-    const auto app = sim.tracer().register_app("w");
-    sim.engine().spawn(lone_writer(sim, app, kTotal, kTransfer));
+  w.compile = [](runtime::Simulation&, const advisor::RunConfig&) {
+    return lone_writer_pattern();
   };
   return w;
 }

@@ -1,7 +1,7 @@
 // Quickstart: the full WASP pipeline on a small custom workload.
 //
 //   1. describe a cluster                (cluster::ClusterSpec)
-//   2. write a workload as coroutines    (runtime::Proc + io::Posix)
+//   2. describe a workload's I/O pattern (pattern::JobPattern)
 //   3. run it traced                     (workloads::run)
 //   4. characterize the I/O behavior     (entities/attributes -> YAML)
 //   5. let the advisor reconfigure       (RuleEngine -> RunConfig)
@@ -11,7 +11,6 @@
 #include <iostream>
 
 #include "advisor/rules.hpp"
-#include "io/stdio.hpp"
 #include "workloads/workload.hpp"
 
 using namespace wasp;
@@ -22,24 +21,35 @@ namespace {
 // file in tiny 512B STDIO transfers, then the next rank reads it back.
 // The RunConfig's stdio_buffer is honored — which is exactly the knob the
 // advisor's stdio-buffer rule turns.
-sim::Task<void> rank_body(runtime::Simulation& sim, std::uint16_t app,
-                          mpi::Comm& comm, int rank,
-                          advisor::RunConfig cfg) {
-  runtime::Proc p(sim, app, rank, comm.node_of(rank), &comm);
-  io::Stdio stdio(p, cfg.stdio_buffer);
-
-  auto out = co_await stdio.fopen(
-      "/p/gpfs1/demo/part_" + std::to_string(rank), io::OpenMode::kWrite);
-  co_await stdio.fwrite(out, 512, 16384);  // 8MiB in 512B ops
-  co_await stdio.fclose(out);
-  co_await p.barrier();
-
-  const int peer = (rank + 1) % comm.size();
-  auto in = co_await stdio.fopen(
-      "/p/gpfs1/demo/part_" + std::to_string(peer), io::OpenMode::kRead);
-  co_await stdio.fread(in, 512, 16384);
-  co_await stdio.fclose(in);
-  co_await p.barrier();
+pattern::JobPattern compile_demo(const advisor::RunConfig& cfg) {
+  namespace po = pattern::ops;
+  using pattern::Expr;
+  using pattern::Layer;
+  pattern::JobPattern pat;
+  pat.name = "quickstart-demo";
+  pat.apps = {"demo"};
+  pat.comms.push_back({"world", /*procs=*/16, /*nodes=*/4, false});
+  pattern::LaneGroup g;  // one lane (simulated process) per rank of "world"
+  g.comm = "world";
+  g.stdio_buffer = cfg.stdio_buffer;
+  pattern::PhasePattern ph;
+  ph.app = "demo";
+  ph.ops.push_back(po::open(Layer::kStdio, "out", "/p/gpfs1/demo/part_{rank}",
+                            io::OpenMode::kWrite));
+  ph.ops.push_back(po::write(Layer::kStdio, "out", Expr::lit(512),
+                             Expr::lit(16384)));  // 8MiB in 512B ops
+  ph.ops.push_back(po::close(Layer::kStdio, "out"));
+  ph.ops.push_back(po::barrier());
+  ph.ops.push_back(po::open(Layer::kStdio, "in",
+                            "/p/gpfs1/demo/part_{(rank + 1) % 16}",
+                            io::OpenMode::kRead));
+  ph.ops.push_back(
+      po::read(Layer::kStdio, "in", Expr::lit(512), Expr::lit(16384)));
+  ph.ops.push_back(po::close(Layer::kStdio, "in"));
+  ph.ops.push_back(po::barrier());
+  g.phases.push_back(std::move(ph));
+  pat.groups.push_back(std::move(g));
+  return pat;
 }
 
 workloads::Workload make_demo() {
@@ -47,12 +57,8 @@ workloads::Workload make_demo() {
   w.decl.name = "quickstart-demo";
   w.decl.data_repr = "1D";
   w.decl.dataset_format = "bin";
-  w.launch = [](runtime::Simulation& sim, const advisor::RunConfig& cfg) {
-    const auto app = sim.tracer().register_app("demo");
-    auto& comm = sim.add_comm(/*procs=*/16, /*nodes=*/4);
-    for (int r = 0; r < comm.size(); ++r) {
-      sim.engine().spawn(rank_body(sim, app, comm, r, cfg));
-    }
+  w.compile = [](runtime::Simulation&, const advisor::RunConfig& cfg) {
+    return compile_demo(cfg);
   };
   return w;
 }

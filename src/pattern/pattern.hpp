@@ -5,8 +5,10 @@
 // and — per phase — the exact op sequence (opens, transfers, seeks, compute
 // spans, barriers, loops) each lane performs. Workload models *compile*
 // their parameters + RunConfig into a JobPattern; a generic Replayer (see
-// replayer.hpp) drives the pattern through the existing io:: layers so the
-// resulting trace is byte-identical to the hand-written imperative model.
+// replayer.hpp) drives the pattern through the existing io:: layers, and
+// that replay is the only way a workload runs. Golden fingerprints
+// (tests/test_pattern_equivalence.cpp) pin what each compiler's pattern
+// produces.
 //
 // The IR is the what-if surface: advisor optimizations (§IV-D) become pure
 // IR->IR rewrites (advisor/pattern_rewrites.hpp), and patterns round-trip

@@ -109,12 +109,42 @@ struct LaneCfg {
 };
 
 /// One named file-handle slot; which member is live follows the layer of
-/// the op that opened it.
+/// the op that opened it, and `live` records it.
 struct Slot {
+  enum class Member : std::uint8_t { kNone, kFile, kStdio, kH5 };
   io::File file;
   io::StdioFile stdio;
   io::H5File h5;
+  Member live = Member::kNone;
 };
+
+/// The Slot member an op on a handle uses (for kOpen: the one it fills).
+Slot::Member member_of(const Op& o) {
+  switch (o.kind) {
+    case OpKind::kPread:
+    case OpKind::kPwrite:
+    case OpKind::kPreadSync:
+    case OpKind::kPwriteSync:
+    case OpKind::kPacedRead:
+      return Slot::Member::kFile;
+    case OpKind::kSeekIfWrap:
+    case OpKind::kReadScattered:
+      return Slot::Member::kStdio;
+    case OpKind::kSeek:
+    case OpKind::kSeekBatch:
+      return o.layer == Layer::kStdio ? Slot::Member::kStdio
+                                      : Slot::Member::kFile;
+    default:  // open, close, read, write
+      switch (o.layer) {
+        case Layer::kStdio:
+          return Slot::Member::kStdio;
+        case Layer::kHdf5:
+          return Slot::Member::kH5;
+        default:
+          return Slot::Member::kFile;
+      }
+  }
+}
 
 struct ExecCtx {
   std::shared_ptr<RunState> st;
@@ -159,16 +189,22 @@ std::uint32_t eval_count(const Expr& e, const EvalContext& ctx) {
   return static_cast<std::uint32_t>(v);
 }
 
+/// The slot `o` acts on. A memo hit skips the layer check: the previous
+/// lookup was this op's own, and no open has run since.
 Slot& slot_of(ExecCtx& c, const Op& o) {
   if (c.last_slot_op == &o) return *c.last_slot;
   Slot* s;
   if (o.kind == OpKind::kOpen) {
     s = &c.slots[o.handle];
+    s->live = member_of(o);
   } else {
     auto it = c.slots.find(o.handle);
     WASP_CHECK_MSG(it != c.slots.end(), "pattern: handle '" + o.handle +
                                             "' used before open");
     s = &it->second;
+    WASP_CHECK_MSG(s->live == member_of(o),
+                   "pattern: handle '" + o.handle +
+                       "' used on a layer it was not opened on");
   }
   c.last_slot_op = &o;
   c.last_slot = s;
@@ -544,8 +580,7 @@ sim::Task<void> dag_driver(std::shared_ptr<RunState> st) {
 
 void replay(runtime::Simulation& sim, const JobPattern& pat) {
   // A pattern-borne fault plan installs here unless the runner already
-  // installed one (RunConfig.faults wins, keeping the equivalence oracle
-  // comparable: pattern path and imperative path see the same injector).
+  // installed one (RunConfig.faults wins).
   if (pat.faults.enabled() && sim.faults() == nullptr) {
     sim.install_faults(pat.faults);
   }

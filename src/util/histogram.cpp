@@ -62,8 +62,12 @@ Bytes SizeHistogram::total_bytes() const noexcept {
 
 std::string SizeHistogram::bucket_label(std::size_t bucket) const {
   WASP_CHECK(bucket < counts_.size());
-  if (bucket < edges_.size()) return "<" + format_bytes(edges_[bucket]);
-  return ">=" + format_bytes(edges_.back());
+  // Appends rather than `"<" + str`: GCC 12 Release builds report a false
+  // -Wrestrict on the insert inside operator+(const char*, string&&).
+  const bool below = bucket < edges_.size();
+  std::string label = below ? "<" : ">=";
+  label += format_bytes(below ? edges_[bucket] : edges_.back());
+  return label;
 }
 
 void SizeHistogram::merge(const SizeHistogram& other) {

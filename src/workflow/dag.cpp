@@ -74,6 +74,7 @@ struct RunState {
   int dispatch_counter = 0;
   sim::Resource* slots = nullptr;
   sim::Event* wake = nullptr;
+  bool failed = false;  ///< a task body threw; launch nothing more
 };
 
 }  // namespace
@@ -107,7 +108,15 @@ sim::Task<void> PegasusScheduler::run(
     const TaskSpec& spec = s.dag->task(id);
     const int node = pick_node(spec, s.dispatch_counter++);
     runtime::Proc proc(sim_, app_id_of(spec.app), /*rank=*/id, node);
-    co_await spec.body(proc);
+    try {
+      co_await spec.body(proc);
+    } catch (...) {
+      // Its dependents never become ready: wake the driver so it stops
+      // launching and lets wg.wait() rethrow this error.
+      s.failed = true;
+      s.wake->set();
+      throw;
+    }
     slot.release();
     ++executed_;
     ++s.completed;
@@ -121,18 +130,19 @@ sim::Task<void> PegasusScheduler::run(
 
   sim::WaitGroup wg(sim_.engine());
   std::size_t launched = 0;
-  while (launched < n) {
-    while (!st.ready.empty()) {
+  while (launched < n && !st.failed) {
+    while (!st.ready.empty() && !st.failed) {
       const int id = st.ready.front();
       st.ready.pop_front();
       ++launched;
       wg.launch(run_task(st, id));
     }
-    if (launched < n) {
+    if (launched < n && !st.failed) {
       wake.reset();
       co_await wake.wait();
     }
   }
+  // Rethrows the first task error once the tasks still running finish.
   co_await wg.wait();
   WASP_CHECK(st.completed == n);
 }

@@ -65,7 +65,9 @@ class PegasusScheduler {
 
   /// Run the whole DAG to completion. `dag` must outlive the returned
   /// task; `app_id_of` is taken by value because coroutines outlive their
-  /// call expression (a reference to a temporary would dangle).
+  /// call expression (a reference to a temporary would dangle). A task
+  /// that throws stops further launches; run() rethrows the first error
+  /// once the tasks already running finish.
   sim::Task<void> run(const Dag& dag,
                       std::function<std::uint16_t(const std::string&)>
                           app_id_of);

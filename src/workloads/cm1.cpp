@@ -1,11 +1,9 @@
 #include "workloads/cm1.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <string>
 
 #include "io/posix.hpp"
-#include "util/rng.hpp"
 
 namespace wasp::workloads {
 namespace {
@@ -26,78 +24,9 @@ sim::Task<void> stage_inputs(runtime::Simulation& sim, Cm1Params P) {
   }
 }
 
-sim::Task<void> rank_body(runtime::Simulation& sim, std::uint16_t app,
-                          mpi::Comm& comm, int rank, Cm1Params P) {
-  runtime::Proc p(sim, app, rank, comm.node_of(rank), &comm);
-  io::Posix posix(p);
-  util::Rng rng = util::Rng(0xC31).fork(static_cast<std::uint64_t>(rank));
-
-  // Phase 1: every rank reads one 16MB configuration file (shared access:
-  // many ranks map to the same file).
-  {
-    const int cfg = rank % P.config_files;
-    auto f = co_await posix.open(kConfigDir + std::to_string(cfg),
-                                 io::OpenMode::kRead);
-    co_await posix.read(f, P.config_file_size / 4, 4);
-    co_await posix.close(f);
-  }
-  co_await p.barrier();
-
-  const int total_procs = comm.size();
-  const auto out_file_bytes =
-      P.output_total / static_cast<util::Bytes>(P.output_files);
-  const auto writes_per_file = static_cast<std::uint32_t>(
-      std::max<util::Bytes>(out_file_bytes / P.write_transfer, 1));
-  const int checkpoint_every =
-      P.checkpoints > 0 ? std::max(P.steps / P.checkpoints, 1) : P.steps + 1;
-
-  int next_output = 0;
-  for (int step = 0; step < P.steps; ++step) {
-    // Compute phase (all ranks, slight per-rank jitter).
-    const double jitter = 0.97 + 0.06 * rng.uniform();
-    co_await p.compute(static_cast<sim::Time>(
-        static_cast<double>(P.compute_per_step) * jitter));
-
-    // Output phase: rank 0 writes this step's share of the output files in
-    // 4KB sequential transfers, seeking between variable regions.
-    if (rank == 0) {
-      const int files_this_step =
-          (P.output_files * (step + 1)) / P.steps - next_output;
-      for (int k = 0; k < files_this_step; ++k, ++next_output) {
-        auto f = co_await posix.open(
-            kOutputDir + std::to_string(next_output), io::OpenMode::kWrite);
-        co_await posix.seek_batch(f, writes_per_file);
-        co_await posix.write(f, P.write_transfer, writes_per_file);
-        co_await posix.seek_batch(f, writes_per_file);
-        co_await posix.close(f);
-      }
-    }
-
-    // Periodic restart checkpoint: every node-leading rank opens/closes the
-    // shared restart file but only rank 0 writes (Fig. 1b).
-    if ((step + 1) % checkpoint_every == 0) {
-      if (comm.is_node_leader(rank)) {
-        auto f = co_await posix.open(kRestartPath, io::OpenMode::kWrite);
-        if (rank == 0) {
-          const auto bytes = P.restart_size /
-                             static_cast<util::Bytes>(
-                                 std::max(P.checkpoints, 1));
-          co_await posix.write(
-              f, P.write_transfer,
-              static_cast<std::uint32_t>(
-                  std::max<util::Bytes>(bytes / P.write_transfer, 1)));
-        }
-        co_await posix.close(f);
-      }
-      co_await p.barrier();
-    }
-  }
-  (void)total_procs;
-  co_await p.barrier();
-}
-
-/// Compile CM1's step-loop I/O into the pattern IR; replaying it is
-/// byte-identical to rank_body() above.
+/// Compile CM1's step-loop I/O into the pattern IR: every rank reads one
+/// shared config file, then steps compute, rank-0 output files and a
+/// periodic shared restart checkpoint.
 pattern::JobPattern compile_cm1(const Cm1Params& P) {
   namespace po = pattern::ops;
   using pattern::Expr;
@@ -230,15 +159,6 @@ Workload make_cm1(const Cm1Params& params) {
   };
   w.compile = [params](runtime::Simulation&, const advisor::RunConfig&) {
     return compile_cm1(params);
-  };
-  w.launch_reference = [params](runtime::Simulation& sim,
-                                const advisor::RunConfig&) {
-    const auto app = sim.tracer().register_app("cm1");
-    auto& comm = sim.add_comm(params.nodes * params.ranks_per_node,
-                              params.nodes);
-    for (int r = 0; r < comm.size(); ++r) {
-      sim.engine().spawn(rank_body(sim, app, comm, r, params));
-    }
   };
   return w;
 }

@@ -4,11 +4,9 @@
 #include <string>
 
 #include "advisor/pattern_rewrites.hpp"
-#include "io/hdf5.hpp"
 #include "io/posix.hpp"
 #include "sim/waitgroup.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace wasp::workloads {
 namespace {
@@ -41,118 +39,6 @@ sim::Task<void> stage_dataset(runtime::Simulation& sim, CosmoflowParams P) {
     wg.launch(stage_writer(sim, app, w, writers, P));
   }
   co_await wg.wait();
-}
-
-/// One GPU process. `comm` is the per-node group used for collective I/O;
-/// `rank` is the global trace identity, `local` the comm rank.
-sim::Task<void> rank_body(runtime::Simulation& sim, std::uint16_t app,
-                          mpi::Comm& comm, mpi::Comm& world, int rank,
-                          int local, int node, CosmoflowParams P,
-                          advisor::RunConfig cfg) {
-  runtime::Proc p(sim, app, rank, node, &comm, local);
-  io::Posix posix(p);
-  io::Hdf5 hdf5(p, cfg.mpiio);
-  util::Rng rng = util::Rng(0xC05).fork(static_cast<std::uint64_t>(rank));
-
-  const auto ppn = static_cast<util::Bytes>(comm.size());
-  const util::Bytes per_rank = P.file_size / ppn;
-  const auto reads_per_file = static_cast<std::uint32_t>(
-      std::max<util::Bytes>(per_rank / P.transfer, 1));
-
-  // Optimized configuration: MPIFileUtils-style parallel preload of this
-  // node's shard into node-local storage before training (§V-A).
-  const bool preload = cfg.preload_input_to_node_local;
-  const std::string tier_mount =
-      preload ? sim.node_local(cfg.node_local_tier).mount() : "";
-  if (preload) {
-    for (std::uint64_t i = static_cast<std::uint64_t>(node);
-         i < P.files; i += static_cast<std::uint64_t>(P.nodes)) {
-      // Files of this node are split among its local ranks.
-      if (i / static_cast<std::uint64_t>(P.nodes) % ppn !=
-          static_cast<std::uint64_t>(local)) {
-        continue;
-      }
-      co_await posix.stat(file_path(i));
-      auto src = co_await posix.open(file_path(i), io::OpenMode::kRead);
-      auto dst = co_await posix.open(tier_mount + "/cosmoflow/" +
-                                         std::to_string(i) + ".h5",
-                                     io::OpenMode::kWrite);
-      const util::Bytes chunk = 4 * util::kMiB;
-      const auto chunks = static_cast<std::uint32_t>(
-          std::max<util::Bytes>(P.file_size / chunk, 1));
-      // MPIFileUtils pacing: the copy pipeline (checksum, attribute copy,
-      // small-file bookkeeping) bounds per-node staging throughput; the
-      // whole paced copy is what the tracer sees as the read.
-      const sim::Time copy_start = p.now();
-      {
-        runtime::Proc::Suppression mute(p);
-        co_await posix.read(src, chunk, chunks);
-      }
-      const auto floor_ns = static_cast<sim::Time>(
-          static_cast<double>(P.file_size) * static_cast<double>(ppn) /
-          P.preload_node_bps * 1e9);
-      const sim::Time elapsed = p.now() - copy_start;
-      if (elapsed < floor_ns) {
-        co_await sim::Delay(p.engine(), floor_ns - elapsed);
-      }
-      p.record(trace::Iface::kPosix, trace::Op::kRead, src.key(), 0, chunk,
-               chunks, copy_start);
-      co_await posix.write(dst, chunk, chunks);
-      co_await posix.close(src);
-      co_await posix.close(dst);
-    }
-    co_await p.barrier();
-  }
-
-  // Training: one pass over this node's shard of the dataset, collective
-  // HDF5 reads interleaved with GPU compute.
-  io::Hdf5Config h5cfg;
-  h5cfg.use_mpiio = true;
-  h5cfg.chunk_size = cfg.hdf5_chunk_size;
-  h5cfg.meta_reads_per_open = 8;  // unchunked: deep object-header walk
-  h5cfg.meta_reads_per_access = 1;
-  std::uint64_t processed = 0;
-  const int checkpoint_every =
-      P.checkpoints > 0
-          ? std::max<int>(static_cast<int>(P.files_per_node() /
-                                           static_cast<std::uint64_t>(
-                                               P.checkpoints + 1)),
-                          1)
-          : 0;
-  for (std::uint64_t i = static_cast<std::uint64_t>(node); i < P.files;
-       i += static_cast<std::uint64_t>(P.nodes)) {
-    const std::string path =
-        preload ? tier_mount + "/cosmoflow/" + std::to_string(i) + ".h5"
-                : file_path(i);
-    auto f = co_await hdf5.open(path, io::OpenMode::kRead, h5cfg);
-    co_await hdf5.read(f, static_cast<util::Bytes>(local) * per_rank,
-                       P.transfer, reads_per_file);
-    co_await hdf5.close(f);
-    co_await p.gpu_compute(static_cast<sim::Time>(
-        static_cast<double>(P.gpu_per_file) * (0.95 + 0.1 * rng.uniform())));
-    // Synchronous data-parallel step: gradient allreduce across the whole
-    // job keeps the nodes' I/O windows aligned (and paces the input
-    // pipeline at the slowest reader, as LBANN does).
-    {
-      const sim::Time t0 = p.now();
-      co_await world.allreduce(16 * util::kMiB);
-      p.record(trace::Iface::kMpi, trace::Op::kSendRecv, {}, 0,
-               16 * util::kMiB, 1, t0);
-    }
-    ++processed;
-
-    // Periodic model checkpoint from the global rank 0.
-    if (rank == 0 && checkpoint_every > 0 &&
-        processed % static_cast<std::uint64_t>(checkpoint_every) == 0) {
-      auto ck = co_await posix.open(kCheckpointPath, io::OpenMode::kWrite);
-      co_await posix.write(
-          ck, P.checkpoint_transfer,
-          static_cast<std::uint32_t>(std::max<util::Bytes>(
-              P.checkpoint_bytes / P.checkpoint_transfer, 1)));
-      co_await posix.close(ck);
-    }
-  }
-  co_await p.barrier();
 }
 
 /// Compile the training pass into the pattern IR. The §IV-D.1 preload is
@@ -291,23 +177,6 @@ Workload make_cosmoflow(const CosmoflowParams& params) {
   w.compile = [params](runtime::Simulation& sim,
                        const advisor::RunConfig& cfg) {
     return compile_cosmoflow(sim, params, cfg);
-  };
-  w.launch_reference = [params](runtime::Simulation& sim,
-                                const advisor::RunConfig& cfg) {
-    const auto app = sim.tracer().register_app("cosmoflow");
-    auto& world = sim.add_comm(params.nodes * params.procs_per_node,
-                               params.nodes);
-    for (int node = 0; node < params.nodes; ++node) {
-      // Per-node communicator: local ranks 0..ppn-1 all mapped to `node`.
-      std::vector<int> map(static_cast<std::size_t>(params.procs_per_node),
-                           node);
-      auto& node_comm = sim.add_comm_mapped(std::move(map));
-      for (int local = 0; local < params.procs_per_node; ++local) {
-        const int rank = node * params.procs_per_node + local;
-        sim.engine().spawn(rank_body(sim, app, node_comm, world, rank, local,
-                                     node, params, cfg));
-      }
-    }
   };
   return w;
 }

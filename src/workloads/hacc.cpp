@@ -3,128 +3,11 @@
 #include <algorithm>
 #include <string>
 
-#include "io/compression.hpp"
-#include "io/posix.hpp"
-#include "util/rng.hpp"
-
 namespace wasp::workloads {
 namespace {
 
-/// Background drain of a fast-tier checkpoint to the PFS (SCR-style async
-/// flush, §IV-D.2): runs concurrently with the restart phase.
-sim::Task<void> drain_checkpoint(runtime::Simulation& sim, std::uint16_t app,
-                                 int rank, int node, std::string src,
-                                 std::string dst, util::Bytes transfer) {
-  runtime::Proc p(sim, app, rank, node);
-  io::Posix posix(p);
-  const util::Bytes size = posix.size_of(src);
-  auto in = co_await posix.open(src, io::OpenMode::kRead);
-  auto out = co_await posix.open(dst, io::OpenMode::kWrite);
-  const auto ops = static_cast<std::uint32_t>(
-      std::max<util::Bytes>(size / transfer, 1));
-  co_await posix.read(in, transfer, ops);
-  co_await posix.write(out, transfer, ops);
-  co_await posix.close(in);
-  co_await posix.close(out);
-}
-
-sim::Task<void> rank_body(runtime::Simulation& sim, std::uint16_t app,
-                          mpi::Comm& comm, int rank, HaccParams P,
-                          advisor::RunConfig cfg) {
-  runtime::Proc p(sim, app, rank, comm.node_of(rank), &comm);
-  io::Posix posix(p);
-  util::Rng rng = util::Rng(0x44ACC).fork(static_cast<std::uint64_t>(rank));
-
-  // Async drain: checkpoints land on a fast tier (shared burst buffer when
-  // the system has one, node-local otherwise) and flush to the PFS in the
-  // background while the job proceeds.
-  const bool async_drain = cfg.async_checkpoint_drain;
-  std::string fast_dir;
-  if (async_drain) {
-    fast_dir = sim.has_shared_bb()
-                   ? sim.shared_bb().mount() + "/hacc/"
-                   : sim.node_local(cfg.node_local_tier).mount() + "/hacc/";
-  }
-  const std::string pfs_dir = sim.pfs().mount() + "/hacc/";
-  const std::string path =
-      (async_drain ? fast_dir : pfs_dir) + std::to_string(rank) + ".ckpt";
-
-  // Particle generation in memory.
-  co_await p.compute(static_cast<sim::Time>(
-      static_cast<double>(P.generate_compute) * (0.95 + 0.1 * rng.uniform())));
-  co_await p.barrier();
-
-  const auto total_ops = static_cast<std::uint32_t>(
-      std::max<util::Bytes>((P.per_rank_bytes + P.transfer - 1) / P.transfer,
-                            1));
-  const int rounds = std::max(1, std::min<int>(P.rounds,
-                                               static_cast<int>(total_ops)));
-
-  // Optional transparent compression of the checkpoint stream.
-  io::CompressionModel codec;
-  codec.use_gpu = cfg.compress_on_gpu;
-  codec.ratio = cfg.compression_ratio;
-  io::CompressedPosix compressed(p, codec);
-  const bool compress = cfg.compress_checkpoints;
-
-  // Checkpoint: several open/write/close rounds (9 variables flushed in
-  // groups), 16MB sequential writes.
-  std::uint32_t written = 0;
-  for (int round = 0; round < rounds; ++round) {
-    const auto ops = std::min<std::uint32_t>(
-        (total_ops + static_cast<std::uint32_t>(rounds) - 1) /
-            static_cast<std::uint32_t>(rounds),
-        total_ops - written);
-    if (ops == 0) break;
-    auto f = co_await posix.open(path, round == 0 ? io::OpenMode::kWrite
-                                                  : io::OpenMode::kAppend);
-    co_await posix.seek_batch(f, ops);
-    if (compress) {
-      co_await compressed.write(f, P.transfer, ops);
-    } else {
-      co_await posix.write(f, P.transfer, ops);
-    }
-    co_await posix.close(f);
-    written += ops;
-  }
-  if (async_drain) {
-    // Kick off the background flush; the restart phase reads the fast copy.
-    sim.engine().spawn(drain_checkpoint(
-        sim, app, rank, p.node(), path,
-        pfs_dir + std::to_string(rank) + ".ckpt", P.transfer));
-  }
-  co_await p.barrier();
-
-  // Restart: read the checkpoint back with the same round structure.
-  if (P.do_restart_read) {
-    std::uint32_t read = 0;
-    util::Bytes offset = 0;
-    for (int round = 0; round < rounds; ++round) {
-      const auto ops = std::min<std::uint32_t>(
-          (total_ops + static_cast<std::uint32_t>(rounds) - 1) /
-              static_cast<std::uint32_t>(rounds),
-          total_ops - read);
-      if (ops == 0) break;
-      auto f = co_await posix.open(path, io::OpenMode::kRead);
-      co_await posix.seek(f, offset);
-      co_await posix.seek_batch(f, ops);
-      if (compress) {
-        co_await compressed.read(f, P.transfer, ops);
-        offset = f.offset;
-      } else {
-        co_await posix.read(f, P.transfer, ops);
-        offset += static_cast<util::Bytes>(ops) * P.transfer;
-      }
-      co_await posix.close(f);
-      read += ops;
-    }
-  }
-  co_await p.barrier();
-}
-
-/// Compile the HACC force-per-process checkpoint/restart cycle into the
-/// declarative pattern IR. Replaying the result is byte-identical to
-/// rank_body() above (the equivalence oracle).
+/// Compile the HACC file-per-process checkpoint/restart cycle into the
+/// declarative pattern IR.
 pattern::JobPattern compile_hacc(runtime::Simulation& sim, const HaccParams& P,
                                  const advisor::RunConfig& cfg) {
   namespace po = pattern::ops;
@@ -282,15 +165,6 @@ Workload make_hacc(const HaccParams& params) {
   w.compile = [params](runtime::Simulation& sim,
                        const advisor::RunConfig& cfg) {
     return compile_hacc(sim, params, cfg);
-  };
-  w.launch_reference = [params](runtime::Simulation& sim,
-                                const advisor::RunConfig& cfg) {
-    const auto app = sim.tracer().register_app("hacc-io");
-    auto& comm = sim.add_comm(params.nodes * params.ranks_per_node,
-                              params.nodes);
-    for (int r = 0; r < comm.size(); ++r) {
-      sim.engine().spawn(rank_body(sim, app, comm, r, params, cfg));
-    }
   };
   return w;
 }

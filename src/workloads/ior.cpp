@@ -3,43 +3,11 @@
 #include <algorithm>
 #include <string>
 
-#include "io/posix.hpp"
-
 namespace wasp::workloads {
 namespace {
 
-sim::Task<void> rank_body(runtime::Simulation& sim, std::uint16_t app,
-                          mpi::Comm& comm, int rank, IorParams P) {
-  runtime::Proc p(sim, app, rank, comm.node_of(rank), &comm);
-  io::Posix posix(p);
-  const std::string dir =
-      P.target_dir.empty() ? sim.pfs().mount() + "/ior/" : P.target_dir;
-  const std::string path =
-      P.file_per_process ? dir + "data." + std::to_string(rank)
-                         : dir + "data.shared";
-  const auto ops = static_cast<std::uint32_t>(
-      std::max<util::Bytes>(P.block / P.transfer, 1));
-  const util::Bytes offset =
-      P.file_per_process
-          ? 0
-          : static_cast<util::Bytes>(rank) * P.block;
-
-  co_await p.barrier();
-  auto w = co_await posix.open(path, io::OpenMode::kWrite);
-  co_await posix.pwrite(w, offset, P.transfer, ops);
-  co_await posix.close(w);
-  co_await p.barrier();
-
-  if (P.read_back) {
-    auto r = co_await posix.open(path, io::OpenMode::kRead);
-    co_await posix.pread(r, offset, P.transfer, ops);
-    co_await posix.close(r);
-    co_await p.barrier();
-  }
-}
-
-/// Compile the benchmark into the pattern IR; replaying it is
-/// byte-identical to rank_body() above.
+/// Compile the benchmark into the pattern IR: a barrier-fenced write phase
+/// and, with read_back, a read phase over the same offsets.
 pattern::JobPattern compile_ior(runtime::Simulation& sim, const IorParams& P) {
   namespace po = pattern::ops;
   using pattern::Expr;
@@ -104,15 +72,6 @@ Workload make_ior(const IorParams& params) {
   w.decl.cpu_cores_used_per_node = params.ranks_per_node;
   w.compile = [params](runtime::Simulation& sim, const advisor::RunConfig&) {
     return compile_ior(sim, params);
-  };
-  w.launch_reference = [params](runtime::Simulation& sim,
-                                const advisor::RunConfig&) {
-    const auto app = sim.tracer().register_app("ior");
-    auto& comm = sim.add_comm(params.nodes * params.ranks_per_node,
-                              params.nodes);
-    for (int r = 0; r < comm.size(); ++r) {
-      sim.engine().spawn(rank_body(sim, app, comm, r, params));
-    }
   };
   return w;
 }

@@ -4,8 +4,6 @@
 #include <string>
 
 #include "io/posix.hpp"
-#include "io/stdio.hpp"
-#include "util/rng.hpp"
 
 namespace wasp::workloads {
 namespace {
@@ -22,74 +20,9 @@ sim::Task<void> stage_dataset(runtime::Simulation& sim, JagParams P) {
   co_await posix.close(f);
 }
 
-sim::Task<void> rank_body(runtime::Simulation& sim, std::uint16_t app,
-                          mpi::Comm& comm, int rank, JagParams P,
-                          advisor::RunConfig cfg) {
-  runtime::Proc p(sim, app, rank, comm.node_of(rank), &comm);
-  io::Stdio stdio(p, cfg.stdio_buffer);
-  util::Rng rng = util::Rng(0x1A6).fork(static_cast<std::uint64_t>(rank));
-
-  // Every rank streams the whole shuffled dataset through its own input
-  // pipeline during epoch 1 (128 x 200MB = the paper's 25GB of reads).
-  const util::Bytes per_rank = P.dataset_bytes;
-  const auto samples_per_rank = static_cast<std::uint32_t>(
-      std::max<util::Bytes>(per_rank / P.sample_size, 1));
-  const auto samples_per_batch = std::max<std::uint32_t>(
-      samples_per_rank / static_cast<std::uint32_t>(P.batches_per_epoch), 1);
-
-  // Epoch 1: shuffled sample reads (two seeks + one scattered read per
-  // sample) interleaved with compute; shuffling defeats readahead so the
-  // PFS serves synchronous small fetches.
-  auto f = co_await stdio.fopen(kDatasetPath, io::OpenMode::kRead);
-  for (int b = 0; b < P.batches_per_epoch; ++b) {
-    if (f.logical_offset + samples_per_batch * P.sample_size >
-        P.dataset_bytes) {
-      co_await stdio.fseek(f, 0);
-    }
-    co_await stdio.fseek_batch(f, 2 * samples_per_batch);
-    co_await stdio.fread_scattered(f, P.sample_size, samples_per_batch,
-                                   std::max<std::uint32_t>(
-                                       samples_per_batch / P.samples_per_fetch,
-                                       1));
-    co_await p.gpu_compute(static_cast<sim::Time>(
-        static_cast<double>(P.first_epoch_batch_compute) *
-        (0.9 + 0.2 * rng.uniform())));
-  }
-  co_await stdio.fclose(f);
-  co_await p.barrier();
-
-  // Epochs 2..N: sample cache hits, pure compute; rank 0 checkpoints.
-  io::Posix posix(p);
-  for (int e = 1; e < P.epochs; ++e) {
-    for (int b = 0; b < P.batches_per_epoch; ++b) {
-      co_await p.gpu_compute(static_cast<sim::Time>(
-          static_cast<double>(P.later_epoch_batch_compute) *
-          (0.9 + 0.2 * rng.uniform())));
-    }
-    if (rank == 0) {
-      auto ck = co_await posix.open(std::string(kCheckpointDir) + "model.ckpt",
-                                    io::OpenMode::kAppend);
-      co_await posix.write(ck, 4 * util::kKB,
-                           static_cast<std::uint32_t>(std::max<util::Bytes>(
-                               P.checkpoint_bytes / (4 * util::kKB), 1)));
-      co_await posix.close(ck);
-    }
-  }
-  co_await p.barrier();
-
-  // Validation pass at the end: re-read a quarter of the samples.
-  auto v = co_await stdio.fopen(kDatasetPath, io::OpenMode::kRead);
-  const auto val_samples = std::max<std::uint32_t>(samples_per_rank / 4, 1);
-  co_await stdio.fseek_batch(v, val_samples);
-  co_await stdio.fread_scattered(v, P.sample_size, val_samples,
-                                 std::max<std::uint32_t>(
-                                     val_samples / P.samples_per_fetch, 1));
-  co_await stdio.fclose(v);
-  co_await p.barrier();
-}
-
-/// Compile the JAG training loop into the pattern IR; replaying it is
-/// byte-identical to rank_body() above.
+/// Compile the JAG training loop into the pattern IR: a shuffled STDIO
+/// epoch over the whole dataset, cached epochs with rank-0 checkpoints, and
+/// a validation pass over a quarter of the samples.
 pattern::JobPattern compile_jag(const JagParams& P,
                                 const advisor::RunConfig& cfg) {
   namespace po = pattern::ops;
@@ -216,15 +149,6 @@ Workload make_jag(const JagParams& params) {
   };
   w.compile = [params](runtime::Simulation&, const advisor::RunConfig& cfg) {
     return compile_jag(params, cfg);
-  };
-  w.launch_reference = [params](runtime::Simulation& sim,
-                                const advisor::RunConfig& cfg) {
-    const auto app = sim.tracer().register_app("jag-icf");
-    auto& comm = sim.add_comm(params.nodes * params.procs_per_node,
-                              params.nodes);
-    for (int r = 0; r < comm.size(); ++r) {
-      sim.engine().spawn(rank_body(sim, app, comm, r, params, cfg));
-    }
   };
   return w;
 }

@@ -1,32 +1,14 @@
 #include "workloads/montage_mpi.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "io/posix.hpp"
-#include "io/stdio.hpp"
-#include "sim/sync.hpp"
-#include "util/rng.hpp"
 
 namespace wasp::workloads {
 namespace {
 
 constexpr const char* kFitsDir = "/p/gpfs1/montage/fits/";
 constexpr const char* kOutDir = "/p/gpfs1/montage/out/";
-
-struct AppIds {
-  std::uint16_t project, imgtbl, add, shrink, viewer;
-};
-
-/// Cross-stage coordination shared by all spawned coroutines.
-struct Sync {
-  explicit Sync(sim::Engine& eng)
-      : add_start(eng), add_done(eng) {}
-  sim::Event add_start;
-  sim::Event add_done;
-  int stage_nodes_remaining = 0;  ///< nodes still in the pre-add stages
-  int add_remaining = 0;          ///< mAddMPI ranks still running
-};
 
 std::string intermediate_dir(runtime::Simulation& sim,
                              const advisor::RunConfig& cfg) {
@@ -48,194 +30,11 @@ sim::Task<void> stage_inputs(runtime::Simulation& sim, MontageMpiParams P) {
   }
 }
 
-/// Sequential per-node part of the workflow (everything except mAddMPI).
-sim::Task<void> node_driver(runtime::Simulation& sim, AppIds ids,
-                            mpi::Comm& node_comm, int node,
-                            MontageMpiParams P, advisor::RunConfig cfg,
-                            std::shared_ptr<Sync> sync) {
-  const std::string tmp = intermediate_dir(sim, cfg);
-  util::Rng rng = util::Rng(0x305A1C).fork(static_cast<std::uint64_t>(node));
-
-  // --- Stage 1: mProject ---------------------------------------------------
-  {
-    runtime::Proc p(sim, ids.project, node, node, &node_comm);
-    io::Stdio stdio(p, cfg.stdio_buffer);
-    const int first = node * P.fits_files / P.nodes;
-    const int last = (node + 1) * P.fits_files / P.nodes;
-    auto out = co_await stdio.fopen(tmp + "proj_" + std::to_string(node),
-                                    io::OpenMode::kWrite);
-    const util::Bytes per_file =
-        P.projected_per_node /
-        static_cast<util::Bytes>(std::max(last - first, 1));
-    for (int i = first; i < last; ++i) {
-      auto in = co_await stdio.fopen(kFitsDir + std::to_string(i) + ".fits",
-                                     io::OpenMode::kRead);
-      co_await stdio.fread(in, P.fits_read_transfer,
-                           static_cast<std::uint32_t>(std::max<util::Bytes>(
-                               P.fits_size / P.fits_read_transfer, 1)));
-      co_await stdio.fclose(in);
-      co_await p.compute(static_cast<sim::Time>(
-          static_cast<double>(P.project_compute_per_file) *
-          (0.9 + 0.2 * rng.uniform())));
-      co_await stdio.fwrite(out, P.projected_write_transfer,
-                            static_cast<std::uint32_t>(std::max<util::Bytes>(
-                                per_file / P.projected_write_transfer, 1)));
-    }
-    co_await stdio.fclose(out);
-    co_await p.barrier();
-  }
-
-  // --- Stage 2: mImgtbl ----------------------------------------------------
-  {
-    runtime::Proc p(sim, ids.imgtbl, node, node, &node_comm);
-    io::Posix posix(p);
-    const int first = node * P.fits_files / P.nodes;
-    const int last = (node + 1) * P.fits_files / P.nodes;
-    for (int i = first; i < last; ++i) {
-      co_await posix.stat(kFitsDir + std::to_string(i) + ".fits");
-    }
-    co_await p.compute(P.imgtbl_compute);
-    io::Stdio stdio(p, cfg.stdio_buffer);
-    auto tbl = co_await stdio.fopen(
-        std::string(kOutDir) + "images_" + std::to_string(node) + ".tbl",
-        io::OpenMode::kWrite);
-    co_await stdio.fwrite(tbl, 4 * util::kKiB, 16);
-    co_await stdio.fclose(tbl);
-    co_await p.barrier();
-  }
-
-  // --- Stage 3: hand off to mAddMPI ---------------------------------------
-  if (--sync->stage_nodes_remaining == 0) sync->add_start.set();
-  co_await sync->add_done.wait();
-
-  // --- Stage 4: mShrink ----------------------------------------------------
-  {
-    runtime::Proc p(sim, ids.shrink, node, node, &node_comm);
-    io::Stdio stdio(p, cfg.stdio_buffer);
-    io::Posix posix(p);
-    const util::Bytes mosaic_size =
-        posix.size_of(tmp + "mosaic_" + std::to_string(node));
-    auto in = co_await stdio.fopen(tmp + "mosaic_" + std::to_string(node),
-                                   io::OpenMode::kRead);
-    co_await stdio.fread(in, 64 * util::kKiB,
-                         static_cast<std::uint32_t>(std::max<util::Bytes>(
-                             mosaic_size / 40 / (64 * util::kKiB), 1)));
-    co_await stdio.fclose(in);
-    co_await p.compute(P.shrink_compute);
-    auto out = co_await stdio.fopen(tmp + "shrunk_" + std::to_string(node),
-                                    io::OpenMode::kWrite);
-    co_await stdio.fwrite(out, 64 * util::kKiB,
-                          static_cast<std::uint32_t>(std::max<util::Bytes>(
-                              P.shrunk_per_node / (64 * util::kKiB), 1)));
-    co_await stdio.fclose(out);
-    co_await p.barrier();
-  }
-
-  // --- Stage 5: mViewer -----------------------------------------------------
-  {
-    // Locality-aware placement reads the node's own mosaic; otherwise the
-    // viewer is assigned a neighbor's segment (cross-node PFS reads).
-    const int src = cfg.locality_aware_placement ||
-                            cfg.intermediates_to_node_local
-                        ? node
-                        : (node + 1) % P.nodes;
-    runtime::Proc p(sim, ids.viewer, node, node, &node_comm);
-    io::Stdio stdio(p, cfg.stdio_buffer);
-    io::Posix posix(p);
-    const util::Bytes mosaic_size =
-        posix.size_of(tmp + "mosaic_" + std::to_string(src));
-    auto in = co_await stdio.fopen(tmp + "mosaic_" + std::to_string(src),
-                                   io::OpenMode::kRead);
-    co_await stdio.fread(in, P.viewer_read_transfer,
-                         static_cast<std::uint32_t>(std::max<util::Bytes>(
-                             mosaic_size / P.viewer_read_transfer, 1)));
-    co_await stdio.fclose(in);
-    co_await p.compute(static_cast<sim::Time>(
-        static_cast<double>(P.viewer_compute) * (0.9 + 0.2 * rng.uniform())));
-    auto out = co_await stdio.fopen(
-        std::string(kOutDir) + "mosaic_" + std::to_string(node) + ".png",
-        io::OpenMode::kWrite);
-    co_await stdio.fwrite(out, P.png_write_transfer,
-                          static_cast<std::uint32_t>(std::max<util::Bytes>(
-                              P.png_per_node / P.png_write_transfer, 1)));
-    co_await stdio.fclose(out);
-
-    // Node-local tiers are volatile: when intermediates live on shm, the
-    // final mosaic segment must be drained back to the PFS at the end
-    // (the persistence caveat of §IV-D's Datawarp discussion).
-    if (cfg.intermediates_to_node_local) {
-      auto seg = co_await stdio.fopen(tmp + "mosaic_" + std::to_string(node),
-                                      io::OpenMode::kRead);
-      co_await stdio.fread(seg, util::kMiB,
-                           static_cast<std::uint32_t>(std::max<util::Bytes>(
-                               mosaic_size / util::kMiB, 1)));
-      co_await stdio.fclose(seg);
-      auto dst = co_await posix.open(
-          std::string(kOutDir) + "mosaic_" + std::to_string(node) + ".fits",
-          io::OpenMode::kWrite);
-      co_await posix.pwrite_sync(
-          dst, 0, 64 * util::kKiB,
-          static_cast<std::uint32_t>(std::max<util::Bytes>(
-              mosaic_size / (64 * util::kKiB), 1)));
-      co_await posix.close(dst);
-    }
-    co_await p.barrier();
-  }
-}
-
-/// One mAddMPI rank: reads its slice of the node's projected image, writes
-/// its slice of the node's mosaic segment.
-sim::Task<void> add_rank(runtime::Simulation& sim, AppIds ids,
-                         mpi::Comm& add_comm, int rank, MontageMpiParams P,
-                         advisor::RunConfig cfg, std::shared_ptr<Sync> sync) {
-  co_await sync->add_start.wait();
-  const int node = add_comm.node_of(rank);
-  const std::string tmp = intermediate_dir(sim, cfg);
-  runtime::Proc p(sim, ids.add, rank, node, &add_comm);
-  io::Stdio stdio(p, cfg.stdio_buffer);
-  util::Rng rng = util::Rng(0xADD).fork(static_cast<std::uint64_t>(rank));
-
-  const auto rpn = static_cast<util::Bytes>(
-      add_comm.ranks_on_node(node).size());
-  const int local = rank - add_comm.node_leader(rank);
-
-  // Read this rank's slice of the projected image (sized from the actual
-  // file so STDIO-buffer rounding in mProject cannot push us past EOF).
-  io::Posix posix(p);
-  const util::Bytes proj_size =
-      posix.size_of(tmp + "proj_" + std::to_string(node));
-  const util::Bytes read_slice = proj_size / rpn;
-  auto in = co_await stdio.fopen(tmp + "proj_" + std::to_string(node),
-                                 io::OpenMode::kRead);
-  if (read_slice >= P.add_read_transfer) {
-    co_await stdio.fseek(in, static_cast<util::Bytes>(local) * read_slice);
-    co_await stdio.fread(in, P.add_read_transfer,
-                         static_cast<std::uint32_t>(
-                             read_slice / P.add_read_transfer));
-  }
-  co_await stdio.fclose(in);
-
-  co_await p.compute(static_cast<sim::Time>(
-      static_cast<double>(P.add_compute) * (0.9 + 0.2 * rng.uniform())));
-
-  // Write this rank's slice of the mosaic segment.
-  const util::Bytes write_slice = P.mosaic_per_node / rpn;
-  auto out = co_await stdio.fopen(tmp + "mosaic_" + std::to_string(node),
-                                  io::OpenMode::kWrite);
-  co_await stdio.fseek(out, static_cast<util::Bytes>(local) * write_slice);
-  co_await stdio.fwrite(out, P.mosaic_write_transfer,
-                        static_cast<std::uint32_t>(std::max<util::Bytes>(
-                            write_slice / P.mosaic_write_transfer, 1)));
-  co_await stdio.fclose(out);
-
-  co_await p.barrier();
-  if (--sync->add_remaining == 0) sync->add_done.set();
-}
-
 /// Compile the five-stage MPI workflow into the pattern IR: one lane group
 /// of per-node drivers (mProject -> mImgtbl -> mShrink -> mViewer as
-/// successive phases) and one of mAddMPI ranks, coordinated by countdown
-/// events exactly like the imperative Sync struct.
+/// successive phases) and one of mAddMPI ranks. Two countdown events hand
+/// off between them: the last node through mImgtbl starts mAddMPI, and the
+/// last mAddMPI rank releases the drivers into mShrink.
 pattern::JobPattern compile_montage_mpi(runtime::Simulation& sim,
                                         const MontageMpiParams& P,
                                         const advisor::RunConfig& cfg) {
@@ -460,30 +259,6 @@ Workload make_montage_mpi(const MontageMpiParams& params) {
   w.compile = [params](runtime::Simulation& sim,
                        const advisor::RunConfig& cfg) {
     return compile_montage_mpi(sim, params, cfg);
-  };
-  w.launch_reference = [params](runtime::Simulation& sim,
-                                const advisor::RunConfig& cfg) {
-    AppIds ids;
-    ids.project = sim.tracer().register_app("mProject");
-    ids.imgtbl = sim.tracer().register_app("mImgtbl");
-    ids.add = sim.tracer().register_app("mAddMPI");
-    ids.shrink = sim.tracer().register_app("mShrink");
-    ids.viewer = sim.tracer().register_app("mViewer");
-
-    auto sync = std::make_shared<Sync>(sim.engine());
-    sync->stage_nodes_remaining = params.nodes;
-    sync->add_remaining = params.nodes * params.add_ranks_per_node;
-
-    auto& node_comm = sim.add_comm(params.nodes, params.nodes);
-    auto& add_comm = sim.add_comm(params.nodes * params.add_ranks_per_node,
-                                  params.nodes);
-    for (int node = 0; node < params.nodes; ++node) {
-      sim.engine().spawn(
-          node_driver(sim, ids, node_comm, node, params, cfg, sync));
-    }
-    for (int r = 0; r < add_comm.size(); ++r) {
-      sim.engine().spawn(add_rank(sim, ids, add_comm, r, params, cfg, sync));
-    }
   };
   return w;
 }

@@ -1,14 +1,9 @@
 #include "workloads/montage_pegasus.hpp"
 
 #include <algorithm>
-#include <map>
-#include <memory>
 
 #include "io/posix.hpp"
-#include "io/stdio.hpp"
 #include "sim/waitgroup.hpp"
-#include "util/rng.hpp"
-#include "workflow/dag.hpp"
 
 namespace wasp::workloads {
 namespace {
@@ -17,21 +12,6 @@ constexpr const char* kBase = "/p/gpfs1/mpegasus/";
 
 std::string input_path(int i) {
   return std::string(kBase) + "fits/" + std::to_string(i) + ".fits";
-}
-std::string proj_path(int i) {
-  return std::string(kBase) + "proj/" + std::to_string(i);
-}
-std::string shard_path(int i) {
-  return std::string(kBase) + "diff/shard_" + std::to_string(i) + ".tbl";
-}
-std::string corrected_path(int i) {
-  return std::string(kBase) + "bg/" + std::to_string(i);
-}
-std::string tile_path(int i) {
-  return std::string(kBase) + "tile/" + std::to_string(i);
-}
-std::string image_path(int i) {
-  return std::string(kBase) + "out/" + std::to_string(i) + ".png";
 }
 
 sim::Task<void> stage_writer(runtime::Simulation& s, std::uint16_t a, int id,
@@ -61,248 +41,11 @@ std::uint32_t ops_for(util::Bytes total, util::Bytes transfer) {
       std::max<util::Bytes>(total / transfer, 1));
 }
 
-// ---- Kernel bodies (each runs as one Pegasus task in a Proc the
-// ---- scheduler placed). Params are copied into the coroutine frame.
-
-sim::Task<void> project_body(runtime::Proc& p, MontagePegasusParams P,
-                             util::Bytes stdio_buffer, int id) {
-  io::Stdio stdio(p, stdio_buffer);
-  io::Posix posix(p);
-  util::Rng rng = util::Rng(0x9E6).fork(static_cast<std::uint64_t>(id));
-  for (int k = 0; k < P.inputs_per_project; ++k) {
-    const int idx = (id * P.inputs_per_project + k) % P.input_files;
-    co_await posix.stat(input_path(idx));
-    auto in = co_await stdio.fopen(input_path(idx), io::OpenMode::kRead);
-    co_await stdio.fread(in, P.transfer, ops_for(P.input_size, P.transfer));
-    co_await stdio.fclose(in);
-  }
-  co_await p.compute(static_cast<sim::Time>(
-      static_cast<double>(P.project_compute) * (0.8 + 0.4 * rng.uniform())));
-  auto out = co_await stdio.fopen(proj_path(id), io::OpenMode::kWrite);
-  co_await stdio.fwrite(out, P.transfer, ops_for(P.projected_size, P.transfer));
-  co_await stdio.fclose(out);
-  auto hdr = co_await stdio.fopen(proj_path(id) + ".hdr",
-                                  io::OpenMode::kWrite);
-  co_await stdio.fwrite(hdr, util::kKiB, 2);
-  co_await stdio.fclose(hdr);
-}
-
-sim::Task<void> diff_body(runtime::Proc& p, MontagePegasusParams P,
-                          util::Bytes stdio_buffer, int id) {
-  io::Stdio stdio(p, stdio_buffer);
-  io::Posix posix(p);
-  util::Rng rng = util::Rng(0xD1FF).fork(static_cast<std::uint64_t>(id));
-  const int a = id % P.project_tasks;
-  const int b = (id + 1) % P.project_tasks;
-  for (int side : {a, b}) {
-    const util::Bytes size = posix.size_of(proj_path(side)) / 2;
-    auto in = co_await stdio.fopen(proj_path(side), io::OpenMode::kRead);
-    const std::uint32_t ops = ops_for(size, P.small_transfer);
-    co_await stdio.fseek_batch(in, std::max<std::uint32_t>(ops / 4, 1));
-    co_await stdio.fread(in, P.small_transfer, ops);
-    co_await stdio.fclose(in);
-  }
-  co_await p.compute(static_cast<sim::Time>(
-      static_cast<double>(P.diff_compute) * (0.7 + 0.6 * rng.uniform())));
-  auto out = co_await stdio.fopen(shard_path(id % P.diff_shards),
-                                  io::OpenMode::kAppend);
-  co_await stdio.fwrite(out, P.small_transfer,
-                        ops_for(P.diff_output, P.small_transfer));
-  co_await stdio.fclose(out);
-}
-
-sim::Task<void> concat_body(runtime::Proc& p, MontagePegasusParams P,
-                            util::Bytes stdio_buffer) {
-  io::Stdio stdio(p, stdio_buffer);
-  io::Posix posix(p);
-  for (int s = 0; s < P.diff_shards; ++s) {
-    const util::Bytes size = posix.size_of(shard_path(s));
-    auto in = co_await stdio.fopen(shard_path(s), io::OpenMode::kRead);
-    co_await stdio.fread(in, P.small_transfer,
-                         ops_for(size, P.small_transfer));
-    co_await stdio.fclose(in);
-  }
-  co_await p.compute(P.concat_compute);
-  auto out = co_await stdio.fopen(std::string(kBase) + "fits.tbl",
-                                  io::OpenMode::kWrite);
-  co_await stdio.fwrite(out, P.small_transfer, 64);
-  co_await stdio.fclose(out);
-}
-
-sim::Task<void> bgmodel_body(runtime::Proc& p, MontagePegasusParams P,
-                             util::Bytes stdio_buffer) {
-  io::Stdio stdio(p, stdio_buffer);
-  io::Posix posix(p);
-  const util::Bytes size = posix.size_of(std::string(kBase) + "fits.tbl");
-  auto in = co_await stdio.fopen(std::string(kBase) + "fits.tbl",
-                                 io::OpenMode::kRead);
-  co_await stdio.fread(in, P.small_transfer, ops_for(size, P.small_transfer));
-  co_await stdio.fclose(in);
-  co_await p.compute(P.bgmodel_compute);
-  auto out = co_await stdio.fopen(std::string(kBase) + "corrections.tbl",
-                                  io::OpenMode::kWrite);
-  co_await stdio.fwrite(out, P.small_transfer, 1280);
-  co_await stdio.fclose(out);
-}
-
-sim::Task<void> background_body(runtime::Proc& p, MontagePegasusParams P,
-                                util::Bytes stdio_buffer, int id) {
-  io::Stdio stdio(p, stdio_buffer);
-  io::Posix posix(p);
-  util::Rng rng = util::Rng(0xB6).fork(static_cast<std::uint64_t>(id));
-  const int proj = id % P.project_tasks;
-  const util::Bytes size = posix.size_of(proj_path(proj)) / 2;
-  auto in = co_await stdio.fopen(proj_path(proj), io::OpenMode::kRead);
-  const std::uint32_t bg_ops = ops_for(size, P.small_transfer);
-  co_await stdio.fseek_batch(in, std::max<std::uint32_t>(bg_ops / 4, 1));
-  co_await stdio.fread(in, P.small_transfer, bg_ops);
-  co_await stdio.fclose(in);
-  auto corr = co_await stdio.fopen(std::string(kBase) + "corrections.tbl",
-                                   io::OpenMode::kRead);
-  co_await stdio.fread(corr, P.small_transfer, 2);
-  co_await stdio.fclose(corr);
-  co_await p.compute(static_cast<sim::Time>(
-      static_cast<double>(P.background_compute) *
-      (0.8 + 0.4 * rng.uniform())));
-  auto out = co_await stdio.fopen(corrected_path(id), io::OpenMode::kWrite);
-  co_await stdio.fwrite(out, P.transfer, ops_for(P.corrected_size, P.transfer));
-  co_await stdio.fclose(out);
-}
-
-sim::Task<void> imgtbl_body(runtime::Proc& p, MontagePegasusParams P) {
-  io::Posix posix(p);
-  for (int i = 0; i < P.background_tasks; i += 8) {
-    co_await posix.stat(corrected_path(i));
-  }
-  co_await p.compute(P.imgtbl_compute);
-}
-
-sim::Task<void> add_body(runtime::Proc& p, MontagePegasusParams P,
-                         util::Bytes stdio_buffer, int id) {
-  io::Stdio stdio(p, stdio_buffer);
-  io::Posix posix(p);
-  const int group = P.background_tasks / std::max(P.add_tasks, 1);
-  for (int k = 0; k < group; ++k) {
-    const int idx = id * group + k;
-    if (idx >= P.background_tasks) break;
-    const util::Bytes size = posix.size_of(corrected_path(idx));
-    auto in = co_await stdio.fopen(corrected_path(idx), io::OpenMode::kRead);
-    co_await stdio.fread(in, P.transfer, ops_for(size, P.transfer));
-    co_await stdio.fclose(in);
-  }
-  co_await p.compute(P.add_compute);
-  auto out = co_await stdio.fopen(tile_path(id), io::OpenMode::kWrite);
-  co_await stdio.fwrite(out, P.transfer, ops_for(P.tile_size, P.transfer));
-  co_await stdio.fclose(out);
-}
-
-sim::Task<void> viewer_body(runtime::Proc& p, MontagePegasusParams P,
-                            util::Bytes stdio_buffer, int id) {
-  io::Stdio stdio(p, stdio_buffer);
-  io::Posix posix(p);
-  const util::Bytes size = posix.size_of(tile_path(id));
-  auto in = co_await stdio.fopen(tile_path(id), io::OpenMode::kRead);
-  co_await stdio.fread(in, P.transfer, ops_for(size, P.transfer));
-  co_await stdio.fclose(in);
-  co_await p.compute(P.viewer_compute);
-  // A couple of very large writes (>16MB) — the 10GB/s spikes of Fig. 6a.
-  auto out = co_await stdio.fopen(image_path(id), io::OpenMode::kWrite);
-  const util::Bytes big = P.image_size / 2;
-  co_await stdio.fwrite(out, big, 2);
-  co_await stdio.fclose(out);
-}
-
-sim::Task<void> run_dag(runtime::Simulation& sim, MontagePegasusParams P,
-                        advisor::RunConfig cfg) {
-  const util::Bytes buf = cfg.stdio_buffer;
-  workflow::Dag dag;
-
-  std::vector<int> project_ids(static_cast<std::size_t>(P.project_tasks));
-  for (int i = 0; i < P.project_tasks; ++i) {
-    project_ids[static_cast<std::size_t>(i)] = dag.add_task(
-        {"mProject",
-         [P, buf, i](runtime::Proc& p) { return project_body(p, P, buf, i); },
-         -1});
-  }
-  std::vector<int> diff_ids(static_cast<std::size_t>(P.diff_tasks));
-  for (int i = 0; i < P.diff_tasks; ++i) {
-    diff_ids[static_cast<std::size_t>(i)] = dag.add_task(
-        {"mDiff",
-         [P, buf, i](runtime::Proc& p) { return diff_body(p, P, buf, i); },
-         -1});
-    dag.add_dependency(diff_ids[static_cast<std::size_t>(i)],
-                       project_ids[static_cast<std::size_t>(
-                           i % P.project_tasks)]);
-    dag.add_dependency(diff_ids[static_cast<std::size_t>(i)],
-                       project_ids[static_cast<std::size_t>(
-                           (i + 1) % P.project_tasks)]);
-  }
-  const int concat_id = dag.add_task(
-      {"mConcatFit",
-       [P, buf](runtime::Proc& p) { return concat_body(p, P, buf); }, -1});
-  for (int d : diff_ids) dag.add_dependency(concat_id, d);
-  const int bg_model_id = dag.add_task(
-      {"mBgModel",
-       [P, buf](runtime::Proc& p) { return bgmodel_body(p, P, buf); }, -1});
-  dag.add_dependency(bg_model_id, concat_id);
-
-  std::vector<int> background_ids(
-      static_cast<std::size_t>(P.background_tasks));
-  for (int i = 0; i < P.background_tasks; ++i) {
-    background_ids[static_cast<std::size_t>(i)] = dag.add_task(
-        {"mBackground",
-         [P, buf, i](runtime::Proc& p) {
-           return background_body(p, P, buf, i);
-         },
-         -1});
-    dag.add_dependency(background_ids[static_cast<std::size_t>(i)],
-                       bg_model_id);
-    dag.add_dependency(background_ids[static_cast<std::size_t>(i)],
-                       project_ids[static_cast<std::size_t>(
-                           i % P.project_tasks)]);
-  }
-  const int imgtbl_id = dag.add_task(
-      {"mImgtbl", [P](runtime::Proc& p) { return imgtbl_body(p, P); }, -1});
-  for (int b : background_ids) dag.add_dependency(imgtbl_id, b);
-
-  std::vector<int> add_ids(static_cast<std::size_t>(P.add_tasks));
-  for (int i = 0; i < P.add_tasks; ++i) {
-    add_ids[static_cast<std::size_t>(i)] = dag.add_task(
-        {"mAdd",
-         [P, buf, i](runtime::Proc& p) { return add_body(p, P, buf, i); },
-         -1});
-    dag.add_dependency(add_ids[static_cast<std::size_t>(i)], imgtbl_id);
-  }
-  for (int i = 0; i < P.viewer_tasks; ++i) {
-    const int vid = dag.add_task(
-        {"mViewer",
-         [P, buf, i](runtime::Proc& p) { return viewer_body(p, P, buf, i); },
-         -1});
-    dag.add_dependency(vid,
-                       add_ids[static_cast<std::size_t>(i % P.add_tasks)]);
-  }
-
-  workflow::PegasusScheduler::Options opts;
-  opts.slots = P.slots;
-  opts.nodes = P.nodes;
-  opts.locality_aware = cfg.locality_aware_placement;
-  workflow::PegasusScheduler sched(sim, opts);
-  auto& tracer = sim.tracer();
-  std::map<std::string, std::uint16_t> app_ids;
-  co_await sched.run(dag, [&tracer, &app_ids](const std::string& name) {
-    auto it = app_ids.find(name);
-    if (it == app_ids.end()) {
-      it = app_ids.emplace(name, tracer.register_app(name)).first;
-    }
-    return it->second;
-  });
-}
-
 /// Compile the Pegasus DAG into the pattern IR's declarative dag block:
 /// each kernel becomes a stage whose per-instance I/O is expressed over the
 /// `id` variable, and the dependency wiring becomes index expressions. The
-/// generic replayer rebuilds the identical workflow::Dag and runs it
-/// through the same PegasusScheduler.
+/// generic replayer builds the workflow::Dag from it and runs it through
+/// workflow::PegasusScheduler.
 pattern::JobPattern compile_montage_pegasus(const MontagePegasusParams& P,
                                             const advisor::RunConfig& cfg) {
   namespace po = pattern::ops;
@@ -568,10 +311,6 @@ Workload make_montage_pegasus(const MontagePegasusParams& params) {
   };
   w.compile = [params](runtime::Simulation&, const advisor::RunConfig& cfg) {
     return compile_montage_pegasus(params, cfg);
-  };
-  w.launch_reference = [params](runtime::Simulation& sim,
-                                const advisor::RunConfig& cfg) {
-    sim.engine().spawn(run_dag(sim, params, cfg));
   };
   return w;
 }

@@ -28,8 +28,8 @@ RunOutput finish(runtime::Simulation& sim, const Workload& workload,
 
 void simulate(runtime::Simulation& sim, const Workload& workload,
               const advisor::RunConfig& cfg) {
-  WASP_CHECK_MSG(workload.launch || workload.compile,
-                 "workload has neither a pattern compiler nor a launch");
+  WASP_CHECK_MSG(static_cast<bool>(workload.compile),
+                 "workload has no pattern compiler");
   if (workload.setup) {
     sim.tracer().set_enabled(false);
     sim.engine().spawn(workload.setup(sim));
@@ -42,11 +42,7 @@ void simulate(runtime::Simulation& sim, const Workload& workload,
   if (cfg.faults.enabled() && sim.faults() == nullptr) {
     sim.install_faults(cfg.faults);
   }
-  if (workload.launch) {
-    workload.launch(sim, cfg);
-  } else {
-    pattern::replay(sim, workload.compile(sim, cfg));
-  }
+  pattern::replay(sim, workload.compile(sim, cfg));
   sim.engine().run();
   WASP_CHECK_MSG(sim.engine().all_roots_done(),
                  "workload deadlocked (roots not done)");

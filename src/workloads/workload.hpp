@@ -25,22 +25,12 @@ struct Workload {
   charz::WorkloadDecl decl;
   /// Stage input datasets (runs untraced before t=0 of the job).
   std::function<sim::Task<void>(runtime::Simulation&)> setup;
-  /// Compile params + RunConfig into the declarative pattern IR: the one
-  /// way a RunConfig reaches the simulated job. Takes the Simulation
-  /// because file paths depend on its mount table.
+  /// Compile params + RunConfig into the declarative pattern IR (required):
+  /// the one model of the job and the one way a RunConfig reaches it.
+  /// Takes the Simulation because file paths depend on its mount table.
   std::function<pattern::JobPattern(runtime::Simulation&,
                                     const advisor::RunConfig&)>
       compile;
-  /// Hand-written imperative launch that spawns every job process itself;
-  /// when set, simulate() calls it instead of replaying `compile`. Only
-  /// models with no pattern compiler (ad-hoc bench and example workloads)
-  /// and the equivalence tests' swap-in of `launch_reference` set it.
-  std::function<void(runtime::Simulation&, const advisor::RunConfig&)> launch;
-  /// The original imperative launch path, kept as the equivalence oracle:
-  /// replaying `compile`'s pattern must produce a byte-identical trace
-  /// (tests/test_pattern_equivalence.cpp).
-  std::function<void(runtime::Simulation&, const advisor::RunConfig&)>
-      launch_reference;
 };
 
 struct RunOutput {
@@ -57,9 +47,9 @@ struct RunOutput {
 };
 
 /// Simulate the job on `sim`: run the untraced setup and drop the PFS
-/// client caches it warmed, install cfg.faults, spawn the job (replay
-/// workload.compile(sim, cfg), or workload.launch when set) and run the
-/// engine until every root finishes. Leaves the trace in sim.tracer().
+/// client caches it warmed, install cfg.faults, replay
+/// workload.compile(sim, cfg) and run the engine until every root
+/// finishes. Leaves the trace in sim.tracer().
 void simulate(runtime::Simulation& sim, const Workload& workload,
               const advisor::RunConfig& cfg);
 

@@ -215,7 +215,7 @@ TEST(ParallelFs, WriteTokenRevocationOnCrossNodeWrite) {
   };
 
   // Same-node writes: no revocation.
-  auto same = [&](Engine& e) -> Task<void> {
+  auto same = [&](Engine&) -> Task<void> {
     co_await write_from(pfs, f, 0);
     co_await write_from(pfs, f, 0);
     co_return;
@@ -229,7 +229,7 @@ TEST(ParallelFs, WriteTokenRevocationOnCrossNodeWrite) {
   Namespace& ns2 = pfs2.ns({0, 0});
   const FileId f2 = ns2.create("/p/gpfs1/f", 0, 0, 0);
   ns2.inode(f2).size = 8 * util::kKiB;
-  auto cross = [&](Engine& e) -> Task<void> {
+  auto cross = [&](Engine&) -> Task<void> {
     co_await write_from(pfs2, f2, 0);
     co_await write_from(pfs2, f2, 1);
     co_return;

@@ -1,6 +1,6 @@
 // Pattern IR unit tests: the expression mini-language, the canonical YAML
 // round trip (dump -> load -> dump is byte-identical), and diagnostics on
-// malformed input.
+// malformed input and on patterns the replayer cannot run.
 #include <gtest/gtest.h>
 
 #include "pattern/pattern.hpp"
@@ -127,6 +127,39 @@ TEST(PatternYaml, MalformedInputsThrowDiagnostics) {
     FAIL() << "expected SimError";
   } catch (const util::SimError& e) {
     EXPECT_NE(std::string(e.what()).find("comm"), std::string::npos);
+  }
+}
+
+// A handle keeps the layer it was opened on. mShrink's STDIO handle `in`,
+// opened as POSIX instead (a pattern file with that open's `layer: stdio`
+// line deleted), is diagnosed at its first STDIO read.
+TEST(PatternReplay, HandleUsedOnAnotherLayerIsDiagnosed) {
+  auto spec = cluster::lassen(4);
+  spec.node.cpu_cores = 8;
+  runtime::Simulation sim(spec);
+  auto w = workloads::make_montage_mpi(workloads::MontageMpiParams::test());
+  JobPattern pat = w.compile(sim, advisor::RunConfig{});
+  Op* open = nullptr;
+  for (PhasePattern& ph : pat.groups.at(0).phases) {
+    if (ph.app == "mShrink") open = &ph.ops.at(0);
+  }
+  ASSERT_NE(open, nullptr);
+  ASSERT_EQ(open->kind, OpKind::kOpen);
+  ASSERT_EQ(open->handle, "in");
+  ASSERT_EQ(open->layer, Layer::kStdio);
+  open->layer = Layer::kPosix;
+  w.compile = [pat](runtime::Simulation&, const advisor::RunConfig&) {
+    return pat;
+  };
+  try {
+    workloads::run_with(sim, w, advisor::RunConfig{},
+                        analysis::Analyzer::Options{});
+    FAIL() << "expected SimError";
+  } catch (const util::SimError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "handle 'in' used on a layer it was not opened on"),
+              std::string::npos)
+        << e.what();
   }
 }
 

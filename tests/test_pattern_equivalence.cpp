@@ -1,10 +1,17 @@
-// The pattern compilers' contract: replaying a compiled JobPattern through
-// the generic replayer produces a trace byte-identical to the original
-// hand-written imperative launch (kept as `launch_reference`), and
-// therefore identical profiles — across workloads, run configs, trace
-// backends, and scenario-runner job counts.
+// Golden fingerprints of every workload's simulated output. Each row runs
+// one (workload, params, RunConfig, fault plan) input through the full
+// pipeline and pins {engine events, trace rows, job seconds, digest}, where
+// the digest covers the tracer's app names, every trace::Record field and
+// the characterization YAML. A pin fails when a change in any layer the
+// run touches alters its output: the pattern compilers, the replayer, io,
+// fs, mpi, the engine, the analyzer and the characterizer.
+//
+// A change that alters a simulated result on purpose re-pins: the failure
+// message prints the measured row as a literal to paste over the old pin.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -21,13 +28,6 @@ cluster::ClusterSpec test_cluster(int nodes = 4) {
   return spec;
 }
 
-/// The same workload with the imperative oracle as its launch path.
-Workload reference_of(Workload w) {
-  EXPECT_TRUE(static_cast<bool>(w.launch_reference));
-  w.launch = w.launch_reference;
-  return w;
-}
-
 /// The same workload replaying a fixed (e.g. rewritten) pattern.
 Workload with_pattern(Workload w, const pattern::JobPattern& pat) {
   w.compile = [pat](runtime::Simulation&, const advisor::RunConfig&) {
@@ -36,105 +36,252 @@ Workload with_pattern(Workload w, const pattern::JobPattern& pat) {
   return w;
 }
 
-struct TracedRun {
-  RunOutput out;
-  std::vector<trace::Record> records;
-  std::vector<std::string> apps;
+// ---- Pinned fingerprints --------------------------------------------------
+
+struct Fingerprint {
+  std::uint64_t engine_events = 0;
+  std::uint64_t trace_rows = 0;
+  double job_seconds = 0.0;
+  std::uint64_t digest = 0;
+  bool operator==(const Fingerprint&) const = default;
 };
 
-TracedRun traced_run(const Workload& w, const advisor::RunConfig& cfg) {
-  runtime::Simulation sim(test_cluster());
-  TracedRun r;
-  r.out = run_with(sim, w, cfg, analysis::Analyzer::Options{});
-  r.records = sim.tracer().records();
-  for (std::size_t a = 0; a < sim.tracer().num_apps(); ++a) {
-    r.apps.push_back(sim.tracer().app_name(static_cast<std::uint16_t>(a)));
-  }
-  return r;
+std::string to_string(const Fingerprint& f) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "{%llu, %llu, %a, 0x%016llxULL}",
+                static_cast<unsigned long long>(f.engine_events),
+                static_cast<unsigned long long>(f.trace_rows), f.job_seconds,
+                static_cast<unsigned long long>(f.digest));
+  return buf;
 }
 
-void expect_byte_identical(const Workload& w, const advisor::RunConfig& cfg) {
-  const TracedRun replayed = traced_run(w, cfg);
-  const TracedRun reference = traced_run(reference_of(w), cfg);
-  EXPECT_EQ(replayed.apps, reference.apps);
-  ASSERT_EQ(replayed.records.size(), reference.records.size());
-  for (std::size_t i = 0; i < reference.records.size(); ++i) {
-    if (!(replayed.records[i] == reference.records[i])) {
-      const auto& a = replayed.records[i];
-      const auto& b = reference.records[i];
-      FAIL() << "record " << i << " diverges: replay(app=" << a.app
-             << " rank=" << a.rank << " op=" << static_cast<int>(a.op)
-             << " off=" << a.offset << " size=" << a.size
-             << " count=" << a.count << " t=" << a.tstart << ".." << a.tend
-             << ") vs reference(app=" << b.app << " rank=" << b.rank
-             << " op=" << static_cast<int>(b.op) << " off=" << b.offset
-             << " size=" << b.size << " count=" << b.count << " t="
-             << b.tstart << ".." << b.tend << ")";
-    }
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+void fnv1a(std::uint64_t& h, const std::string& s) {
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= kFnvPrime;
   }
-  EXPECT_EQ(replayed.out.job_seconds, reference.out.job_seconds);
-  EXPECT_EQ(replayed.out.engine_events, reference.out.engine_events);
-  EXPECT_EQ(replayed.out.characterization.to_yaml(),
-            reference.out.characterization.to_yaml());
 }
 
+/// Hashes the eight little-endian bytes of `v`, so a field's digest does not
+/// depend on its width, the struct's padding or the host's byte order.
+void fnv1a(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= kFnvPrime;
+  }
+}
+
+void fnv1a(std::uint64_t& h, const trace::Record& r) {
+  for (const std::uint64_t field :
+       {std::uint64_t{r.app}, static_cast<std::uint64_t>(r.rank),
+        static_cast<std::uint64_t>(r.node),
+        static_cast<std::uint64_t>(r.iface), static_cast<std::uint64_t>(r.op),
+        static_cast<std::uint64_t>(r.file.fs), r.file.file, r.offset, r.size,
+        std::uint64_t{r.count}, r.tstart, r.tend}) {
+    fnv1a(h, field);
+  }
+}
+
+Fingerprint fingerprint(const cluster::ClusterSpec& spec, const Workload& w,
+                        const advisor::RunConfig& cfg) {
+  runtime::Simulation sim(spec);
+  const RunOutput out = run_with(sim, w, cfg, analysis::Analyzer::Options{});
+  const auto& tracer = sim.tracer();
+  Fingerprint fp{out.engine_events, tracer.records().size(), out.job_seconds,
+                 0xcbf29ce484222325ULL};
+  for (std::size_t a = 0; a < tracer.num_apps(); ++a) {
+    fnv1a(fp.digest, tracer.app_name(static_cast<std::uint16_t>(a)) + "\n");
+  }
+  for (const trace::Record& r : tracer.records()) fnv1a(fp.digest, r);
+  fnv1a(fp.digest, out.characterization.to_yaml());
+  return fp;
+}
+
+struct Golden {
+  std::string name;
+  std::function<Workload()> make;
+  advisor::RunConfig cfg;
+  Fingerprint pin;
+};
+
+void expect_pinned(const cluster::ClusterSpec& spec,
+                   const std::vector<Golden>& rows) {
+  for (const Golden& row : rows) {
+    const Fingerprint fp = fingerprint(spec, row.make(), row.cfg);
+    EXPECT_TRUE(fp == row.pin) << "row \"" << row.name << "\" measured "
+                               << to_string(fp) << "; pinned "
+                               << to_string(row.pin);
+  }
+}
+
+std::function<Workload()> test_scale(const char* id) {
+  return paper_workloads()[static_cast<std::size_t>(find_workload(id))]
+      .make_test;
+}
+
+std::function<Workload()> paper_scale(const char* id) {
+  return paper_workloads()[static_cast<std::size_t>(find_workload(id))]
+      .make_paper;
+}
+
+/// Moderate PFS faults by default: every workload sees latency spikes,
+/// HACC and both Montages also retry EIOs, and none exhausts its retry
+/// budget.
+advisor::RunConfig faulted(
+    const char* spec = "seed=7; gpfs: eio=0.05, slow=0.5, spike=20ms") {
+  advisor::RunConfig cfg;
+  cfg.faults = sim::FaultPlan::parse(spec);
+  return cfg;
+}
+
+// ---- PatternEquivalence: test-scale inputs ---------------------------------
+//
+// The inputs on which replay was compared against the hand-written
+// imperative models. Each pin is the output both launch paths produced
+// (they agreed on every row) before the imperative models were deleted, so
+// a replay that still matches it is still equivalent to them.
+
+// {engine events, trace rows, job seconds (hex float), digest}
 TEST(PatternEquivalence, AllSixWorkloadsBaselineConfig) {
-  for (const auto& entry : paper_workloads()) {
-    SCOPED_TRACE(entry.id);
-    expect_byte_identical(entry.make_test(), advisor::RunConfig{});
-  }
+  expect_pinned(
+      test_cluster(),
+      {
+          {"cm1", test_scale("cm1"), {},
+           {463, 350, 0x1.70fd0b1ab2ab3p+2, 0xd010fb95083556edULL}},
+          {"hacc-fpp", test_scale("hacc-fpp"), {},
+           {320, 176, 0x1.5408ae608c43p-3, 0xd239496137aa88f0ULL}},
+          {"cosmoflow", test_scale("cosmoflow"), {},
+           {798, 240, 0x1.0299fffdc9108p+0, 0x39811f2cf34ced7aULL}},
+          {"jag", test_scale("jag"), {},
+           {187, 122, 0x1.585ad484489cp+2, 0x6e0eaa5e36348c64ULL}},
+          {"montage-mpi", test_scale("montage-mpi"), {},
+           {343, 176, 0x1.46ebe9dbd9e3ap+1, 0xf7c7c2a8cfe3c9d0ULL}},
+          {"montage-pegasus", test_scale("montage-pegasus"), {},
+           {727, 389, 0x1.0e4e025b3dd82p+1, 0x5798d08d220abc93ULL}},
+      });
 }
 
 TEST(PatternEquivalence, IorBenchmark) {
-  expect_byte_identical(make_ior(IorParams::test()), advisor::RunConfig{});
-  auto P = IorParams::test();
-  P.file_per_process = false;
-  P.read_back = true;
-  expect_byte_identical(make_ior(P), advisor::RunConfig{});
+  expect_pinned(
+      test_cluster(),
+      {
+          {"ior", [] { return make_ior(IorParams::test()); }, {},
+           {64, 36, 0x1.6d68611b00951p-6, 0x46c638a4993e18aeULL}},
+          {"ior-shared",
+           [] {
+             auto P = IorParams::test();
+             P.file_per_process = false;
+             P.read_back = true;
+             return make_ior(P);
+           },
+           {},
+           {66, 36, 0x1.75998804796a1p-6, 0xce339a5a4f0f9d48ULL}},
+      });
 }
 
-// The compilers consume the RunConfig, so equivalence must survive the
-// advisor's knobs (§IV-D) too — each workload with the configuration its
-// case study turns on.
+// The compilers consume the RunConfig, so each workload is also pinned with
+// the configuration its case study turns on (§IV-D).
 TEST(PatternEquivalence, HaccCompressedAsyncDrain) {
   advisor::RunConfig cfg;
   cfg.compress_checkpoints = true;
   cfg.compress_on_gpu = true;
   cfg.async_checkpoint_drain = true;
-  expect_byte_identical(make_hacc(HaccParams::test()), cfg);
+  expect_pinned(test_cluster(),
+                {{"hacc-fpp compressed async drain", test_scale("hacc-fpp"),
+                  cfg,
+                  {312, 224, 0x1.2747ee6ff97bfp-3, 0x0c7491fec51178c1ULL}}});
 }
 
 TEST(PatternEquivalence, CosmoflowChunkedAndPreloaded) {
   advisor::RunConfig cfg;
   cfg.hdf5_chunk_size = util::kMiB;
   cfg.preload_input_to_node_local = true;
-  expect_byte_identical(make_cosmoflow(CosmoflowParams::test()), cfg);
+  expect_pinned(test_cluster(),
+                {{"cosmoflow chunked preloaded", test_scale("cosmoflow"), cfg,
+                  {850, 356, 0x1.ecfa66630b682p-1, 0xce015c7975b10fa6ULL}}});
 }
 
 TEST(PatternEquivalence, JagLargeStdioBuffer) {
   advisor::RunConfig cfg;
   cfg.stdio_buffer = util::kMiB;
-  expect_byte_identical(make_jag(JagParams::test()), cfg);
+  expect_pinned(test_cluster(),
+                {{"jag 1MiB stdio buffer", test_scale("jag"), cfg,
+                  {187, 122, 0x1.41eb2cc8a4b8dp+2, 0xff9870b6bbe6826eULL}}});
 }
 
 TEST(PatternEquivalence, MontageMpiShmIntermediates) {
   advisor::RunConfig cfg;
   cfg.intermediates_to_node_local = true;
   cfg.stdio_buffer = 64 * util::kKiB;
-  expect_byte_identical(make_montage_mpi(MontageMpiParams::test()), cfg);
+  expect_pinned(test_cluster(),
+                {{"montage-mpi shm intermediates", test_scale("montage-mpi"),
+                  cfg,
+                  {285, 188, 0x1.f40e43ee1f0aap+0, 0x54de6f269a387382ULL}}});
 }
 
 TEST(PatternEquivalence, MontagePegasusLocalityAware) {
   advisor::RunConfig cfg;
   cfg.locality_aware_placement = true;
   cfg.stdio_buffer = 64 * util::kKiB;
-  expect_byte_identical(make_montage_pegasus(MontagePegasusParams::test()),
-                        cfg);
+  expect_pinned(test_cluster(),
+                {{"montage-pegasus locality aware",
+                  test_scale("montage-pegasus"), cfg,
+                  {708, 389, 0x1.f274b94fed533p+0, 0x55d276f5418c15fbULL}}});
 }
 
+// ---- PatternGolden: faults and paper scale ---------------------------------
+
+TEST(PatternGolden, TestScaleUnderFaults) {
+  expect_pinned(
+      test_cluster(),
+      {
+          {"cm1", test_scale("cm1"), faulted(),
+           {510, 350, 0x1.892bf7a42ab1p+2, 0x5ac4fb6ba94d5558ULL}},
+          {"hacc-fpp", test_scale("hacc-fpp"), faulted(),
+           {372, 177, 0x1.45328a8e30515p-2, 0x8728d1284ecefd56ULL}},
+          {"cosmoflow", test_scale("cosmoflow"), faulted(),
+           {858, 240, 0x1.b1e3a3f1eac72p+0, 0xaa4f58401843b103ULL}},
+          {"jag", test_scale("jag"), faulted(),
+           {213, 122, 0x1.66dad78fd1f84p+2, 0x618e969b242f17f3ULL}},
+          {"montage-mpi", test_scale("montage-mpi"), faulted(),
+           {401, 176, 0x1.81e9ee4c349d3p+1, 0x51c881e9dafd51c8ULL}},
+          {"montage-pegasus", test_scale("montage-pegasus"), faulted(),
+           {877, 389, 0x1.72b690ab0881ep+1, 0x499e4f6355c85465ULL}},
+          // test_faults' heavier plan; at eio=0.3 CM1 exhausts its retries.
+          {"hacc-fpp eio=0.3", test_scale("hacc-fpp"),
+           faulted("seed=7; gpfs: eio=0.3, slow=0.5, spike=20ms"),
+           {407, 190, 0x1.40a247236647dp-2, 0x4e451bc3e5d98f5bULL}},
+      });
+}
+
+// The paper's job sizes on a 32-node Lassen. They take seconds, not
+// minutes, so they run in the default ctest.
+TEST(PatternGolden, PaperScale) {
+  expect_pinned(
+      cluster::lassen(32),
+      {
+          {"cm1", paper_scale("cm1"), {},
+           {279506, 263850, 0x1.42621be32efdcp+9, 0x4cee14ab627b5bc7ULL}},
+          {"hacc-fpp", paper_scale("hacc-fpp"), {},
+           {248085, 85760, 0x1.0cb4b4a08eb3fp+5, 0x0544c49bf3961151ULL}},
+          {"cosmoflow", paper_scale("cosmoflow"), {},
+           {3948576, 1390738, 0x1.cb2ad77415da1p+11, 0x476fc0ac996f51dbULL}},
+          {"jag", paper_scale("jag"), {},
+           {335870, 327849, 0x1.3a8122a1f7476p+10, 0x0fb2504125187a27ULL}},
+          {"montage-mpi", paper_scale("montage-mpi"), {},
+           {47273, 19328, 0x1.fc25a7315cc46p+7, 0xa6a4fa576fd58e82ULL}},
+          {"montage-pegasus", paper_scale("montage-pegasus"), {},
+           {318997, 102448, 0x1.1a2d3f61f11dp+10, 0x9a182328183aaca1ULL}},
+      });
+}
+
+// ---- PatternEquivalence: replay invariants -------------------------------
+
 // Replayed runs through the spill-to-disk trace backend must match the
-// in-memory reference profile (the backends are profile-identical by
-// contract; the replayer must not disturb that).
+// in-memory profile (the backends are profile-identical by contract; the
+// replayer must not disturb that).
 TEST(PatternEquivalence, SpillBackendMatchesReferenceProfile) {
   runtime::SpillPolicy policy;
   policy.dir = ::testing::TempDir() + "pattern_spill";
@@ -147,15 +294,15 @@ TEST(PatternEquivalence, SpillBackendMatchesReferenceProfile) {
                                advisor::RunConfig{},
                                analysis::Analyzer::Options{}, policy,
                                entry.id);
-    auto reference = run(test_cluster(), reference_of(entry.make_test()));
+    auto in_memory = run(test_cluster(), entry.make_test());
     EXPECT_EQ(spilled.characterization.to_yaml(),
-              reference.characterization.to_yaml());
-    EXPECT_EQ(spilled.job_seconds, reference.job_seconds);
+              in_memory.characterization.to_yaml());
+    EXPECT_EQ(spilled.job_seconds, in_memory.job_seconds);
   }
 }
 
 // run_many must stay bit-identical whether the replayed scenarios execute
-// sequentially or on four worker threads.
+// sequentially or on four worker threads, and equal a plain run().
 TEST(PatternEquivalence, RunManyIdenticalAcrossJobCounts) {
   std::vector<Scenario> scenarios;
   for (const auto& entry : paper_workloads()) {
@@ -173,10 +320,9 @@ TEST(PatternEquivalence, RunManyIdenticalAcrossJobCounts) {
     EXPECT_EQ(one[i].job_seconds, four[i].job_seconds);
     EXPECT_EQ(one[i].characterization.to_yaml(),
               four[i].characterization.to_yaml());
-    auto reference = run(test_cluster(),
-                         reference_of(scenarios[i].make()));
+    auto single = run(test_cluster(), scenarios[i].make());
     EXPECT_EQ(one[i].characterization.to_yaml(),
-              reference.characterization.to_yaml());
+              single.characterization.to_yaml());
   }
 }
 

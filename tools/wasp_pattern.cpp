@@ -7,7 +7,7 @@
 // `dump` compiles a registry workload (or re-parses a dumped file) and
 // prints the pattern YAML. `replay` drives the pattern through the generic
 // replayer and prints the characterization, exactly as wasp_run would for
-// the imperative model. `whatif` applies §IV-D rewrites as pure IR -> IR
+// the registry workload. `whatif` applies §IV-D rewrites as pure IR -> IR
 // transforms, then replays baseline and variant and reports the delta.
 #include <fstream>
 #include <iostream>
