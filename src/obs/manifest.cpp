@@ -30,6 +30,48 @@ std::string json_num(double v) {
   return buf;
 }
 
+/// `"counters": {...}, "gauges": {...}, "histograms": {...}` (no
+/// surrounding braces), each section's entries sorted by name.
+void write_metric_sections(std::ostream& os, const Snapshot& snapshot) {
+  using Kind = Snapshot::Kind;
+  for (const Kind kind : {Kind::kCounter, Kind::kGauge, Kind::kHistogram}) {
+    const char* section = kind == Kind::kCounter ? "counters"
+                          : kind == Kind::kGauge ? "gauges"
+                                                 : "histograms";
+    if (kind != Kind::kCounter) os << ",\n";
+    os << "  \"" << section << "\": {";
+    bool first = true;
+    for (const Snapshot::Entry& e : snapshot.entries) {
+      if (e.kind != kind) continue;
+      os << (first ? "" : ", ");
+      first = false;
+      write_json_escaped(os, e.name);
+      if (kind != Kind::kHistogram) {
+        os << ": " << e.value;
+        continue;
+      }
+      os << ": {\"count\": " << e.count << ", \"sum\": " << e.value
+         << ", \"buckets\": [";
+      for (std::size_t b = 0; b < e.buckets.size(); ++b) {
+        os << (b > 0 ? ", [" : "[") << e.buckets[b].first << ", "
+           << e.buckets[b].second << "]";
+      }
+      os << "]}";
+    }
+    os << "}";
+  }
+}
+
+/// Current UTC wall time as ISO-8601 ("2026-08-09T12:34:56Z").
+std::string iso8601_utc_now() {
+  const std::time_t now = std::time(nullptr);
+  std::tm tm{};
+  ::gmtime_r(&now, &tm);
+  char buf[32];
+  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm);
+  return buf;
+}
+
 }  // namespace
 
 bool deterministic_metric(std::string_view name) noexcept {
@@ -56,46 +98,6 @@ std::string current_git_sha() {
     return "unknown";
   }
   return sha;
-}
-
-std::string iso8601_utc_now() {
-  const std::time_t now = std::time(nullptr);
-  std::tm tm{};
-  ::gmtime_r(&now, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return buf;
-}
-
-void write_metric_sections(std::ostream& os, const Snapshot& snapshot,
-                           const char* indent) {
-  using Kind = Snapshot::Kind;
-  for (const Kind kind : {Kind::kCounter, Kind::kGauge, Kind::kHistogram}) {
-    const char* section = kind == Kind::kCounter ? "counters"
-                          : kind == Kind::kGauge ? "gauges"
-                                                 : "histograms";
-    if (kind != Kind::kCounter) os << ",\n";
-    os << indent << "\"" << section << "\": {";
-    bool first = true;
-    for (const Snapshot::Entry& e : snapshot.entries) {
-      if (e.kind != kind) continue;
-      os << (first ? "" : ", ");
-      first = false;
-      write_json_escaped(os, e.name);
-      if (kind != Kind::kHistogram) {
-        os << ": " << e.value;
-        continue;
-      }
-      os << ": {\"count\": " << e.count << ", \"sum\": " << e.value
-         << ", \"buckets\": [";
-      for (std::size_t b = 0; b < e.buckets.size(); ++b) {
-        os << (b > 0 ? ", [" : "[") << e.buckets[b].first << ", "
-           << e.buckets[b].second << "]";
-      }
-      os << "]}";
-    }
-    os << "}";
-  }
 }
 
 RunManifest RunManifest::capture(std::string tool, int jobs,
@@ -135,7 +137,7 @@ void RunManifest::write_json(std::ostream& os) const {
        << ", \"self_ns\": " << s.self_ns << "}";
   }
   os << (spans.empty() ? "]" : "\n  ]") << ",\n";
-  write_metric_sections(os, metrics, "  ");
+  write_metric_sections(os, metrics);
   os << "\n}\n";
 }
 

@@ -6,7 +6,7 @@
 // (counters / gauges / histograms — which covers the spill-store io.*
 // cells and the fault injector's faults.* cells), and the span tracer's
 // per-name count/total/self-time table. Emitted by `wasp_run --report` /
-// `wasp_analyze --report` and embedded per entry by `bench/run_all`.
+// `wasp_analyze --report`.
 //
 // Two serializations:
 //   write_json()                 the full document (schema
@@ -43,17 +43,6 @@ bool deterministic_metric(std::string_view name) noexcept;
 /// when git or the repository is unavailable. Never throws.
 std::string current_git_sha();
 
-/// Current UTC wall time as ISO-8601 ("2026-08-09T12:34:56Z").
-std::string iso8601_utc_now();
-
-/// Emit `"counters": {...}, "gauges": {...}, "histograms": {...}` from a
-/// snapshot (no surrounding braces), each section's entries sorted by
-/// name. `indent` prefixes every line; used by RunManifest::write_json
-/// and the per-entry embeds in bench/run_all so the two layouts stay
-/// identical.
-void write_metric_sections(std::ostream& os, const Snapshot& snapshot,
-                           const char* indent);
-
 struct RunManifest {
   static constexpr const char* kSchema = "wasp-run-manifest-v1";
 
@@ -64,8 +53,7 @@ struct RunManifest {
   int jobs = 1;
   std::string backend = "memory";
   double wall_seconds = 0.0;
-  /// Registry rollup — an absolute snapshot (whole-process tools) or a
-  /// delta (per-entry embeds); the manifest does not distinguish.
+  /// Registry rollup; capture() takes the whole process's snapshot.
   Snapshot metrics;
   std::vector<SpanAgg> spans;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <ostream>
 
 #include <array>
 #include <map>
@@ -19,24 +18,6 @@ std::uint64_t now_ns() noexcept {
           std::chrono::steady_clock::now() - epoch)
           .count());
 }
-
-namespace {
-
-void write_json_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << ' ';  // metric names are ASCII identifiers; control chars never
-    } else {
-      os << c;
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
 
 const Snapshot::Entry* Snapshot::find(std::string_view name) const noexcept {
   for (const Entry& e : entries) {
@@ -81,37 +62,6 @@ Snapshot Snapshot::delta(const Snapshot& earlier) const {
     out.entries.push_back(std::move(d));
   }
   return out;
-}
-
-void Snapshot::write_json(std::ostream& os) const {
-  os << "{\n  \"schema\": \"wasp-telemetry-v1\"";
-  for (const Kind kind :
-       {Kind::kCounter, Kind::kGauge, Kind::kHistogram}) {
-    const char* section = kind == Kind::kCounter   ? "counters"
-                          : kind == Kind::kGauge   ? "gauges"
-                                                   : "histograms";
-    os << ",\n  \"" << section << "\": {";
-    bool first = true;
-    for (const Entry& e : entries) {
-      if (e.kind != kind) continue;
-      os << (first ? "\n    " : ",\n    ");
-      first = false;
-      write_json_escaped(os, e.name);
-      if (kind != Kind::kHistogram) {
-        os << ": " << e.value;
-        continue;
-      }
-      os << ": {\"count\": " << e.count << ", \"sum\": " << e.value
-         << ", \"buckets\": [";
-      for (std::size_t b = 0; b < e.buckets.size(); ++b) {
-        os << (b > 0 ? ", [" : "[") << e.buckets[b].first << ", "
-           << e.buckets[b].second << "]";
-      }
-      os << "]}";
-    }
-    os << (first ? "}" : "\n  }");
-  }
-  os << "\n}\n";
 }
 
 std::atomic<bool> Registry::timing_{false};

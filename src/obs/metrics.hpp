@@ -28,7 +28,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -66,9 +65,6 @@ struct Snapshot {
   /// (entries missing from `earlier` pass through), gauges keep the later
   /// value. Entries absent from *this* are dropped.
   Snapshot delta(const Snapshot& earlier) const;
-  /// `{"schema":"wasp-telemetry-v1","counters":{...},"gauges":{...},
-  ///   "histograms":{"name":{"count":..,"sum":..,"buckets":[[b,n],..]}}}`
-  void write_json(std::ostream& os) const;
 };
 
 namespace detail {

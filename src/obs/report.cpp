@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <ostream>
 #include <set>
 
 #include "util/json.hpp"
@@ -27,26 +25,6 @@ const Value& require(const std::string& path, const Value& v,
                   ")");
   }
   return *m;
-}
-
-std::string json_num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-void write_json_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << ' ';
-    } else {
-      os << c;
-    }
-  }
-  os << '"';
 }
 
 }  // namespace
@@ -222,173 +200,6 @@ std::vector<MetricDelta> diff_manifests(const ManifestView& a,
     out.push_back(std::move(d));
   }
   return out;
-}
-
-// --- BENCH_results.json ---------------------------------------------------
-
-BenchResults load_bench_results(const std::string& path) {
-  Value root;
-  try {
-    root = util::json::parse_file(path);
-  } catch (const std::exception& e) {
-    throw util::SimError(std::string("bench results: ") + e.what());
-  }
-  if (!root.is_object()) bad(path, "root is not an object");
-  const std::string schema = root.str_or("schema", "");
-  BenchResults r;
-  if (schema == "wasp-bench-results-v2") {
-    r.version = 2;
-  } else if (schema == "wasp-bench-results-v3") {
-    r.version = 3;
-  } else {
-    bad(path, schema.empty()
-                  ? std::string("no \"schema\" field")
-                  : "unsupported schema \"" + schema +
-                        "\" (want wasp-bench-results-v2 or -v3)");
-  }
-  r.scale = root.str_or("scale", "");
-  r.git_sha = root.str_or("git_sha", "unknown");
-  r.timestamp = root.str_or("timestamp", "");
-  r.jobs = static_cast<int>(root.num_or("jobs", 0));
-
-  const Value& workloads = require(path, root, "workloads",
-                                   Value::Type::kArray, "workload entries");
-  for (const Value& w : workloads.arr) {
-    if (!w.is_object()) bad(path, "workload entry is not an object");
-    BenchEntry e;
-    e.name = w.str_or("name", "");
-    if (e.name.empty()) bad(path, "workload entry without a \"name\"");
-    e.backend = w.str_or("backend", "memory");
-    e.engine_events = w.u64_or("engine_events", 0);
-    e.trace_rows = w.u64_or("trace_rows", 0);
-    e.events_per_sec = w.num_or("events_per_sec", 0.0);
-    e.analyzer_rows_per_sec = w.num_or("analyzer_rows_per_sec", 0.0);
-    e.wall_seconds = w.num_or("wall_seconds", 0.0);
-    // v2 always carries an io block with a "present" flag; v3 omits the
-    // block for memory-backend entries. Both normalize to one bool.
-    if (const Value* io = w.get("io"); io != nullptr && io->is_object()) {
-      const Value* present = io->get("present");
-      e.io_present = present == nullptr ? true : present->boolean;
-    }
-    r.workloads.push_back(std::move(e));
-  }
-  if (const Value* sweeps = root.get("sweeps");
-      sweeps != nullptr && sweeps->is_array()) {
-    for (const Value& s : sweeps->arr) {
-      if (!s.is_object()) continue;
-      const std::string name = s.str_or("name", "");
-      const Value* telemetry = s.get("telemetry");
-      if (name.empty() || telemetry == nullptr ||
-          !telemetry->is_object()) {
-        continue;
-      }
-      r.sweep_engine_events.emplace(name,
-                                    telemetry->u64_or("engine_events", 0));
-    }
-  }
-  return r;
-}
-
-Verdict check_bench_results(const BenchResults& results,
-                            const BenchResults& baseline,
-                            const CheckOptions& opts) {
-  Verdict v;
-  if (results.scale != baseline.scale) {
-    v.violation = true;
-    v.notes.push_back("scale mismatch: results are \"" + results.scale +
-                      "\", baseline is \"" + baseline.scale + "\"");
-    return v;
-  }
-
-  auto add = [&](const std::string& entry, const std::string& metric,
-                 double base, double cur, Check::Status status) {
-    Check c;
-    c.entry = entry;
-    c.metric = metric;
-    c.baseline = base;
-    c.current = cur;
-    c.rel = base == cur ? 0.0 : base == 0.0 ? 1.0 : (cur - base) / base;
-    c.status = status;
-    if (status == Check::Status::kRegression) v.regression = true;
-    if (status == Check::Status::kViolation) v.violation = true;
-    v.checks.push_back(std::move(c));
-  };
-  auto exact = [&](const std::string& entry, const std::string& metric,
-                   std::uint64_t base, std::uint64_t cur) {
-    add(entry, metric, static_cast<double>(base), static_cast<double>(cur),
-        base == cur ? Check::Status::kPass : Check::Status::kViolation);
-  };
-  auto banded = [&](const std::string& entry, const std::string& metric,
-                    double base, double cur) {
-    // Only a *drop* below the band is a regression; faster always passes.
-    const bool regressed = base > 0.0 && cur < base * (1.0 - opts.tolerance);
-    add(entry, metric, base, cur,
-        regressed ? Check::Status::kRegression : Check::Status::kPass);
-  };
-
-  for (const BenchEntry& base : baseline.workloads) {
-    const auto it = std::find_if(
-        results.workloads.begin(), results.workloads.end(),
-        [&](const BenchEntry& e) {
-          return e.name == base.name && e.backend == base.backend;
-        });
-    if (it == results.workloads.end()) {
-      v.violation = true;
-      v.notes.push_back("baseline entry \"" + base.name + "\" (" +
-                        base.backend + ") missing from results");
-      continue;
-    }
-    exact(base.name, "engine_events", base.engine_events, it->engine_events);
-    exact(base.name, "trace_rows", base.trace_rows, it->trace_rows);
-    banded(base.name, "analyzer_rows_per_sec", base.analyzer_rows_per_sec,
-           it->analyzer_rows_per_sec);
-    banded(base.name, "events_per_sec", base.events_per_sec,
-           it->events_per_sec);
-  }
-  for (const auto& [name, base_events] : baseline.sweep_engine_events) {
-    const auto it = results.sweep_engine_events.find(name);
-    if (it == results.sweep_engine_events.end()) {
-      v.notes.push_back("sweep \"" + name + "\" missing from results");
-      continue;
-    }
-    exact("sweep:" + name, "engine_events", base_events, it->second);
-  }
-  return v;
-}
-
-void Verdict::write_json(std::ostream& os, const std::string& results_path,
-                         const std::string& baseline_path, double tolerance,
-                         bool advisory) const {
-  os << "{\n  \"schema\": \"wasp-report-verdict-v1\",\n";
-  os << "  \"results\": ";
-  write_json_escaped(os, results_path);
-  os << ",\n  \"baseline\": ";
-  write_json_escaped(os, baseline_path);
-  os << ",\n  \"tolerance\": " << json_num(tolerance);
-  os << ",\n  \"advisory\": " << (advisory ? "true" : "false");
-  os << ",\n  \"verdict\": \"" << verdict_string() << "\"";
-  os << ",\n  \"exit_code\": " << exit_code(advisory);
-  os << ",\n  \"checks\": [";
-  for (std::size_t i = 0; i < checks.size(); ++i) {
-    const Check& c = checks[i];
-    const char* status = c.status == Check::Status::kPass ? "pass"
-                         : c.status == Check::Status::kRegression
-                             ? "regression"
-                             : "determinism-violation";
-    os << (i == 0 ? "\n" : ",\n") << "    {\"entry\": ";
-    write_json_escaped(os, c.entry);
-    os << ", \"metric\": \"" << c.metric << "\", \"baseline\": "
-       << json_num(c.baseline) << ", \"current\": " << json_num(c.current)
-       << ", \"rel_delta\": " << json_num(c.rel) << ", \"status\": \""
-       << status << "\"}";
-  }
-  os << (checks.empty() ? "]" : "\n  ]");
-  os << ",\n  \"notes\": [";
-  for (std::size_t i = 0; i < notes.size(); ++i) {
-    os << (i == 0 ? "" : ", ");
-    write_json_escaped(os, notes[i]);
-  }
-  os << "]\n}\n";
 }
 
 }  // namespace wasp::obs::report

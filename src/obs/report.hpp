@@ -1,5 +1,5 @@
-// Reporting/regression core behind tools/wasp_report — everything that
-// reads run artifacts back in lives here so gtest can drive it directly:
+// Reporting core behind tools/wasp_report — everything that reads run
+// artifacts back in lives here so gtest can drive it directly:
 //
 //   load_manifest()          parse + validate a RunManifest JSON file into
 //                            a flattened metric map (counters as-is,
@@ -14,19 +14,11 @@
 //                            explicitly configured, so diffing two runs of
 //                            the same configuration exits clean without
 //                            tuning flags.
-//   check_bench_results()    BENCH_results.json vs a committed baseline:
-//                            exact-match determinism fields (engine
-//                            events, trace rows — a mismatch is a
-//                            violation, never excused by the noise band),
-//                            throughput fields inside a relative noise
-//                            band, schema v2 and v3 both readable, io
-//                            block absent-vs-present treated uniformly.
 //
 // All loaders throw util::SimError with the offending path (and byte
 // offset for parse errors); tools catch and exit nonzero.
 #pragma once
 
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -83,77 +75,5 @@ struct MetricDelta {
 std::vector<MetricDelta> diff_manifests(const ManifestView& a,
                                         const ManifestView& b,
                                         const DiffOptions& opts);
-
-// --- BENCH_results.json regression gate ----------------------------------
-
-/// One workload entry of a bench-results document (v2 or v3). io_present
-/// is normalized: v2's `"io": {"present": false, ...}` and v3's absent io
-/// block both read as false.
-struct BenchEntry {
-  std::string name;
-  std::string backend;
-  std::uint64_t engine_events = 0;
-  std::uint64_t trace_rows = 0;
-  double events_per_sec = 0.0;
-  double analyzer_rows_per_sec = 0.0;
-  double wall_seconds = 0.0;  ///< 0 in v2 documents
-  bool io_present = false;
-};
-
-struct BenchResults {
-  int version = 0;  ///< 2 or 3
-  std::string scale;
-  std::string git_sha;    ///< "unknown" in v2 documents
-  std::string timestamp;  ///< "" in v2 documents
-  int jobs = 0;
-  std::vector<BenchEntry> workloads;
-  /// Sweep name -> telemetry engine_events (deterministic across reruns).
-  std::map<std::string, std::uint64_t> sweep_engine_events;
-};
-
-BenchResults load_bench_results(const std::string& path);
-
-struct CheckOptions {
-  /// Noise band for throughput metrics: current < baseline*(1-tolerance)
-  /// is a regression. 0.15 keeps a synthetic 20% regression failing while
-  /// absorbing ordinary jitter.
-  double tolerance = 0.15;
-};
-
-struct Check {
-  enum class Status { kPass, kRegression, kViolation };
-  std::string entry;
-  std::string metric;
-  double baseline = 0.0;
-  double current = 0.0;
-  double rel = 0.0;
-  Status status = Status::kPass;
-};
-
-struct Verdict {
-  bool regression = false;  ///< a throughput check breached the band
-  bool violation = false;   ///< schema/determinism violation (never advisory)
-  std::vector<Check> checks;
-  std::vector<std::string> notes;
-
-  const char* verdict_string() const noexcept {
-    return violation ? "violation" : regression ? "regression" : "pass";
-  }
-  /// Machine-readable verdict ("wasp-report-verdict-v1").
-  void write_json(std::ostream& os, const std::string& results_path,
-                  const std::string& baseline_path, double tolerance,
-                  bool advisory) const;
-  /// 0 pass (or advisory perf breach), 1 perf regression, 3 violation
-  /// (hard even in advisory mode).
-  int exit_code(bool advisory) const noexcept {
-    if (violation) return 3;
-    if (regression) return advisory ? 0 : 1;
-    return 0;
-  }
-};
-
-Verdict check_bench_results(const BenchResults& results,
-                            const BenchResults& baseline,
-                            const CheckOptions& opts);
 
 }  // namespace wasp::obs::report

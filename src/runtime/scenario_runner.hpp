@@ -35,8 +35,6 @@ struct SpillPolicy {
   std::size_t chunk_rows = 65536;
   /// LRU cap on chunks resident during analysis.
   std::size_t max_resident_chunks = 8;
-  /// Per-column-compressed WSPCHK02 chunk files (raw WSPCHK01 when false).
-  bool compress = true;
 };
 
 class ScenarioRunner {

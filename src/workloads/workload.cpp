@@ -24,6 +24,22 @@ RunOutput finish(runtime::Simulation& sim, const Workload& workload,
   return out;
 }
 
+/// The job count run_many uses for this batch: the runner's jobs, or 1 when
+/// the batch is too small to be worth fanning out (single scenario, or every
+/// scenario estimates under kSerialScenarioEvents).
+int effective_jobs(const std::vector<Scenario>& scenarios,
+                   const runtime::ScenarioRunner& runner) {
+  if (runner.jobs() <= 1 || scenarios.size() <= 1) return 1;
+  bool all_estimated = !scenarios.empty();
+  std::uint64_t max_est = 0;
+  for (const Scenario& s : scenarios) {
+    if (s.est_events == 0) all_estimated = false;
+    if (s.est_events > max_est) max_est = s.est_events;
+  }
+  if (all_estimated && max_est < kSerialScenarioEvents) return 1;
+  return runner.jobs();
+}
+
 }  // namespace
 
 void simulate(runtime::Simulation& sim, const Workload& workload,
@@ -66,7 +82,6 @@ RunOutput run_spilled(runtime::Simulation& sim, const Workload& workload,
                                       : policy.dir + "/" + name;
   store_opts.chunk_rows = policy.chunk_rows;
   store_opts.max_resident_chunks = policy.max_resident_chunks;
-  store_opts.compress = policy.compress;
   analysis::SpillColumnStore store(store_opts);
 
   sim.tracer().set_sink(&store, policy.flush_rows);
@@ -90,19 +105,6 @@ RunOutput run(const cluster::ClusterSpec& spec, const Workload& workload,
 std::vector<RunOutput> run_many(const std::vector<Scenario>& scenarios,
                                 int jobs) {
   return run_many(scenarios, runtime::ScenarioRunner(jobs));
-}
-
-int effective_jobs(const std::vector<Scenario>& scenarios,
-                   const runtime::ScenarioRunner& runner) {
-  if (runner.jobs() <= 1 || scenarios.size() <= 1) return 1;
-  bool all_estimated = !scenarios.empty();
-  std::uint64_t max_est = 0;
-  for (const Scenario& s : scenarios) {
-    if (s.est_events == 0) all_estimated = false;
-    if (s.est_events > max_est) max_est = s.est_events;
-  }
-  if (all_estimated && max_est < kSerialScenarioEvents) return 1;
-  return runner.jobs();
 }
 
 std::vector<RunOutput> run_many(const std::vector<Scenario>& scenarios,

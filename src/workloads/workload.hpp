@@ -99,12 +99,6 @@ struct Scenario {
 /// 0.31x "speedup" at --jobs 4 on test-scale cells).
 inline constexpr std::uint64_t kSerialScenarioEvents = 10'000;
 
-/// The job count run_many will actually use for this batch: the runner's
-/// jobs, or 1 when the batch is too small to be worth fanning out (single
-/// scenario, or every scenario estimates under kSerialScenarioEvents).
-int effective_jobs(const std::vector<Scenario>& scenarios,
-                   const runtime::ScenarioRunner& runner);
-
 /// Run independent scenarios concurrently via runtime::ScenarioRunner
 /// (jobs == 0 -> util::default_jobs()). Results are in input order and
 /// bit-identical to running each scenario sequentially.
@@ -113,8 +107,8 @@ std::vector<RunOutput> run_many(const std::vector<Scenario>& scenarios,
 
 /// run_many() on a caller-configured runner; honors the runner's
 /// SpillPolicy (each scenario spills under policy.dir/<scenario name>) and
-/// drops to serial execution when effective_jobs() says the batch is too
-/// small to benefit.
+/// runs serially when the batch is too small to benefit: a single scenario,
+/// or every scenario estimating under kSerialScenarioEvents.
 std::vector<RunOutput> run_many(const std::vector<Scenario>& scenarios,
                                 const runtime::ScenarioRunner& runner);
 

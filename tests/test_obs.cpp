@@ -1,5 +1,5 @@
 // Telemetry layer: registry semantics (sharded counters, histograms,
-// gauges, CounterCell folding), snapshot/delta/JSON, span tracer B/E
+// gauges, CounterCell folding), snapshot/delta, span tracer B/E
 // guarantees, and the IoStats-vs-registry regression that pins the spill
 // store's migration onto CounterCells. The registry is process-global, so
 // every check reads deltas between two snapshots rather than absolute
@@ -99,18 +99,6 @@ TEST(ObsRegistry, SnapshotDeltaSubtractsCountersKeepsGauges) {
   const obs::Snapshot d = snap().delta(a);
   EXPECT_EQ(d.value("test.obs.delta"), 3u);
   EXPECT_EQ(d.value("test.obs.delta_gauge"), 42u);  // later value wins
-}
-
-TEST(ObsRegistry, WriteJsonIsWellFormedAndSorted) {
-  obs::Registry::instance().counter("test.obs.json").add(1);
-  std::ostringstream os;
-  snap().write_json(os);
-  const std::string j = os.str();
-  EXPECT_NE(j.find("\"schema\": \"wasp-telemetry-v1\""), std::string::npos);
-  EXPECT_NE(j.find("\"counters\""), std::string::npos);
-  EXPECT_NE(j.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(j.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(j.find("\"test.obs.json\": "), std::string::npos);
 }
 
 TEST(ObsRegistry, TimerGuardCountsOnlyWhenTimingEnabled) {
@@ -251,7 +239,7 @@ TEST(SpanTrace, BufferCapDropsWholePairs) {
 // Regression for the IoStats migration: the spill store's public IoStats
 // accessor and the registry's "spill.*" metrics are two views of the same
 // CounterCells, so after a spilled analysis they must agree exactly. This
-// is what keeps `wasp_analyze --stats` and `--telemetry` from drifting.
+// is what keeps `wasp_analyze --stats` and `--report` from drifting.
 TEST(ObsSpillStats, IoStatsMatchesRegistrySnapshot) {
   const obs::Snapshot before = snap();
   std::vector<trace::Record> records(3000);

@@ -277,6 +277,71 @@ TEST(PatternGolden, PaperScale) {
       });
 }
 
+// Test-scale sweeps whose cluster changes from cell to cell: CosmoFlow and
+// Montage-MPI at 2-16 nodes (the Fig. 7/8 node axis) and Montage-MPI over
+// PFS stripe counts, each on a plain lassen(n).
+TEST(PatternGolden, SweepCells) {
+  struct Cell {
+    cluster::ClusterSpec spec;
+    Golden row;
+  };
+  const auto cosmoflow = [](int nodes) {
+    auto P = CosmoflowParams::test();
+    P.nodes = nodes;
+    return [P] { return make_cosmoflow(P); };
+  };
+  const auto montage = [](int nodes) {
+    auto P = MontageMpiParams::test();
+    P.nodes = nodes;
+    return [P] { return make_montage_mpi(P); };
+  };
+  const auto striped = [](int count) {
+    auto spec = cluster::lassen(4);
+    spec.pfs.stripe_count = count;
+    return spec;
+  };
+  // {engine events, trace rows, job seconds (hex float), digest}
+  const std::vector<Cell> cells = {
+      {cluster::lassen(2),
+       {"cosmoflow nodes=2", cosmoflow(2), {},
+        {798, 240, 0x1.0299fffdc9108p+0, 0xb5f98f977f2c7d23ULL}}},
+      {cluster::lassen(4),
+       {"cosmoflow nodes=4", cosmoflow(4), {},
+        {806, 244, 0x1.1a4eb5897e076p-1, 0xdb0af2776cebe4dcULL}}},
+      {cluster::lassen(8),
+       {"cosmoflow nodes=8", cosmoflow(8), {},
+        {812, 246, 0x1.3e000a335711ep-2, 0xa53771d48aebbb7aULL}}},
+      {cluster::lassen(16),
+       {"cosmoflow nodes=16", cosmoflow(16), {},
+        {855, 259, 0x1.7c0fcd74dfc85p-3, 0xbb09b56f2be17221ULL}}},
+      {cluster::lassen(2),
+       {"montage-mpi nodes=2", montage(2), {},
+        {343, 176, 0x1.46ebe9dbd9e3ap+1, 0xe50fa0c9d5e46bfbULL}}},
+      {cluster::lassen(4),
+       {"montage-mpi nodes=4", montage(4), {},
+        {573, 304, 0x1.105e1509269a5p+1, 0x14df797cce127581ULL}}},
+      {cluster::lassen(8),
+       {"montage-mpi nodes=8", montage(8), {},
+        {1049, 560, 0x1.ee3a58fd835f3p+0, 0x125408fff8e69e56ULL}}},
+      {cluster::lassen(16),
+       {"montage-mpi nodes=16", montage(16), {},
+        {1937, 1008, 0x1.02c3268a1c3cfp+1, 0x45e2f049e906bc46ULL}}},
+      {striped(1),
+       {"montage-mpi stripe_count=1", test_scale("montage-mpi"), {},
+        {313, 176, 0x1.5c76a6c9f296bp+1, 0xc87b288f1403c1a8ULL}}},
+      {striped(2),
+       {"montage-mpi stripe_count=2", test_scale("montage-mpi"), {},
+        {323, 176, 0x1.4e1a28d5e21f5p+1, 0x3681bc85b4ef5df4ULL}}},
+      {striped(4),
+       {"montage-mpi stripe_count=4", test_scale("montage-mpi"), {},
+        {343, 176, 0x1.46ebe9dbd9e3ap+1, 0x7adf92098ec83fcdULL}}},
+      {striped(8),
+       {"montage-mpi stripe_count=8", test_scale("montage-mpi"), {},
+        {351, 176, 0x1.4390eb88824dbp+1, 0xf382482276e29f82ULL}}},
+  };
+  for (const Cell& c : cells) expect_pinned(c.spec, {c.row});
+}
+
 // ---- PatternEquivalence: replay invariants -------------------------------
 
 // Replayed runs through the spill-to-disk trace backend must match the

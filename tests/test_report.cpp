@@ -1,8 +1,6 @@
-// The reporting/regression core behind tools/wasp_report: manifest
-// loading (including malformed-input diagnostics), the diff tolerance
-// bands at their edges, Chrome-trace span aggregation, bench-results
-// schema v2/v3 compatibility, and the check verdict + exit-code
-// contract the CI gate relies on.
+// The reporting core behind tools/wasp_report: manifest loading
+// (including malformed-input diagnostics), the diff tolerance bands at
+// their edges, and Chrome-trace span aggregation.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -97,7 +95,7 @@ TEST(ReportManifest, DiagnosesMalformedDocuments) {
   };
   expect_error(write_tmp("m_noschema.json", "{}"), "schema");
   expect_error(write_tmp("m_badschema.json",
-                         R"({"schema": "wasp-bench-results-v3"})"),
+                         R"({"schema": "wasp-run-manifest-v0"})"),
                "unsupported schema");
   expect_error(
       write_tmp("m_nocounters.json",
@@ -224,192 +222,6 @@ TEST(ReportTrace, RejectsNonTraceDocuments) {
   EXPECT_THROW(
       rep::aggregate_chrome_trace(write_tmp("nottrace.json", "{\"x\": 1}")),
       util::SimError);
-}
-
-// --- load_bench_results ---------------------------------------------------
-
-constexpr const char* kV2Doc = R"({
-  "schema": "wasp-bench-results-v2",
-  "scale": "test",
-  "jobs": 2,
-  "workloads": [
-    {"name": "CM1", "backend": "memory", "engine_events": 100,
-     "trace_rows": 50, "events_per_sec": 1000, "analyzer_rows_per_sec": 500,
-     "io": {"present": false, "chunk_loads": 0},
-     "telemetry": {"engine_events": 100}},
-    {"name": "CM1", "backend": "spill", "engine_events": 100,
-     "trace_rows": 50, "events_per_sec": 900, "analyzer_rows_per_sec": 400,
-     "io": {"present": true, "chunk_loads": 7},
-     "telemetry": {"engine_events": 100}}
-  ],
-  "sweeps": [
-    {"name": "fig7", "telemetry": {"engine_events": 777}}
-  ]
-})";
-
-constexpr const char* kV3Doc = R"({
-  "schema": "wasp-bench-results-v3",
-  "scale": "test",
-  "git_sha": "0123456789012345678901234567890123456789",
-  "timestamp": "2026-08-09T00:00:00Z",
-  "jobs": 2,
-  "workloads": [
-    {"name": "CM1", "backend": "memory", "engine_events": 100,
-     "trace_rows": 50, "events_per_sec": 1000, "analyzer_rows_per_sec": 500,
-     "wall_seconds": 0.5, "telemetry": {"engine_events": 100}},
-    {"name": "CM1", "backend": "spill", "engine_events": 100,
-     "trace_rows": 50, "events_per_sec": 900, "analyzer_rows_per_sec": 400,
-     "wall_seconds": 0.7, "io": {"chunk_loads": 7},
-     "telemetry": {"engine_events": 100}}
-  ],
-  "sweeps": [
-    {"name": "fig7", "telemetry": {"engine_events": 777}}
-  ]
-})";
-
-TEST(ReportBench, NormalizesIoPresenceAcrossSchemaVersions) {
-  const auto v2 = rep::load_bench_results(write_tmp("bench_v2.json", kV2Doc));
-  const auto v3 = rep::load_bench_results(write_tmp("bench_v3.json", kV3Doc));
-  EXPECT_EQ(v2.version, 2);
-  EXPECT_EQ(v3.version, 3);
-  EXPECT_EQ(v2.git_sha, "unknown");
-  EXPECT_EQ(v3.git_sha, "0123456789012345678901234567890123456789");
-  EXPECT_EQ(v3.timestamp, "2026-08-09T00:00:00Z");
-  ASSERT_EQ(v2.workloads.size(), 2u);
-  ASSERT_EQ(v3.workloads.size(), 2u);
-  // v2 zeroed-io-with-present-false and v3 absent-io read identically.
-  EXPECT_FALSE(v2.workloads[0].io_present);
-  EXPECT_FALSE(v3.workloads[0].io_present);
-  EXPECT_TRUE(v2.workloads[1].io_present);
-  EXPECT_TRUE(v3.workloads[1].io_present);
-  EXPECT_EQ(v2.workloads[0].wall_seconds, 0.0);
-  EXPECT_EQ(v3.workloads[0].wall_seconds, 0.5);
-  EXPECT_EQ(v2.sweep_engine_events.at("fig7"), 777u);
-  // A v2 baseline checks cleanly against v3 results of the same run.
-  const auto verdict =
-      rep::check_bench_results(v3, v2, rep::CheckOptions{});
-  EXPECT_FALSE(verdict.regression);
-  EXPECT_FALSE(verdict.violation);
-  EXPECT_EQ(verdict.exit_code(false), 0);
-}
-
-TEST(ReportBench, DiagnosesMalformedResults) {
-  const auto expect_error = [](const std::string& path,
-                               const std::string& needle) {
-    try {
-      rep::load_bench_results(path);
-      FAIL() << "expected SimError for " << path;
-    } catch (const util::SimError& e) {
-      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-          << e.what();
-    }
-  };
-  expect_error(write_tmp("b_noschema.json", "{}"), "schema");
-  expect_error(write_tmp("b_wrong.json", R"({"schema": "wasp-bench-results-v9",
-                                             "workloads": []})"),
-               "unsupported schema");
-  expect_error(write_tmp("b_nowork.json",
-                         R"({"schema": "wasp-bench-results-v3"})"),
-               "workloads");
-  expect_error(write_tmp("b_noname.json",
-                         R"({"schema": "wasp-bench-results-v3",
-                             "workloads": [{"backend": "memory"}]})"),
-               "name");
-}
-
-// --- check_bench_results --------------------------------------------------
-
-rep::BenchResults bench_with(double rows_per_sec, std::uint64_t events) {
-  rep::BenchResults r;
-  r.version = 3;
-  r.scale = "test";
-  rep::BenchEntry e;
-  e.name = "CM1";
-  e.backend = "memory";
-  e.engine_events = events;
-  e.trace_rows = 50;
-  e.events_per_sec = 1000;
-  e.analyzer_rows_per_sec = rows_per_sec;
-  r.workloads.push_back(e);
-  r.sweep_engine_events.emplace("fig7", 777u);
-  return r;
-}
-
-TEST(ReportCheck, TwentyPercentDropFailsFifteenPercentBand) {
-  const auto baseline = bench_with(1000, 100);
-  const auto verdict = rep::check_bench_results(
-      bench_with(800, 100), baseline, rep::CheckOptions{});
-  EXPECT_TRUE(verdict.regression);
-  EXPECT_FALSE(verdict.violation);
-  EXPECT_EQ(verdict.exit_code(false), 1);
-  EXPECT_EQ(verdict.exit_code(true), 0);  // advisory absorbs perf breaches
-  EXPECT_STREQ(verdict.verdict_string(), "regression");
-}
-
-TEST(ReportCheck, WithinBandAndFasterBothPass) {
-  const auto baseline = bench_with(1000, 100);
-  EXPECT_EQ(rep::check_bench_results(bench_with(900, 100), baseline,
-                                     rep::CheckOptions{})
-                .exit_code(false),
-            0);
-  EXPECT_EQ(rep::check_bench_results(bench_with(5000, 100), baseline,
-                                     rep::CheckOptions{})
-                .exit_code(false),
-            0);
-}
-
-TEST(ReportCheck, DeterminismViolationIsHardEvenInAdvisoryMode) {
-  const auto baseline = bench_with(1000, 100);
-  const auto verdict = rep::check_bench_results(bench_with(1000, 101),
-                                                baseline, rep::CheckOptions{});
-  EXPECT_TRUE(verdict.violation);
-  EXPECT_EQ(verdict.exit_code(true), 3);
-  EXPECT_STREQ(verdict.verdict_string(), "violation");
-}
-
-TEST(ReportCheck, SweepEventsAndMissingEntriesAreChecked) {
-  const auto baseline = bench_with(1000, 100);
-  auto drifted = bench_with(1000, 100);
-  drifted.sweep_engine_events["fig7"] = 778;
-  EXPECT_TRUE(rep::check_bench_results(drifted, baseline, rep::CheckOptions{})
-                  .violation);
-  auto renamed = bench_with(1000, 100);
-  renamed.workloads[0].name = "CM2";
-  const auto verdict =
-      rep::check_bench_results(renamed, baseline, rep::CheckOptions{});
-  EXPECT_TRUE(verdict.violation);
-  ASSERT_FALSE(verdict.notes.empty());
-  EXPECT_NE(verdict.notes[0].find("missing"), std::string::npos);
-}
-
-TEST(ReportCheck, ScaleMismatchIsAViolation) {
-  auto paper = bench_with(1000, 100);
-  paper.scale = "paper";
-  const auto verdict = rep::check_bench_results(paper, bench_with(1000, 100),
-                                                rep::CheckOptions{});
-  EXPECT_TRUE(verdict.violation);
-  EXPECT_EQ(verdict.exit_code(true), 3);
-}
-
-TEST(ReportCheck, VerdictJsonIsMachineReadable) {
-  const auto verdict = rep::check_bench_results(
-      bench_with(800, 100), bench_with(1000, 100), rep::CheckOptions{});
-  std::ostringstream os;
-  verdict.write_json(os, "results.json", "baseline.json", 0.15, false);
-  const auto doc = util::json::parse(os.str());
-  EXPECT_EQ(doc.str_or("schema", ""), "wasp-report-verdict-v1");
-  EXPECT_EQ(doc.str_or("verdict", ""), "regression");
-  EXPECT_EQ(doc.num_or("exit_code", -1), 1.0);
-  const auto* checks = doc.get("checks");
-  ASSERT_TRUE(checks != nullptr && checks->is_array());
-  bool found = false;
-  for (const auto& c : checks->arr) {
-    if (c.str_or("metric", "") == "analyzer_rows_per_sec") {
-      EXPECT_EQ(c.str_or("status", ""), "regression");
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 //   wasp_analyze <trace.wtrc> [--phases] [--files N] [--hist] [--jobs N]
 //                [--backend memory|spill] [--spill-dir DIR]
 //                [--chunk-rows N] [--max-resident-chunks N]
-//                [--no-compress] [--stats] [--telemetry out.json]
-//                [--trace-out out.trace.json] [--report out.manifest.json]
+//                [--no-compress] [--stats] [--trace-out out.trace.json]
+//                [--report out.manifest.json]
 //
 // --backend spill streams the log through a SpillColumnStore (columnar
 // chunk files + bounded LRU + sequential prefetch) instead of
@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 
@@ -56,7 +57,10 @@ analysis::WorkloadProfile analyze_spill(const std::string& trace_path,
   std::vector<trace::Record> records;
   std::vector<std::uint32_t> path_idx;
   std::vector<std::uint64_t> file_sizes;
-  while (reader.next_chunk(chunk_rows, records, path_idx, file_sizes) > 0) {
+  // The store's clamped size, not the flag: a 0-row read would end the loop
+  // before the first chunk.
+  while (reader.next_chunk(store.chunk_rows(), records, path_idx,
+                           file_sizes) > 0) {
     store.append(records, path_idx, file_sizes);
     records.clear();
     path_idx.clear();
@@ -122,16 +126,20 @@ void print_io_stats(const analysis::IoStats& io) {
   }
 }
 
+void usage() {
+  std::cerr << "usage: wasp_analyze <trace.wtrc> [--phases] [--files N]"
+               " [--hist] [--jobs N] [--backend memory|spill]"
+               " [--spill-dir DIR] [--chunk-rows N]"
+               " [--max-resident-chunks N] [--no-compress] [--stats]"
+               " [--trace-out FILE] [--report FILE]\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto wall_t0 = std::chrono::steady_clock::now();
   if (argc < 2) {
-    std::cerr << "usage: wasp_analyze <trace.wtrc> [--phases] [--files N]"
-                 " [--hist] [--jobs N] [--backend memory|spill]"
-                 " [--spill-dir DIR] [--chunk-rows N]"
-                 " [--max-resident-chunks N] [--no-compress] [--stats]"
-                 " [--telemetry FILE] [--trace-out FILE] [--report FILE]\n";
+    usage();
     return 2;
   }
   bool show_phases = false;
@@ -141,13 +149,19 @@ int main(int argc, char** argv) {
   std::size_t show_files = 0;
   std::string backend = "memory";
   std::string spill_dir;
-  std::string telemetry_out;
   std::string spans_out;
   std::string report_out;
   std::size_t chunk_rows = 65536;
   std::size_t max_resident = 8;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
+    auto next = [&]() -> std::string {
+      if (i + 1 >= argc) {
+        usage();
+        std::exit(2);
+      }
+      return argv[++i];
+    };
     if (arg == "--phases") {
       show_phases = true;
     } else if (arg == "--hist") {
@@ -156,27 +170,32 @@ int main(int argc, char** argv) {
       show_stats = true;
     } else if (arg == "--no-compress") {
       compress = false;
-    } else if (arg == "--files" && i + 1 < argc) {
-      show_files = static_cast<std::size_t>(util::cli_uint(arg, argv[++i]));
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      util::set_default_jobs(static_cast<int>(util::cli_int(arg, argv[++i])));
-    } else if (arg == "--backend" && i + 1 < argc) {
-      backend = argv[++i];
-    } else if (arg == "--spill-dir" && i + 1 < argc) {
-      spill_dir = argv[++i];
-    } else if (arg == "--chunk-rows" && i + 1 < argc) {
-      chunk_rows = static_cast<std::size_t>(util::cli_uint(arg, argv[++i]));
-    } else if (arg == "--max-resident-chunks" && i + 1 < argc) {
-      max_resident = static_cast<std::size_t>(util::cli_uint(arg, argv[++i]));
-    } else if (arg == "--telemetry" && i + 1 < argc) {
-      telemetry_out = argv[++i];
-    } else if (arg == "--trace-out" && i + 1 < argc) {
-      spans_out = argv[++i];
-    } else if (arg == "--report" && i + 1 < argc) {
-      report_out = argv[++i];
+    } else if (arg == "--files") {
+      show_files =
+          static_cast<std::size_t>(util::cli_uint(arg, next(), &usage));
+    } else if (arg == "--jobs") {
+      util::set_default_jobs(
+          static_cast<int>(util::cli_int(arg, next(), &usage)));
+    } else if (arg == "--backend") {
+      backend = next();
+    } else if (arg == "--spill-dir") {
+      spill_dir = next();
+    } else if (arg == "--chunk-rows") {
+      chunk_rows =
+          static_cast<std::size_t>(util::cli_uint(arg, next(), &usage));
+    } else if (arg == "--max-resident-chunks") {
+      max_resident =
+          static_cast<std::size_t>(util::cli_uint(arg, next(), &usage));
+    } else if (arg == "--trace-out") {
+      spans_out = next();
+    } else if (arg == "--report") {
+      report_out = next();
+    } else {
+      usage();
+      return 2;
     }
   }
-  toolcli::enable_telemetry(telemetry_out, spans_out, report_out);
+  toolcli::enable_telemetry(spans_out, report_out);
   if (backend != "memory" && backend != "spill") {
     std::cerr << "unknown --backend (want memory|spill): " << backend << "\n";
     return 2;
@@ -266,7 +285,7 @@ int main(int argc, char** argv) {
       std::cout << "\nspill backend I/O: none (memory backend)\n";
     }
   }
-  toolcli::write_telemetry(telemetry_out, spans_out);
+  toolcli::write_trace(spans_out);
   toolcli::write_report(report_out, "wasp_analyze", util::default_jobs(),
                         backend, wall_t0);
   return 0;

@@ -1,20 +1,16 @@
 // wasp_report — read run artifacts back in: summarize a run manifest or
-// Chrome trace, diff two manifests with tolerance bands, or gate bench
-// results against a committed baseline.
+// Chrome trace, or diff two manifests with tolerance bands.
 //
 //   wasp_report summarize <manifest.json|trace.json> [--top N]
 //   wasp_report diff <a.manifest.json> <b.manifest.json>
 //               [--tolerance X] [--tolerance NAME=X] [--all]
-//   wasp_report check <BENCH_results.json> --baseline <baseline.json>
-//               [--tolerance X] [--advisory] [--out FILE]
 //
-// Exit codes: 0 ok; diff: 1 on a tolerance breach; check: 1 on a perf
-// regression (0 with --advisory), 3 on a schema/determinism violation
-// (hard even in advisory mode); 2 on usage errors.
+// Exit codes: 0 ok; diff: 1 on a tolerance breach; 2 on usage errors,
+// bad flag values and unreadable inputs.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -22,6 +18,7 @@
 #include "obs/report.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 using namespace wasp;
@@ -34,10 +31,29 @@ int usage() {
       << "usage:\n"
          "  wasp_report summarize <manifest.json|trace.json> [--top N]\n"
          "  wasp_report diff <a.json> <b.json> [--tolerance X]"
-         " [--tolerance NAME=X] [--all]\n"
-         "  wasp_report check <results.json> --baseline <baseline.json>\n"
-         "              [--tolerance X] [--advisory] [--out FILE]\n";
+         " [--tolerance NAME=X] [--all]\n";
   return 2;
+}
+
+/// Like util::cli_int: diagnose a malformed flag value, print usage, exit 2.
+[[noreturn]] void bad_value(const std::string& flag, const std::string& text,
+                            const char* expected) {
+  std::cerr << "bad value for " << flag << ": '" << text << "' (expected "
+            << expected << ")\n";
+  std::exit(usage());
+}
+
+/// The band in a --tolerance value from `pos` on (all of "0.1", the X of
+/// "NAME=X"): the rest of the string must be a finite number >= 0.
+double tolerance_value(const std::string& text, std::size_t pos) {
+  const char* begin = text.c_str() + pos;
+  char* end = nullptr;
+  const double v = std::strtod(begin, &end);
+  if (end == begin || end != text.c_str() + text.size() ||
+      !std::isfinite(v) || v < 0.0) {
+    bad_value("--tolerance", text, "a finite number >= 0");
+  }
+  return v;
 }
 
 std::string fmt(double v) {
@@ -85,9 +101,9 @@ int cmd_summarize(const std::vector<std::string>& args) {
   std::size_t top = 20;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--top" && i + 1 < args.size()) {
-      top = static_cast<std::size_t>(std::strtoull(args[++i].c_str(),
-                                                   nullptr, 10));
-      if (top == 0) return usage();
+      const auto n = util::parse_uint(args[++i]);
+      if (!n || *n == 0) bad_value("--top", args[i], "a positive integer");
+      top = static_cast<std::size_t>(*n);
     } else if (path.empty() && args[i][0] != '-') {
       path = args[i];
     } else {
@@ -126,10 +142,10 @@ int cmd_diff(const std::vector<std::string>& args) {
       const std::string v = args[++i];
       const auto eq = v.find('=');
       if (eq == std::string::npos) {
-        opts.tolerance = std::strtod(v.c_str(), nullptr);
+        opts.tolerance = tolerance_value(v, 0);
       } else {
         opts.overrides.emplace_back(v.substr(0, eq),
-                                    std::strtod(v.c_str() + eq + 1, nullptr));
+                                    tolerance_value(v, eq + 1));
       }
     } else if (args[i] == "--all") {
       show_all = true;
@@ -165,60 +181,6 @@ int cmd_diff(const std::vector<std::string>& args) {
   return breaches == 0 ? 0 : 1;
 }
 
-int cmd_check(const std::vector<std::string>& args) {
-  std::string results_path;
-  std::string baseline_path;
-  std::string out_path;
-  rep::CheckOptions opts;
-  bool advisory = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--baseline" && i + 1 < args.size()) {
-      baseline_path = args[++i];
-    } else if (args[i] == "--tolerance" && i + 1 < args.size()) {
-      opts.tolerance = std::strtod(args[++i].c_str(), nullptr);
-    } else if (args[i] == "--advisory") {
-      advisory = true;
-    } else if (args[i] == "--out" && i + 1 < args.size()) {
-      out_path = args[++i];
-    } else if (results_path.empty() && args[i][0] != '-') {
-      results_path = args[i];
-    } else {
-      return usage();
-    }
-  }
-  if (results_path.empty() || baseline_path.empty()) return usage();
-
-  const rep::BenchResults results = rep::load_bench_results(results_path);
-  const rep::BenchResults baseline = rep::load_bench_results(baseline_path);
-  const rep::Verdict verdict = rep::check_bench_results(results, baseline,
-                                                        opts);
-
-  for (const auto& c : verdict.checks) {
-    if (c.status == rep::Check::Status::kPass) continue;
-    std::cerr << (c.status == rep::Check::Status::kViolation ? "VIOLATION"
-                                                             : "REGRESSION")
-              << " " << c.entry << " " << c.metric << ": baseline "
-              << fmt(c.baseline) << ", current " << fmt(c.current) << " ("
-              << fmt_pct(c.rel) << ")\n";
-  }
-  for (const auto& n : verdict.notes) std::cerr << "note: " << n << "\n";
-  std::cerr << "verdict: " << verdict.verdict_string() << " ("
-            << verdict.checks.size() << " checks"
-            << (advisory ? ", advisory mode" : "") << ")\n";
-
-  if (out_path.empty()) {
-    verdict.write_json(std::cout, results_path, baseline_path, opts.tolerance,
-                       advisory);
-  } else {
-    std::ofstream os(out_path);
-    WASP_CHECK_MSG(os.good(), "cannot open verdict file: " + out_path);
-    verdict.write_json(os, results_path, baseline_path, opts.tolerance,
-                       advisory);
-    std::cerr << "verdict written to " << out_path << "\n";
-  }
-  return verdict.exit_code(advisory);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -231,7 +193,6 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "summarize") return cmd_summarize(args);
     if (cmd == "diff") return cmd_diff(args);
-    if (cmd == "check") return cmd_check(args);
   } catch (const util::SimError& e) {
     std::cerr << "wasp_report: " << e.what() << "\n";
     return 2;

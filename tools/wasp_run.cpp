@@ -3,7 +3,7 @@
 //
 //   wasp_run <workload> [--nodes N] [--optimized] [--trace out.wtrc]
 //            [--yaml out.yaml] [--csv out.csv] [--test-scale] [--jobs N]
-//            [--faults SPEC] [--telemetry out.json] [--trace-out out.trace.json]
+//            [--faults SPEC] [--trace-out out.trace.json]
 //            [--report out.manifest.json]
 //
 // <workload> is a registry id; `wasp_run --list` prints them all.
@@ -46,7 +46,6 @@ void usage() {
          "  --jobs N        worker threads for the analysis pipeline\n"
          "  --faults SPEC   deterministic fault schedule, e.g.\n"
          "                  'seed=7; pfs: eio=0.01, slow=0.05, spike=20ms'\n"
-         "  --telemetry F   write the metrics-registry snapshot JSON\n"
          "  --trace-out F   write pipeline spans as Chrome trace-event"
          " JSON\n"
          "  --report F      write the run-manifest digest JSON\n";
@@ -72,7 +71,7 @@ void write_file_or_die(const std::string& path, const std::string& what,
 }
 
 /// The stderr line is rendered from the injector's registry-backed cells,
-/// so it always matches the faults.* counters in --telemetry/--report.
+/// so it always matches the faults.* counters in --report.
 void print_fault_stats(const sim::FaultInjector& inj) {
   const auto st = inj.stats();
   std::cerr << "faults: " << st.io_errors << " EIO, " << st.enospc_errors
@@ -107,7 +106,6 @@ int run_main(int argc, char** argv) {
   std::string trace_out;
   std::string csv_out;
   std::string yaml_out;
-  std::string telemetry_out;
   std::string spans_out;
   std::string report_out;
   advisor::RunConfig cfg;
@@ -144,8 +142,6 @@ int run_main(int argc, char** argv) {
         usage();
         return 2;
       }
-    } else if (arg == "--telemetry") {
-      telemetry_out = next();
     } else if (arg == "--trace-out") {
       spans_out = next();
     } else if (arg == "--report") {
@@ -155,7 +151,7 @@ int run_main(int argc, char** argv) {
       return 2;
     }
   }
-  toolcli::enable_telemetry(telemetry_out, spans_out, report_out);
+  toolcli::enable_telemetry(spans_out, report_out);
 
   const auto entry =
       workloads::paper_workloads()[static_cast<std::size_t>(index)];
@@ -215,7 +211,7 @@ int run_main(int argc, char** argv) {
                       [&](std::ostream& os) { os << yaml; });
     std::cerr << "characterization written to " << yaml_out << "\n";
   }
-  toolcli::write_telemetry(telemetry_out, spans_out);
+  toolcli::write_trace(spans_out);
   toolcli::write_report(report_out, "wasp_run", util::default_jobs(), "memory",
                         wall_t0);
   return 0;
