@@ -25,6 +25,7 @@
 #include "analysis/spill_store.hpp"
 #include "obs/obs.hpp"
 #include "trace/synthetic.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -128,13 +129,15 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--rows") {
-      a.rows = std::strtoull(value(), nullptr, 10);
+      a.rows = static_cast<std::size_t>(
+          wasp::util::cli_uint(arg, value(), &usage));
     } else if (arg == "--repeat") {
-      a.repeat = std::atoi(value());
+      a.repeat = static_cast<int>(wasp::util::cli_int(arg, value(), &usage));
     } else if (arg == "--jobs") {
-      a.jobs = std::atoi(value());
+      a.jobs = static_cast<int>(wasp::util::cli_int(arg, value(), &usage));
     } else if (arg == "--chunk-rows") {
-      a.chunk_rows = std::strtoull(value(), nullptr, 10);
+      a.chunk_rows = static_cast<std::size_t>(
+          wasp::util::cli_uint(arg, value(), &usage));
     } else if (arg == "--backend") {
       a.backend = value();
     } else if (arg == "--spill-dir") {

@@ -1,8 +1,8 @@
 // Common ablation sweep driver: a parameter grid becomes a vector of
 // independent workloads::Scenario cells, workloads::run_many fans them out
-// over a ScenarioRunner (honoring any SpillPolicy set on it), and a row
-// printer renders the results in grid order. Every ablation bench shares
-// this one execution path, so each prints an identical table at any --jobs.
+// over a ScenarioRunner, and a row printer renders the results in grid
+// order. Every ablation bench shares this one execution path, so each
+// prints an identical table at any --jobs.
 #pragma once
 
 #include <functional>
@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "runtime/scenario_runner.hpp"
 #include "util/table.hpp"
 #include "workloads/workload.hpp"
 
@@ -33,11 +32,12 @@ struct Sweep {
   std::uint64_t est_events_per_cell = 0;
 };
 
-/// Run the grid cell-parallel on the given runner and print the table.
-/// Returns the outputs in grid order (for benches that post-process).
+/// Run the grid cell-parallel on `jobs` workers (0 -> util::default_jobs())
+/// and print the table. Returns the outputs in grid order (for benches that
+/// post-process).
 template <typename Cell>
-std::vector<workloads::RunOutput> run_sweep(
-    const Sweep<Cell>& sweep, const runtime::ScenarioRunner& runner) {
+std::vector<workloads::RunOutput> run_sweep(const Sweep<Cell>& sweep,
+                                            int jobs = 0) {
   std::vector<workloads::Scenario> scenarios;
   scenarios.reserve(sweep.cells.size());
   for (const Cell& c : sweep.cells) {
@@ -45,7 +45,7 @@ std::vector<workloads::RunOutput> run_sweep(
     if (s.est_events == 0) s.est_events = sweep.est_events_per_cell;
     scenarios.push_back(std::move(s));
   }
-  auto outs = workloads::run_many(scenarios, runner);
+  auto outs = workloads::run_many(scenarios, jobs);
 
   util::TablePrinter table(sweep.title);
   table.set_header(sweep.header);
@@ -54,12 +54,6 @@ std::vector<workloads::RunOutput> run_sweep(
   }
   table.print(std::cout);
   return outs;
-}
-
-template <typename Cell>
-std::vector<workloads::RunOutput> run_sweep(const Sweep<Cell>& sweep,
-                                            int jobs = 0) {
-  return run_sweep(sweep, runtime::ScenarioRunner(jobs));
 }
 
 }  // namespace wasp::benchutil

@@ -308,27 +308,18 @@ double Analyzer::union_seconds(
   return sim::to_seconds(covered);
 }
 
-TraceInput tracer_input(const trace::Tracer& tracer, const TraceStore* store) {
+TraceInput tracer_input(const trace::Tracer& tracer) {
   TraceInput input;
-  if (store != nullptr) {
-    input.store = store;
-  } else {
-    input.records = tracer.records();
-  }
+  input.records = tracer.records();
   for (std::size_t a = 0; a < tracer.num_apps(); ++a) {
     input.app_names.push_back(tracer.app_name(static_cast<std::uint16_t>(a)));
   }
-  // Per-row resolution (serial, post-merge): fetch the record from the
-  // store when rows were spilled out of the tracer's buffer.
-  auto record_at = [&tracer, store](std::size_t i) {
-    return store != nullptr ? store->row(i) : tracer.records()[i];
-  };
-  input.path_at = [&tracer, record_at](std::size_t i) {
-    const trace::Record r = record_at(i);
+  input.path_at = [&tracer](std::size_t i) {
+    const trace::Record& r = tracer.records()[i];
     return tracer.path_of(r.file, r.node);
   };
-  input.size_at = [&tracer, record_at](std::size_t i) -> fs::Bytes {
-    const trace::Record r = record_at(i);
+  input.size_at = [&tracer](std::size_t i) -> fs::Bytes {
+    const trace::Record& r = tracer.records()[i];
     if (!r.file.valid()) return 0;
     auto& fsys = tracer.filesystem(r.file.fs);
     auto& ns = fsys.ns(fs::ProcSite{fsys.shared() ? 0 : r.node, 0});

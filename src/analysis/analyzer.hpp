@@ -29,11 +29,9 @@ struct TraceInput {
   std::function<bool(std::int16_t)> fs_shared;
 };
 
-/// Build a TraceInput over a live tracer's registries. With `store` set (a
-/// spill store the tracer flushed into), rows resolve through the store
-/// instead of tracer.records(). The returned input borrows both arguments.
-TraceInput tracer_input(const trace::Tracer& tracer,
-                        const TraceStore* store = nullptr);
+/// Build a TraceInput over a live tracer's records and registries. The
+/// returned input borrows the tracer.
+TraceInput tracer_input(const trace::Tracer& tracer);
 
 class Analyzer {
  public:

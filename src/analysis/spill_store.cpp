@@ -16,12 +16,11 @@
 namespace wasp::analysis {
 namespace {
 
-// Chunk file, both versions: 8-byte magic, u64 version, u64 rows, u64 flags
-// (bit0 = aux columns present), then the columns in declaration order.
-// WSPCHK01 stores raw column arrays; WSPCHK02 stores each column as
+// Chunk file: 8-byte magic, u64 version (2), u64 rows, u64 flags (bit0 =
+// aux columns present), then the columns in declaration order, each as
 // [u8 encoding tag][u64 payload bytes][payload] (see chunk_codec.hpp).
-constexpr char kChunkMagicV1[8] = {'W', 'S', 'P', 'C', 'H', 'K', '0', '1'};
-constexpr char kChunkMagicV2[8] = {'W', 'S', 'P', 'C', 'H', 'K', '0', '2'};
+constexpr char kChunkMagic[8] = {'W', 'S', 'P', 'C', 'H', 'K', '0', '2'};
+constexpr std::uint64_t kChunkVersion = 2;
 constexpr std::uint64_t kFlagAux = 1;
 
 constexpr const char* kColNames[] = {
@@ -75,8 +74,8 @@ void read_col_raw(std::istream& is, std::vector<T>& col, std::size_t rows) {
 /// typed column. Every length and the decoded row count are validated, so
 /// truncated or corrupt files throw instead of mis-decoding.
 template <typename T>
-void read_col_v2(std::istream& is, std::vector<T>& col, std::size_t rows,
-                 const std::string& path) {
+void read_col(std::istream& is, std::vector<T>& col, std::size_t rows,
+              const std::string& path) {
   std::uint8_t tag = 0xff;
   is.read(reinterpret_cast<char*>(&tag), 1);
   const std::uint64_t len = read_u64(is);
@@ -224,8 +223,8 @@ void SpillColumnStore::finalize() {
 }
 
 template <typename T>
-void SpillColumnStore::write_col_v2(std::ostream& os, const std::vector<T>& col,
-                                    Col id) {
+void SpillColumnStore::write_col(std::ostream& os, const std::vector<T>& col,
+                                 Col id) {
   const std::size_t n = col.size();
   std::vector<std::uint64_t> widened(n);
   for (std::size_t i = 0; i < n; ++i) widened[i] = codec::widen(col[i]);
@@ -283,55 +282,25 @@ void SpillColumnStore::flush_open_chunk() {
   for (std::size_t c = 0; c < kNumCols; ++c) stored_before += col_stored_[c];
   errno = 0;
   const std::uint64_t flags = has_aux_ ? kFlagAux : 0;
-  if (opts_.compress) {
-    os.write(kChunkMagicV2, sizeof(kChunkMagicV2));
-    write_u64(os, 2);
-    write_u64(os, rows);
-    write_u64(os, flags);
-    write_col_v2(os, open_.app, kColApp);
-    write_col_v2(os, open_.rank, kColRank);
-    write_col_v2(os, open_.node, kColNode);
-    write_col_v2(os, open_.iface, kColIface);
-    write_col_v2(os, open_.op, kColOp);
-    write_col_v2(os, open_.fs, kColFs);
-    write_col_v2(os, open_.file, kColFile);
-    write_col_v2(os, open_.offset, kColOffset);
-    write_col_v2(os, open_.size, kColSize);
-    write_col_v2(os, open_.count, kColCount);
-    write_col_v2(os, open_.tstart, kColTstart);
-    write_col_v2(os, open_.tend, kColTend);
-    if (has_aux_) {
-      write_col_v2(os, open_.path_idx, kColPathIdx);
-      write_col_v2(os, open_.file_size, kColFileSize);
-    }
-  } else {
-    os.write(kChunkMagicV1, sizeof(kChunkMagicV1));
-    write_u64(os, 1);
-    write_u64(os, rows);
-    write_u64(os, flags);
-    const auto raw_col = [&](const auto& col, Col id) {
-      using T = typename std::decay_t<decltype(col)>::value_type;
-      write_col_raw(os, col);
-      const std::uint64_t bytes = col.size() * sizeof(T);
-      col_raw_[id] += bytes;
-      col_stored_[id] += bytes;
-    };
-    raw_col(open_.app, kColApp);
-    raw_col(open_.rank, kColRank);
-    raw_col(open_.node, kColNode);
-    raw_col(open_.iface, kColIface);
-    raw_col(open_.op, kColOp);
-    raw_col(open_.fs, kColFs);
-    raw_col(open_.file, kColFile);
-    raw_col(open_.offset, kColOffset);
-    raw_col(open_.size, kColSize);
-    raw_col(open_.count, kColCount);
-    raw_col(open_.tstart, kColTstart);
-    raw_col(open_.tend, kColTend);
-    if (has_aux_) {
-      raw_col(open_.path_idx, kColPathIdx);
-      raw_col(open_.file_size, kColFileSize);
-    }
+  os.write(kChunkMagic, sizeof(kChunkMagic));
+  write_u64(os, kChunkVersion);
+  write_u64(os, rows);
+  write_u64(os, flags);
+  write_col(os, open_.app, kColApp);
+  write_col(os, open_.rank, kColRank);
+  write_col(os, open_.node, kColNode);
+  write_col(os, open_.iface, kColIface);
+  write_col(os, open_.op, kColOp);
+  write_col(os, open_.fs, kColFs);
+  write_col(os, open_.file, kColFile);
+  write_col(os, open_.offset, kColOffset);
+  write_col(os, open_.size, kColSize);
+  write_col(os, open_.count, kColCount);
+  write_col(os, open_.tstart, kColTstart);
+  write_col(os, open_.tend, kColTend);
+  if (has_aux_) {
+    write_col(os, open_.path_idx, kColPathIdx);
+    write_col(os, open_.file_size, kColFileSize);
   }
   os.flush();
   if (!os.good()) {
@@ -343,7 +312,7 @@ void SpillColumnStore::flush_open_chunk() {
     std::uint64_t stored_after = 0;
     for (std::size_t c = 0; c < kNumCols; ++c) stored_after += col_stored_[c];
     const std::uint64_t expected =
-        sizeof(kChunkMagicV2) + 3 * sizeof(std::uint64_t) +
+        sizeof(kChunkMagic) + 3 * sizeof(std::uint64_t) +
         (stored_after - stored_before);
     os.close();
     std::error_code ec;
@@ -380,14 +349,11 @@ std::shared_ptr<const SpillColumnStore::ChunkData> SpillColumnStore::load_chunk(
                          (err != 0 ? std::string(" (") + std::strerror(err) + ")"
                                    : std::string()));
   }
-  char magic[sizeof(kChunkMagicV2)] = {};
+  char magic[sizeof(kChunkMagic)] = {};
   is.read(magic, sizeof(magic));
-  const bool v2 =
-      std::equal(magic, magic + sizeof(magic), kChunkMagicV2);
-  WASP_CHECK_MSG(
-      v2 || std::equal(magic, magic + sizeof(magic), kChunkMagicV1),
-      "bad spill chunk magic: " + path);
-  WASP_CHECK_MSG(read_u64(is) == (v2 ? 2u : 1u),
+  WASP_CHECK_MSG(std::equal(magic, magic + sizeof(magic), kChunkMagic),
+                 "bad spill chunk magic: " + path);
+  WASP_CHECK_MSG(read_u64(is) == kChunkVersion,
                  "unsupported spill chunk version: " + path);
   const std::uint64_t rows64 = read_u64(is);
   const std::uint64_t flags = read_u64(is);
@@ -407,40 +373,21 @@ std::shared_ptr<const SpillColumnStore::ChunkData> SpillColumnStore::load_chunk(
 
   auto data = std::make_shared<ChunkData>();
   Columns& c = data->cols;
-  if (v2) {
-    read_col_v2(is, c.app, rows, path);
-    read_col_v2(is, c.rank, rows, path);
-    read_col_v2(is, c.node, rows, path);
-    read_col_v2(is, c.iface, rows, path);
-    read_col_v2(is, c.op, rows, path);
-    read_col_v2(is, c.fs, rows, path);
-    read_col_v2(is, c.file, rows, path);
-    read_col_v2(is, c.offset, rows, path);
-    read_col_v2(is, c.size, rows, path);
-    read_col_v2(is, c.count, rows, path);
-    read_col_v2(is, c.tstart, rows, path);
-    read_col_v2(is, c.tend, rows, path);
-    if (aux) {
-      read_col_v2(is, c.path_idx, rows, path);
-      read_col_v2(is, c.file_size, rows, path);
-    }
-  } else {
-    read_col_raw(is, c.app, rows);
-    read_col_raw(is, c.rank, rows);
-    read_col_raw(is, c.node, rows);
-    read_col_raw(is, c.iface, rows);
-    read_col_raw(is, c.op, rows);
-    read_col_raw(is, c.fs, rows);
-    read_col_raw(is, c.file, rows);
-    read_col_raw(is, c.offset, rows);
-    read_col_raw(is, c.size, rows);
-    read_col_raw(is, c.count, rows);
-    read_col_raw(is, c.tstart, rows);
-    read_col_raw(is, c.tend, rows);
-    if (aux) {
-      read_col_raw(is, c.path_idx, rows);
-      read_col_raw(is, c.file_size, rows);
-    }
+  read_col(is, c.app, rows, path);
+  read_col(is, c.rank, rows, path);
+  read_col(is, c.node, rows, path);
+  read_col(is, c.iface, rows, path);
+  read_col(is, c.op, rows, path);
+  read_col(is, c.fs, rows, path);
+  read_col(is, c.file, rows, path);
+  read_col(is, c.offset, rows, path);
+  read_col(is, c.size, rows, path);
+  read_col(is, c.count, rows, path);
+  read_col(is, c.tstart, rows, path);
+  read_col(is, c.tend, rows, path);
+  if (aux) {
+    read_col(is, c.path_idx, rows, path);
+    read_col(is, c.file_size, rows, path);
   }
   WASP_CHECK_MSG(is.good(), "truncated spill chunk: " + path);
 

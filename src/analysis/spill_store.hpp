@@ -5,11 +5,10 @@
 // holds at most one open chunk. Reads load chunk files on demand into a
 // bounded LRU cache of resident chunks.
 //
-// Chunk files are WSPCHK02 by default: each column is compressed
-// independently (varint zigzag delta / RLE / raw, whichever is smallest —
-// see chunk_codec.hpp). Options::compress = false writes the legacy raw
-// WSPCHK01 layout; load_chunk reads both formats, so mixed directories
-// from older runs stay readable.
+// Chunk files are WSPCHK02: each column is compressed independently
+// (varint zigzag delta / RLE / raw, whichever is smallest — see
+// chunk_codec.hpp). Only the store that wrote a chunk file reads it, and
+// the destructor removes them all.
 //
 // Concurrency: the cache mutex is never held across a disk read. A miss
 // registers an in-flight future under the lock, loads and decodes the
@@ -27,9 +26,9 @@
 // counts actual alive chunk buffers (cached, in-flight, or pinned) so
 // tests can assert the bound.
 //
-// The store doubles as a trace::RecordSink so a Tracer can flush closed
-// batches into it mid-run, and carries the offline log's auxiliary columns
-// (path-table index, end-of-run file size) when fed from a LogReader.
+// A trace reaches the store by streaming a trace log through
+// trace::LogReader, which also supplies the offline log's auxiliary columns
+// (path-table index, end-of-run file size).
 #pragma once
 
 #include <atomic>
@@ -48,11 +47,10 @@
 
 #include "analysis/trace_store.hpp"
 #include "obs/metrics.hpp"
-#include "trace/sink.hpp"
 
 namespace wasp::analysis {
 
-class SpillColumnStore final : public TraceStore, public trace::RecordSink {
+class SpillColumnStore final : public TraceStore {
  public:
   struct Options {
     /// Spill directory; created on construction. Each store instance
@@ -63,9 +61,6 @@ class SpillColumnStore final : public TraceStore, public trace::RecordSink {
     std::string dir;
     std::size_t chunk_rows = 65536;
     std::size_t max_resident_chunks = 8;
-    /// Write per-column-compressed WSPCHK02 chunk files; false writes the
-    /// legacy raw WSPCHK01 layout. Reads accept both regardless.
-    bool compress = true;
     /// Double-buffered background read-ahead on sequential chunk scans.
     bool prefetch = true;
   };
@@ -76,7 +71,7 @@ class SpillColumnStore final : public TraceStore, public trace::RecordSink {
   SpillColumnStore& operator=(const SpillColumnStore&) = delete;
 
   // --- Write side (single-threaded, before finalize) ----------------------
-  void append(std::span<const trace::Record> records) override;
+  void append(std::span<const trace::Record> records);
   /// Append with the offline log's auxiliary columns (parallel spans). A
   /// store is either aux or non-aux for its whole life — the first append
   /// decides, mixing is an error.
@@ -188,7 +183,7 @@ class SpillColumnStore final : public TraceStore, public trace::RecordSink {
   void maybe_flush();
   void flush_open_chunk();
   template <typename T>
-  void write_col_v2(std::ostream& os, const std::vector<T>& col, Col id);
+  void write_col(std::ostream& os, const std::vector<T>& col, Col id);
   std::shared_ptr<const ChunkData> load_chunk(std::size_t index) const;
   /// Cache lookup / shared in-flight wait / off-lock load. Returns null
   /// only on the prefetch path when the chunk is already cached or being

@@ -273,13 +273,19 @@ std::size_t LogReader::next_chunk(std::size_t max_rows,
   for (std::size_t i = 0; i < n; ++i) {
     Row row;
     is_.read(reinterpret_cast<char*>(&row), sizeof(row));
+    const std::uint64_t index = header_.num_records - remaining_ + i;
     WASP_CHECK_MSG(is_.good(),
                    "truncated trace log: " + filename_ + " (short read at record " +
-                       std::to_string(header_.num_records - remaining_ + i) +
-                       " of " + std::to_string(header_.num_records) + ")");
+                       std::to_string(index) + " of " +
+                       std::to_string(header_.num_records) + ")");
     WASP_CHECK_MSG(
         row.path_idx < header_.path_table.size() || header_.path_table.empty(),
         "bad path index in trace log: " + filename_);
+    // The analyzer indexes per-interface and per-op arrays by these bytes.
+    WASP_CHECK_MSG(row.iface <= static_cast<std::uint8_t>(Iface::kMpi) &&
+                       row.op <= static_cast<std::uint8_t>(Op::kSendRecv),
+                   "bad interface or op code in trace log: " + filename_ +
+                       " (record " + std::to_string(index) + ")");
     records.push_back(from_row(row));
     path_idx.push_back(row.path_idx);
     file_sizes.push_back(row.file_size);

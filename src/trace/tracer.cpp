@@ -29,20 +29,6 @@ const std::string& Tracer::app_name(std::uint16_t app) const {
   return apps_[app];
 }
 
-void Tracer::set_sink(RecordSink* sink, std::size_t flush_rows) {
-  WASP_CHECK_MSG(sink == nullptr || flush_rows > 0,
-                 "sink flush threshold must be positive");
-  sink_ = sink;
-  sink_flush_rows_ = flush_rows;
-}
-
-void Tracer::flush_sink() {
-  if (sink_ == nullptr || records_.empty()) return;
-  sink_->append(records_);
-  spilled_ += records_.size();
-  records_.clear();
-}
-
 std::string Tracer::path_of(const FileKey& key, int node) const {
   if (!key.valid()) return "";
   auto& fs = filesystem(key.fs);

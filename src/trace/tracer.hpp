@@ -11,7 +11,6 @@
 
 #include "fs/filesystem.hpp"
 #include "trace/record.hpp"
-#include "trace/sink.hpp"
 
 namespace wasp::trace {
 
@@ -30,39 +29,21 @@ class Tracer {
 
   void add(const Record& r) {
     if (suppression_ != 0 || !enabled_) return;
-    // Large sink-less runs buffer millions of records; once the buffer is
-    // past 64Ki rows, grow 3x instead of the allocator's 2x so the total
-    // bytes copied across regrowths stays well under one buffer's worth.
-    // Small runs (and every sink-bounded run) keep the default growth.
+    // Large runs buffer millions of records; once the buffer is past 64Ki
+    // rows, grow 3x instead of the allocator's 2x so the total bytes copied
+    // across regrowths stays well under one buffer's worth. Small runs keep
+    // the default growth.
     if (records_.size() == records_.capacity() &&
-        records_.capacity() >= (std::size_t{1} << 16) && sink_ == nullptr) {
+        records_.capacity() >= (std::size_t{1} << 16)) {
       records_.reserve(records_.capacity() * 3);
     }
     records_.push_back(r);
-    if (sink_ != nullptr && records_.size() >= sink_flush_rows_) flush_sink();
   }
 
-  /// Attach a sink that receives closed batches of records: whenever at
-  /// least `flush_rows` records are buffered, they are flushed to the sink
-  /// and dropped from memory, bounding tracer memory for long runs.
-  /// records() then holds only the un-flushed tail; use total_records() for
-  /// the full count and flush_sink() to push the tail before analyzing the
-  /// sink's store. Pass nullptr to detach.
-  void set_sink(RecordSink* sink, std::size_t flush_rows = 1u << 20);
-  /// Push all buffered records to the sink (no-op without one).
-  void flush_sink();
-  /// Records handed to the sink so far.
-  std::uint64_t spilled_records() const noexcept { return spilled_; }
-  /// Records observed in total: spilled plus still buffered.
-  std::uint64_t total_records() const noexcept {
-    return spilled_ + records_.size();
-  }
+  /// Records observed so far (records().size()).
+  std::uint64_t total_records() const noexcept { return records_.size(); }
 
   const std::vector<Record>& records() const noexcept { return records_; }
-  void clear() {
-    records_.clear();
-    spilled_ = 0;
-  }
   void set_enabled(bool enabled) noexcept { enabled_ = enabled; }
   bool enabled() const noexcept { return enabled_; }
 
@@ -89,9 +70,6 @@ class Tracer {
   std::vector<fs::FileSystemSim*> filesystems_;
   std::vector<std::string> apps_;
   std::vector<Record> records_;
-  RecordSink* sink_ = nullptr;
-  std::size_t sink_flush_rows_ = 0;
-  std::uint64_t spilled_ = 0;
   int suppression_ = 0;
   bool enabled_ = true;
 };

@@ -1,35 +1,18 @@
 #include "workloads/workload.hpp"
 
-#include "analysis/spill_store.hpp"
 #include "obs/obs.hpp"
 #include "pattern/replayer.hpp"
+#include "runtime/scenario_runner.hpp"
 #include "util/error.hpp"
 
 namespace wasp::workloads {
 namespace {
 
-/// Characterize + recommend from an already-computed profile.
-RunOutput finish(runtime::Simulation& sim, const Workload& workload,
-                 analysis::WorkloadProfile profile) {
-  RunOutput out;
-  out.profile = std::move(profile);
-  charz::Characterizer characterizer;
-  out.characterization =
-      characterizer.characterize(workload.decl, sim.spec(), out.profile);
-  advisor::RuleEngine rules;
-  out.recommendations = rules.evaluate(out.characterization);
-  out.job_seconds = out.profile.job_runtime_sec;
-  out.engine_events = sim.engine().events_processed();
-  out.pfs_counters = sim.pfs().counters();
-  return out;
-}
-
-/// The job count run_many uses for this batch: the runner's jobs, or 1 when
-/// the batch is too small to be worth fanning out (single scenario, or every
-/// scenario estimates under kSerialScenarioEvents).
-int effective_jobs(const std::vector<Scenario>& scenarios,
-                   const runtime::ScenarioRunner& runner) {
-  if (runner.jobs() <= 1 || scenarios.size() <= 1) return 1;
+/// The job count run_many uses for this batch: `jobs`, or 1 when the batch
+/// is too small to be worth fanning out (single scenario, or every scenario
+/// estimates under kSerialScenarioEvents).
+int effective_jobs(const std::vector<Scenario>& scenarios, int jobs) {
+  if (jobs <= 1 || scenarios.size() <= 1) return 1;
   bool all_estimated = !scenarios.empty();
   std::uint64_t max_est = 0;
   for (const Scenario& s : scenarios) {
@@ -37,7 +20,7 @@ int effective_jobs(const std::vector<Scenario>& scenarios,
     if (s.est_events > max_est) max_est = s.est_events;
   }
   if (all_estimated && max_est < kSerialScenarioEvents) return 1;
-  return runner.jobs();
+  return jobs;
 }
 
 }  // namespace
@@ -68,31 +51,17 @@ RunOutput run_with(runtime::Simulation& sim, const Workload& workload,
                    const advisor::RunConfig& cfg,
                    const analysis::Analyzer::Options& analyzer_opts) {
   simulate(sim, workload, cfg);
-  analysis::Analyzer analyzer(analyzer_opts);
-  return finish(sim, workload, analyzer.analyze(sim.tracer()));
-}
-
-RunOutput run_spilled(runtime::Simulation& sim, const Workload& workload,
-                      const advisor::RunConfig& cfg,
-                      const analysis::Analyzer::Options& analyzer_opts,
-                      const runtime::SpillPolicy& policy,
-                      const std::string& name) {
-  analysis::SpillColumnStore::Options store_opts;
-  store_opts.dir = policy.dir.empty() ? name + ".spill"
-                                      : policy.dir + "/" + name;
-  store_opts.chunk_rows = policy.chunk_rows;
-  store_opts.max_resident_chunks = policy.max_resident_chunks;
-  analysis::SpillColumnStore store(store_opts);
-
-  sim.tracer().set_sink(&store, policy.flush_rows);
-  simulate(sim, workload, cfg);
-  sim.tracer().flush_sink();
-  sim.tracer().set_sink(nullptr);
-  store.finalize();
-
-  analysis::Analyzer analyzer(analyzer_opts);
-  return finish(sim, workload,
-                analyzer.analyze(analysis::tracer_input(sim.tracer(), &store)));
+  RunOutput out;
+  out.profile = analysis::Analyzer(analyzer_opts).analyze(sim.tracer());
+  charz::Characterizer characterizer;
+  out.characterization =
+      characterizer.characterize(workload.decl, sim.spec(), out.profile);
+  advisor::RuleEngine rules;
+  out.recommendations = rules.evaluate(out.characterization);
+  out.job_seconds = out.profile.job_runtime_sec;
+  out.engine_events = sim.engine().events_processed();
+  out.pfs_counters = sim.pfs().counters();
+  return out;
 }
 
 RunOutput run(const cluster::ClusterSpec& spec, const Workload& workload,
@@ -104,17 +73,13 @@ RunOutput run(const cluster::ClusterSpec& spec, const Workload& workload,
 
 std::vector<RunOutput> run_many(const std::vector<Scenario>& scenarios,
                                 int jobs) {
-  return run_many(scenarios, runtime::ScenarioRunner(jobs));
-}
-
-std::vector<RunOutput> run_many(const std::vector<Scenario>& scenarios,
-                                const runtime::ScenarioRunner& runner) {
+  const runtime::ScenarioRunner runner(jobs);
   std::vector<std::function<RunOutput()>> fns;
   fns.reserve(scenarios.size());
   for (const Scenario& s : scenarios) {
     WASP_CHECK_MSG(static_cast<bool>(s.make),
                    "scenario has no workload factory: " + s.name);
-    fns.push_back([&s, &runner] {
+    fns.push_back([&s] {
       // Interned name: scenario spans carry dynamic labels, and the tracer
       // needs storage that outlives this lambda.
       obs::Span span(obs::SpanTracer::instance().enabled()
@@ -122,14 +87,10 @@ std::vector<RunOutput> run_many(const std::vector<Scenario>& scenarios,
                                                               s.name)
                          : nullptr);
       runtime::Simulation sim(s.spec);
-      if (runner.spill().has_value()) {
-        return run_spilled(sim, s.make(), s.cfg, s.analyzer_opts,
-                           *runner.spill(), s.name);
-      }
       return run_with(sim, s.make(), s.cfg, s.analyzer_opts);
     });
   }
-  if (effective_jobs(scenarios, runner) == 1) {
+  if (effective_jobs(scenarios, runner.jobs()) == 1) {
     // Batch too small for the pool dispatch to pay off: run in order on
     // this thread. Results are bit-identical either way.
     std::vector<RunOutput> out;

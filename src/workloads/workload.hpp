@@ -16,7 +16,6 @@
 #include "cluster/spec.hpp"
 #include "core/characterizer.hpp"
 #include "pattern/pattern.hpp"
-#include "runtime/scenario_runner.hpp"
 #include "runtime/simulation.hpp"
 
 namespace wasp::workloads {
@@ -65,17 +64,6 @@ RunOutput run_with(runtime::Simulation& sim, const Workload& workload,
                    const advisor::RunConfig& cfg,
                    const analysis::Analyzer::Options& analyzer_opts);
 
-/// run_with() with the trace spilled to disk: the tracer flushes closed
-/// record batches into a SpillColumnStore under policy.dir/<name> mid-run,
-/// and analysis streams over the spilled chunks with a bounded resident
-/// set. The profile is byte-identical to run_with()'s. Chunk files are
-/// removed before returning.
-RunOutput run_spilled(runtime::Simulation& sim, const Workload& workload,
-                      const advisor::RunConfig& cfg,
-                      const analysis::Analyzer::Options& analyzer_opts,
-                      const runtime::SpillPolicy& policy,
-                      const std::string& name);
-
 /// A named, self-contained run request for batch execution. The workload
 /// factory is invoked on the worker thread that runs the scenario, so the
 /// Workload and the entire simulation world it launches into (engine,
@@ -101,15 +89,10 @@ inline constexpr std::uint64_t kSerialScenarioEvents = 10'000;
 
 /// Run independent scenarios concurrently via runtime::ScenarioRunner
 /// (jobs == 0 -> util::default_jobs()). Results are in input order and
-/// bit-identical to running each scenario sequentially.
+/// bit-identical to running each scenario sequentially. Runs serially when
+/// the batch is too small to benefit: a single scenario, or every scenario
+/// estimating under kSerialScenarioEvents.
 std::vector<RunOutput> run_many(const std::vector<Scenario>& scenarios,
                                 int jobs = 0);
-
-/// run_many() on a caller-configured runner; honors the runner's
-/// SpillPolicy (each scenario spills under policy.dir/<scenario name>) and
-/// runs serially when the batch is too small to benefit: a single scenario,
-/// or every scenario estimating under kSerialScenarioEvents.
-std::vector<RunOutput> run_many(const std::vector<Scenario>& scenarios,
-                                const runtime::ScenarioRunner& runner);
 
 }  // namespace wasp::workloads

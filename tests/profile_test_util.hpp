@@ -1,13 +1,19 @@
-// Bit-identity comparison helpers shared by the determinism tests. Every
-// double is compared with operator== — the contract under test is that
-// profiles are bit-identical across job counts and trace-store backends,
-// not merely close, so tolerances would hide exactly the bugs these tests
-// exist to catch.
+// Bit-identity comparison helpers shared by the determinism tests, plus the
+// offline spill-backend analysis they compare against. Every double is
+// compared with operator== — the contract under test is that profiles are
+// bit-identical across job counts and trace-store backends, not merely
+// close, so tolerances would hide exactly the bugs these tests exist to
+// catch.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "analysis/analyzer.hpp"
+#include "analysis/spill_store.hpp"
+#include "trace/log_io.hpp"
 
 namespace wasp::testutil {
 
@@ -109,6 +115,42 @@ inline void expect_profiles_identical(const analysis::WorkloadProfile& a,
   EXPECT_EQ(a.fpp_files, b.fpp_files);
   EXPECT_EQ(a.sequential_fraction, b.sequential_fraction);
   EXPECT_EQ(a.size_frequencies, b.size_frequencies);
+}
+
+/// Analyze a trace log the way `wasp_analyze --backend spill` does: stream
+/// it through trace::LogReader into `store` (fresh, not yet finalized) one
+/// store chunk at a time, then analyze over the store with the log's path
+/// table and end-of-run file sizes. `store` stays open for inspection.
+inline analysis::WorkloadProfile analyze_log_spilled(
+    const std::string& log_path, analysis::SpillColumnStore& store,
+    const analysis::Analyzer::Options& opts = {}) {
+  trace::LogReader reader(log_path);
+  const trace::LogHeader& h = reader.header();
+  std::vector<trace::Record> records;
+  std::vector<std::uint32_t> path_idx;
+  std::vector<std::uint64_t> file_sizes;
+  while (reader.next_chunk(store.chunk_rows(), records, path_idx,
+                           file_sizes) > 0) {
+    store.append(records, path_idx, file_sizes);
+    records.clear();
+    path_idx.clear();
+    file_sizes.clear();
+  }
+  store.finalize();
+
+  analysis::TraceInput input;
+  input.store = &store;
+  input.app_names = h.apps;
+  input.path_at = [&](std::size_t i) {
+    return h.path_table.empty() ? std::string()
+                                : h.path_table[store.path_idx_at(i)];
+  };
+  input.size_at = [&](std::size_t i) { return store.file_size_at(i); };
+  input.fs_shared = [&](std::int16_t idx) {
+    const auto u = static_cast<std::size_t>(idx);
+    return u >= h.fs_shared.size() || h.fs_shared[u];
+  };
+  return analysis::Analyzer(opts).analyze(input);
 }
 
 }  // namespace wasp::testutil

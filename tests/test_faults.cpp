@@ -10,6 +10,7 @@
 // leave no truncated files behind.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -133,19 +134,18 @@ TEST(FaultDeterminism, ProfilesIdenticalAcrossJobCounts) {
 
 TEST(FaultDeterminism, ProfilesIdenticalAcrossBackends) {
   const auto entry = hacc_entry();
-  runtime::Simulation mem_sim(test_cluster());
-  const auto mem = workloads::run_with(mem_sim, entry.make_test(),
-                                       faulted_cfg(),
-                                       analysis::Analyzer::Options{});
-  runtime::SpillPolicy policy;
-  policy.dir = temp_path("faults.spill");
-  policy.flush_rows = 1000;
-  policy.chunk_rows = 512;
-  runtime::Simulation spill_sim(test_cluster());
-  const auto spilled =
-      workloads::run_spilled(spill_sim, entry.make_test(), faulted_cfg(),
-                             analysis::Analyzer::Options{}, policy, entry.id);
-  expect_profiles_identical(mem.profile, spilled.profile);
+  runtime::Simulation sim(test_cluster());
+  workloads::run_with(sim, entry.make_test(), faulted_cfg(),
+                      analysis::Analyzer::Options{});
+  EXPECT_GT(sim.faults()->stats().total_injected(), 0u);
+  const std::string path = temp_path("faults_backends.wtrc");
+  trace::write_log(path, sim.tracer());
+  analysis::SpillColumnStore store(
+      {.dir = temp_path("faults.spill"), .chunk_rows = 512});
+  expect_profiles_identical(
+      analysis::Analyzer().analyze(trace::read_log(path)),
+      testutil::analyze_log_spilled(path, store));
+  std::remove(path.c_str());
 }
 
 TEST(FaultDeterminism, TraceLogsByteIdenticalAcrossReruns) {

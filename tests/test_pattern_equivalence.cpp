@@ -16,6 +16,8 @@
 #include <vector>
 
 #include "advisor/pattern_rewrites.hpp"
+#include "profile_test_util.hpp"
+#include "trace/log_io.hpp"
 #include "workloads/ior.hpp"
 #include "workloads/registry.hpp"
 
@@ -344,25 +346,32 @@ TEST(PatternGolden, SweepCells) {
 
 // ---- PatternEquivalence: replay invariants -------------------------------
 
-// Replayed runs through the spill-to-disk trace backend must match the
-// in-memory profile (the backends are profile-identical by contract; the
-// replayer must not disturb that).
+// Replayed runs analyzed offline through the spill-to-disk trace backend
+// must match the in-memory profile (the backends are profile-identical by
+// contract; the replayer must not disturb that).
 TEST(PatternEquivalence, SpillBackendMatchesReferenceProfile) {
-  runtime::SpillPolicy policy;
-  policy.dir = ::testing::TempDir() + "pattern_spill";
-  policy.chunk_rows = 256;
-  policy.max_resident_chunks = 2;
   for (const auto& entry : {paper_workloads()[1], paper_workloads()[4]}) {
     SCOPED_TRACE(entry.id);
-    runtime::Simulation spill_sim(test_cluster());
-    auto spilled = run_spilled(spill_sim, entry.make_test(),
-                               advisor::RunConfig{},
-                               analysis::Analyzer::Options{}, policy,
-                               entry.id);
-    auto in_memory = run(test_cluster(), entry.make_test());
-    EXPECT_EQ(spilled.characterization.to_yaml(),
+    const Workload workload = entry.make_test();
+    runtime::Simulation sim(test_cluster());
+    const auto in_memory = run_with(sim, workload, advisor::RunConfig{},
+                                    analysis::Analyzer::Options{});
+    const std::string path =
+        ::testing::TempDir() + "pattern_spill_" + entry.id + ".wtrc";
+    trace::write_log(path, sim.tracer());
+    analysis::SpillColumnStore store(
+        {.dir = ::testing::TempDir() + "pattern_spill",
+         .chunk_rows = 256,
+         .max_resident_chunks = 2});
+    const auto spilled = testutil::analyze_log_spilled(path, store);
+    testutil::expect_profiles_identical(
+        analysis::Analyzer().analyze(trace::read_log(path)), spilled);
+    const auto characterization =
+        charz::Characterizer().characterize(workload.decl, sim.spec(), spilled);
+    EXPECT_EQ(characterization.to_yaml(),
               in_memory.characterization.to_yaml());
-    EXPECT_EQ(spilled.job_seconds, in_memory.job_seconds);
+    EXPECT_EQ(spilled.job_runtime_sec, in_memory.job_seconds);
+    std::remove(path.c_str());
   }
 }
 

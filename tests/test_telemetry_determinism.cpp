@@ -60,8 +60,9 @@ TEST(TelemetryDeterminism, ProfilesIdenticalOnOffAcrossJobsAndBackends) {
          .max_resident_chunks = 3});
     store.append(records);
     store.finalize();
-    return analysis::Analyzer(o).analyze(
-        analysis::tracer_input(sim.tracer(), &store));
+    auto input = analysis::tracer_input(sim.tracer());
+    input.store = &store;
+    return analysis::Analyzer(o).analyze(input);
   };
 
   // Telemetry off: both backends, both job counts.
@@ -147,8 +148,9 @@ TEST(ManifestDeterminism, FingerprintIdenticalAcrossBackends) {
            .max_resident_chunks = 3});
       store.append(records);
       store.finalize();
-      (void)analysis::Analyzer(o).analyze(
-          analysis::tracer_input(sim.tracer(), &store));
+      auto input = analysis::tracer_input(sim.tracer());
+      input.store = &store;
+      (void)analysis::Analyzer(o).analyze(input);
     } else {
       (void)analysis::Analyzer(o).analyze(sim.tracer());
     }

@@ -167,6 +167,54 @@ TEST(TraceLog, RejectsRowSectionShorterThanDeclared) {
   std::remove(path.c_str());
 }
 
+// A row whose interface or op byte lies past the last enumerator must be
+// rejected when read: the analyzer indexes per-interface and per-op arrays
+// by these bytes, so an unchecked one writes out of bounds.
+TEST(TraceLog, RejectsOutOfRangeEnumBytes) {
+  Simulation sim(cluster::tiny(2));
+  populate(sim);
+  const std::string path = temp_path("badenum.wtrc");
+  write_log(path, sim.tracer());
+  ASSERT_NO_THROW(read_log(path));
+  std::string content;
+  {
+    std::ifstream is(path, std::ios::binary);
+    std::stringstream buf;
+    buf << is.rdbuf();
+    content = buf.str();
+  }
+  const std::string last_index =
+      std::to_string(sim.tracer().records().size() - 1);
+  // The last row starts one fixed-width on-disk row (80 bytes) from the
+  // end; its iface byte is at offset 12 and its op byte at offset 13.
+  const std::size_t last_row = content.size() - 80;
+  for (const std::size_t field : {std::size_t{12}, std::size_t{13}}) {
+    SCOPED_TRACE(field == 12 ? "iface" : "op");
+    std::string patched = content;
+    patched[last_row + field] = static_cast<char>(200);
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os.write(patched.data(), static_cast<std::streamsize>(patched.size()));
+    }
+    try {
+      read_log(path);
+      ADD_FAILURE() << "read_log accepted an out-of-range enum byte";
+    } catch (const util::SimError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(path), std::string::npos) << msg;
+      EXPECT_NE(msg.find("record " + last_index), std::string::npos) << msg;
+    }
+    LogReader reader(path);
+    std::vector<Record> records;
+    std::vector<std::uint32_t> path_idx;
+    std::vector<std::uint64_t> file_sizes;
+    EXPECT_THROW(
+        while (reader.next_chunk(3, records, path_idx, file_sizes) > 0) {},
+        util::SimError);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(TraceLog, LogReaderStreamsSameRowsAsReadLog) {
   Simulation sim(cluster::tiny(2));
   populate(sim);

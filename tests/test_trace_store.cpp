@@ -1,9 +1,9 @@
 // TraceStore backend contract: the spill-to-disk columnar store must serve
 // the exact bytes the in-memory store serves — profiles byte-identical at
-// every job count, with or without chunk compression — while keeping the
-// resident set bounded by chunk_rows * (max_resident_chunks + cursors + 1):
-// K cached/in-flight chunks, one buffer per concurrent cursor (a pin or an
-// in-flight demand load), plus the one double-buffered prefetch load.
+// every job count — while keeping the resident set bounded by
+// chunk_rows * (max_resident_chunks + cursors + 1): K cached/in-flight
+// chunks, one buffer per concurrent cursor (a pin or an in-flight demand
+// load), plus the one double-buffered prefetch load.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -75,8 +75,14 @@ TEST(SpillStore, RoundTripsRowsThroughChunkFiles) {
   const auto io = store.io_stats();
   EXPECT_GT(io.bytes_written, 0u);
   EXPECT_GT(io.bytes_read, 0u);
-  // Compressed chunks must beat the raw WSPCHK01 footprint on this trace.
+  // Compressed chunks must beat the raw column bytes on this trace.
   EXPECT_LT(io.bytes_written, io.raw_bytes);
+  // Monotone time columns should delta-compress dramatically.
+  for (const auto& c : io.columns) {
+    if (std::string(c.name) == "tstart") {
+      EXPECT_LT(c.stored_bytes * 2, c.raw_bytes);
+    }
+  }
 }
 
 TEST(SpillStore, ProfileMatchesMemoryBackendAcrossJobCounts) {
@@ -106,8 +112,9 @@ TEST(SpillStore, ProfileMatchesMemoryBackendAcrossJobCounts) {
     store.append(records);
     store.finalize();
     ASSERT_GT(store.num_chunks(), kMaxResident);
-    const auto spill1 = analysis::Analyzer(o1).analyze(
-        analysis::tracer_input(sim.tracer(), &store));
+    auto input = analysis::tracer_input(sim.tracer());
+    input.store = &store;
+    const auto spill1 = analysis::Analyzer(o1).analyze(input);
     expect_profiles_identical(mem1, spill1);
     // Acceptance bound: K cached/in-flight + 1 cursor + 1 prefetch buffer.
     EXPECT_LE(store.peak_resident_chunks(), kMaxResident + 1 + 1);
@@ -119,30 +126,13 @@ TEST(SpillStore, ProfileMatchesMemoryBackendAcrossJobCounts) {
                                       .max_resident_chunks = kMaxResident});
     store.append(records);
     store.finalize();
-    const auto spill8 = analysis::Analyzer(o8).analyze(
-        analysis::tracer_input(sim.tracer(), &store));
+    auto input = analysis::tracer_input(sim.tracer());
+    input.store = &store;
+    const auto spill8 = analysis::Analyzer(o8).analyze(input);
     expect_profiles_identical(mem1, spill8);
     // W concurrent cursors can each keep one evicted chunk pinned, and the
     // prefetcher may hold one more in flight.
     EXPECT_LE(store.peak_resident_chunks(), kMaxResident + 8 + 1);
-  }
-  // Compression must not change the profile either, at any job count.
-  {
-    analysis::SpillColumnStore store({.dir = spill_dir("nocomp.spill"),
-                                      .chunk_rows = 17,
-                                      .max_resident_chunks = kMaxResident,
-                                      .compress = false});
-    store.append(records);
-    store.finalize();
-    const auto raw1 = analysis::Analyzer(o1).analyze(
-        analysis::tracer_input(sim.tracer(), &store));
-    expect_profiles_identical(mem1, raw1);
-    const auto raw8 = analysis::Analyzer(o8).analyze(
-        analysis::tracer_input(sim.tracer(), &store));
-    expect_profiles_identical(mem1, raw8);
-    // Raw WSPCHK01 stores exactly the widened column bytes.
-    const auto io = store.io_stats();
-    EXPECT_GE(io.bytes_written, io.raw_bytes);
   }
 }
 
@@ -160,8 +150,9 @@ TEST(SpillStore, SingleResidentChunkForcesEvictionsButNotDivergence) {
                                     .max_resident_chunks = 1});
   store.append(sim.tracer().records());
   store.finalize();
-  const auto spill = analysis::Analyzer(opts).analyze(
-      analysis::tracer_input(sim.tracer(), &store));
+  auto input = analysis::tracer_input(sim.tracer());
+  input.store = &store;
+  const auto spill = analysis::Analyzer(opts).analyze(input);
   expect_profiles_identical(mem, spill);
 
   // K=1 cursor=1 prefetch=1: the cap still bounds the cache itself, but a
@@ -171,65 +162,6 @@ TEST(SpillStore, SingleResidentChunkForcesEvictionsButNotDivergence) {
   // The analyzer makes several passes; with one resident chunk every pass
   // re-loads, so loads must exceed the chunk count.
   EXPECT_GT(store.chunk_loads(), store.spilled_chunks());
-}
-
-TEST(SpillStore, TracerMidRunFlushMatchesUnspilledRun) {
-  const auto make = [] {
-    return workloads::make_montage_mpi(workloads::MontageMpiParams::test());
-  };
-  analysis::Analyzer::Options opts;
-  opts.jobs = 2;
-  opts.chunk_rows = 41;
-
-  runtime::Simulation mem_sim(cluster::lassen(4));
-  const auto mem =
-      workloads::run_with(mem_sim, make(), advisor::RunConfig{}, opts);
-  const std::size_t n = mem_sim.tracer().records().size();
-  ASSERT_GT(n, 100u);
-
-  runtime::SpillPolicy policy;
-  policy.dir = spill_dir("midrun");
-  policy.flush_rows = 32;  // tiny, so the tracer flushes many times mid-run
-  policy.chunk_rows = 32;
-  policy.max_resident_chunks = 2;
-  runtime::Simulation spill_sim(cluster::lassen(4));
-  const auto spill = workloads::run_spilled(spill_sim, make(),
-                                            advisor::RunConfig{}, opts,
-                                            policy, "montage-midrun");
-
-  EXPECT_GT(spill_sim.tracer().spilled_records(), 0u);
-  EXPECT_LT(spill_sim.tracer().records().size(), n);
-  EXPECT_EQ(spill_sim.tracer().total_records(), n);
-  EXPECT_EQ(mem.job_seconds, spill.job_seconds);
-  EXPECT_EQ(mem.engine_events, spill.engine_events);
-  expect_profiles_identical(mem.profile, spill.profile);
-}
-
-TEST(SpillStore, RunManyHonorsRunnerSpillPolicy) {
-  std::vector<workloads::Scenario> scenarios;
-  for (int nodes : {2, 4}) {
-    workloads::Scenario s;
-    s.name = "hacc-" + std::to_string(nodes);
-    s.spec = cluster::lassen(nodes);
-    s.make = [] { return workloads::make_hacc(workloads::HaccParams::test()); };
-    scenarios.push_back(std::move(s));
-  }
-  const auto mem = workloads::run_many(scenarios, 2);
-
-  runtime::SpillPolicy policy;
-  policy.dir = spill_dir("runmany");
-  policy.flush_rows = 64;
-  policy.chunk_rows = 64;
-  runtime::ScenarioRunner runner(2);
-  runner.set_spill(policy);
-  const auto spill = workloads::run_many(scenarios, runner);
-
-  ASSERT_EQ(spill.size(), mem.size());
-  for (std::size_t i = 0; i < mem.size(); ++i) {
-    SCOPED_TRACE(scenarios[i].name);
-    EXPECT_EQ(mem[i].job_seconds, spill[i].job_seconds);
-    expect_profiles_identical(mem[i].profile, spill[i].profile);
-  }
 }
 
 TEST(SpillStore, OfflineLogStreamsThroughAuxColumns) {
@@ -245,40 +177,13 @@ TEST(SpillStore, OfflineLogStreamsThroughAuxColumns) {
   const auto baseline =
       analysis::Analyzer(opts).analyze(trace::read_log(path));
 
-  // The wasp_analyze --backend spill path: stream the log into an aux
-  // store, then analyze through it.
-  trace::LogReader reader(path);
-  const auto& h = reader.header();
   analysis::SpillColumnStore store({.dir = spill_dir("offline.spill"),
                                     .chunk_rows = 19,
                                     .max_resident_chunks = 4});
-  std::vector<trace::Record> batch;
-  std::vector<std::uint32_t> path_idx;
-  std::vector<std::uint64_t> file_sizes;
-  while (reader.remaining() > 0) {
-    batch.clear();
-    path_idx.clear();
-    file_sizes.clear();
-    ASSERT_GT(reader.next_chunk(50, batch, path_idx, file_sizes), 0u);
-    store.append(batch, path_idx, file_sizes);
-  }
-  store.finalize();
-  ASSERT_TRUE(store.has_aux());
-  ASSERT_EQ(store.size(), h.num_records);
-
-  analysis::TraceInput input;
-  input.store = &store;
-  input.app_names = h.apps;
-  input.path_at = [&](std::size_t i) {
-    return h.path_table[store.path_idx_at(i)];
-  };
-  input.size_at = [&](std::size_t i) { return store.file_size_at(i); };
-  input.fs_shared = [&](std::int16_t fs) {
-    return fs < 0 || static_cast<std::size_t>(fs) >= h.fs_shared.size() ||
-           h.fs_shared[fs];
-  };
   expect_profiles_identical(baseline,
-                            analysis::Analyzer(opts).analyze(input));
+                            testutil::analyze_log_spilled(path, store, opts));
+  EXPECT_TRUE(store.has_aux());
+  EXPECT_EQ(store.size(), sim.tracer().records().size());
   std::remove(path.c_str());
 }
 
@@ -309,7 +214,6 @@ TEST(SpillStore, CorruptChunkFailsLoudlyWithoutResidencyUnderflow) {
   analysis::SpillColumnStore store({.dir = spill_dir("corrupt.spill"),
                                     .chunk_rows = 100,
                                     .max_resident_chunks = 2,
-                                    .compress = true,
                                     .prefetch = false});
   store.append(records);
   store.finalize();
@@ -342,7 +246,6 @@ TEST(SpillStore, ShortNonFinalChunkRejected) {
   analysis::SpillColumnStore store({.dir = spill_dir("shortchunk.spill"),
                                     .chunk_rows = 100,
                                     .max_resident_chunks = 4,
-                                    .compress = true,
                                     .prefetch = false});
   store.append(records);
   store.finalize();
@@ -402,40 +305,6 @@ TEST(SpillStore, TwoStoresShareOneSpillDirWithoutCollision) {
   a.reset();
   for (std::size_t i = 0; i < b_records.size(); ++i) {
     ASSERT_TRUE(b.row(i) == b_records[i]) << "store b row " << i;
-  }
-}
-
-// Property: the same trace written as compressed WSPCHK02 and raw WSPCHK01
-// decodes to identical columns, and the compressed files are smaller.
-TEST(SpillStore, CompressedAndRawChunksDecodeIdentically) {
-  const auto records = synthetic_records(5003);
-  analysis::SpillColumnStore v2({.dir = spill_dir("prop_v2.spill"),
-                                 .chunk_rows = 128,
-                                 .max_resident_chunks = 4,
-                                 .compress = true});
-  analysis::SpillColumnStore v1({.dir = spill_dir("prop_v1.spill"),
-                                 .chunk_rows = 128,
-                                 .max_resident_chunks = 4,
-                                 .compress = false});
-  v2.append(records);
-  v1.append(records);
-  v2.finalize();
-  v1.finalize();
-
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const trace::Record r2 = v2.row(i);
-    ASSERT_TRUE(r2 == v1.row(i)) << "row " << i;
-    ASSERT_TRUE(r2 == records[i]) << "row " << i;
-  }
-  const auto io2 = v2.io_stats();
-  const auto io1 = v1.io_stats();
-  EXPECT_EQ(io2.raw_bytes, io1.raw_bytes);
-  EXPECT_LT(io2.bytes_written, io1.bytes_written);
-  // Monotone time columns should delta-compress dramatically.
-  for (const auto& c : io2.columns) {
-    if (std::string(c.name) == "tstart") {
-      EXPECT_LT(c.stored_bytes * 2, c.raw_bytes);
-    }
   }
 }
 

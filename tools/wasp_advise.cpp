@@ -3,14 +3,20 @@
 // and print the configuration the storage system would set for itself.
 //
 //   wasp_advise <features.yaml>
+//
+// A file that cannot be read or parsed is diagnosed on stderr with exit
+// status 1.
 #include <iostream>
 
 #include "advisor/rules.hpp"
 #include "core/yaml_loader.hpp"
+#include "util/error.hpp"
 
 using namespace wasp;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   if (argc != 2) {
     std::cerr << "usage: wasp_advise <features.yaml>\n";
     return 2;
@@ -47,4 +53,15 @@ int main(int argc, char** argv) {
             << "  async_checkpoint_drain  = "
             << (cfg.async_checkpoint_drain ? "true" : "false") << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_main(argc, argv);
+  } catch (const util::SimError& e) {
+    std::cerr << "wasp_advise: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -5,15 +5,15 @@
 //   wasp_analyze <trace.wtrc> [--phases] [--files N] [--hist] [--jobs N]
 //                [--backend memory|spill] [--spill-dir DIR]
 //                [--chunk-rows N] [--max-resident-chunks N]
-//                [--no-compress] [--stats] [--trace-out out.trace.json]
+//                [--stats] [--trace-out out.trace.json]
 //                [--report out.manifest.json]
 //
-// --backend spill streams the log through a SpillColumnStore (columnar
-// chunk files + bounded LRU + sequential prefetch) instead of
+// --backend spill streams the log through a SpillColumnStore (compressed
+// WSPCHK02 chunk files + bounded LRU + sequential prefetch) instead of
 // materializing it; the profile output is byte-identical to the memory
-// backend, with or without chunk compression (--no-compress writes raw
-// WSPCHK01 chunk files). --stats appends the backend's IoStats: cache
-// behavior, prefetch hit rate, and per-column compression ratios.
+// backend. --stats appends the backend's IoStats: cache behavior, prefetch
+// hit rate, and per-column compression ratios. A log that cannot be read
+// is diagnosed on stderr with exit status 1.
 #include <unistd.h>
 
 #include <algorithm>
@@ -26,6 +26,7 @@
 #include "analysis/spill_store.hpp"
 #include "telemetry_cli.hpp"
 #include "trace/log_io.hpp"
+#include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/parse.hpp"
 #include "util/table.hpp"
@@ -38,7 +39,6 @@ analysis::WorkloadProfile analyze_spill(const std::string& trace_path,
                                         std::string spill_dir,
                                         std::size_t chunk_rows,
                                         std::size_t max_resident,
-                                        bool compress,
                                         analysis::IoStats* io_out) {
   trace::LogReader reader(trace_path);
   const trace::LogHeader& h = reader.header();
@@ -51,7 +51,6 @@ analysis::WorkloadProfile analyze_spill(const std::string& trace_path,
   opts.dir = spill_dir;
   opts.chunk_rows = chunk_rows;
   opts.max_resident_chunks = max_resident;
-  opts.compress = compress;
   analysis::SpillColumnStore store(opts);
 
   std::vector<trace::Record> records;
@@ -130,13 +129,11 @@ void usage() {
   std::cerr << "usage: wasp_analyze <trace.wtrc> [--phases] [--files N]"
                " [--hist] [--jobs N] [--backend memory|spill]"
                " [--spill-dir DIR] [--chunk-rows N]"
-               " [--max-resident-chunks N] [--no-compress] [--stats]"
+               " [--max-resident-chunks N] [--stats]"
                " [--trace-out FILE] [--report FILE]\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   const auto wall_t0 = std::chrono::steady_clock::now();
   if (argc < 2) {
     usage();
@@ -145,7 +142,6 @@ int main(int argc, char** argv) {
   bool show_phases = false;
   bool show_hist = false;
   bool show_stats = false;
-  bool compress = true;
   std::size_t show_files = 0;
   std::string backend = "memory";
   std::string spill_dir;
@@ -168,8 +164,6 @@ int main(int argc, char** argv) {
       show_hist = true;
     } else if (arg == "--stats") {
       show_stats = true;
-    } else if (arg == "--no-compress") {
-      compress = false;
     } else if (arg == "--files") {
       show_files =
           static_cast<std::size_t>(util::cli_uint(arg, next(), &usage));
@@ -205,7 +199,7 @@ int main(int argc, char** argv) {
   analysis::IoStats io;
   if (backend == "spill") {
     profile = analyze_spill(argv[1], spill_dir, chunk_rows, max_resident,
-                            compress, &io);
+                            &io);
   } else {
     const auto log = trace::read_log(argv[1]);
     std::cerr << "loaded " << log.records.size() << " records, "
@@ -289,4 +283,15 @@ int main(int argc, char** argv) {
   toolcli::write_report(report_out, "wasp_analyze", util::default_jobs(),
                         backend, wall_t0);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_main(argc, argv);
+  } catch (const util::SimError& e) {
+    std::cerr << "wasp_analyze: " << e.what() << "\n";
+    return 1;
+  }
 }
