@@ -16,7 +16,7 @@ namespace wasp::analysis {
 struct TraceInput {
   /// Row-major records, transposed into an in-memory ColumnStore. Ignored
   /// when `store` is set.
-  std::span<const trace::Record> records;
+  trace::RecordView records;
   /// Columnar backend to stream from directly (in-memory or spill); takes
   /// precedence over `records`. Not owned — must outlive the analyze call.
   const TraceStore* store = nullptr;

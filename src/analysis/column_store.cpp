@@ -6,7 +6,7 @@
 
 namespace wasp::analysis {
 
-ColumnStore ColumnStore::from_records(std::span<const trace::Record> records,
+ColumnStore ColumnStore::from_records(const trace::RecordView& records,
                                       int jobs) {
   ColumnStore cs;
   const std::size_t n = records.size();
@@ -22,22 +22,38 @@ ColumnStore ColumnStore::from_records(std::span<const trace::Record> records,
   cs.count_.resize(n);
   cs.tstart_.resize(n);
   cs.tend_.resize(n);
+  // First row of each piece, so a chunk finds the piece holding its start.
+  const auto& pieces = records.pieces();
+  std::vector<std::size_t> starts;
+  starts.reserve(pieces.size());
+  std::size_t at = 0;
+  for (const auto& p : pieces) {
+    starts.push_back(at);
+    at += p.size();
+  }
   // Each chunk writes a disjoint row range of every column — no sharing.
   util::parallel_for(jobs, n, 1 << 17, [&](const util::ChunkRange& c) {
-    for (std::size_t i = c.begin; i < c.end; ++i) {
-      const trace::Record& r = records[i];
-      cs.app_[i] = r.app;
-      cs.rank_[i] = r.rank;
-      cs.node_[i] = r.node;
-      cs.iface_[i] = r.iface;
-      cs.op_[i] = r.op;
-      cs.fs_[i] = r.file.fs;
-      cs.file_[i] = r.file.file;
-      cs.offset_[i] = r.offset;
-      cs.size_[i] = r.size;
-      cs.count_[i] = r.count;
-      cs.tstart_[i] = r.tstart;
-      cs.tend_[i] = r.tend;
+    std::size_t k = static_cast<std::size_t>(
+        std::upper_bound(starts.begin(), starts.end(), c.begin) -
+        starts.begin() - 1);
+    for (std::size_t i = c.begin; i < c.end; ++k) {
+      const std::span<const trace::Record> piece = pieces[k];
+      const std::size_t stop = std::min(c.end, starts[k] + piece.size());
+      for (const trace::Record* r = piece.data() + (i - starts[k]); i < stop;
+           ++i, ++r) {
+        cs.app_[i] = r->app;
+        cs.rank_[i] = r->rank;
+        cs.node_[i] = r->node;
+        cs.iface_[i] = r->iface;
+        cs.op_[i] = r->op;
+        cs.fs_[i] = r->file.fs;
+        cs.file_[i] = r->file.file;
+        cs.offset_[i] = r->offset;
+        cs.size_[i] = r->size;
+        cs.count_[i] = r->count;
+        cs.tstart_[i] = r->tstart;
+        cs.tend_[i] = r->tend;
+      }
     }
   });
   return cs;

@@ -11,17 +11,18 @@
 #include <vector>
 
 #include "analysis/trace_store.hpp"
-#include "trace/record.hpp"
+#include "trace/record_blocks.hpp"
 #include "util/parallel.hpp"
 
 namespace wasp::analysis {
 
 class ColumnStore : public TraceStore {
  public:
-  /// Transpose records into columns. With jobs > 1 the fill runs
-  /// chunk-parallel over preallocated columns (each chunk writes a disjoint
-  /// row range), producing the same store as the sequential fill.
-  static ColumnStore from_records(std::span<const trace::Record> records,
+  /// Transpose records into columns, reading each piece of the view in
+  /// place. With jobs > 1 the fill runs chunk-parallel over preallocated
+  /// columns (each chunk writes a disjoint row range), producing the same
+  /// store as the sequential fill.
+  static ColumnStore from_records(const trace::RecordView& records,
                                   int jobs = 1);
 
   std::size_t size() const noexcept override { return app_.size(); }

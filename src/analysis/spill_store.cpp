@@ -181,14 +181,16 @@ void SpillColumnStore::maybe_flush() {
   if (open_.rows() >= opts_.chunk_rows) flush_open_chunk();
 }
 
-void SpillColumnStore::append(std::span<const trace::Record> records) {
+void SpillColumnStore::append(const trace::RecordView& records) {
   WASP_CHECK_MSG(!finalized_, "append to finalized spill store");
   WASP_CHECK_MSG(!aux_decided_ || !has_aux_,
                  "mixing aux and non-aux appends on one spill store");
   aux_decided_ = true;
-  for (const trace::Record& r : records) {
-    push_row(r);
-    maybe_flush();
+  for (const std::span<const trace::Record> piece : records.pieces()) {
+    for (const trace::Record& r : piece) {
+      push_row(r);
+      maybe_flush();
+    }
   }
   total_rows_ += records.size();
 }

@@ -47,6 +47,7 @@
 
 #include "analysis/trace_store.hpp"
 #include "obs/metrics.hpp"
+#include "trace/record_blocks.hpp"
 
 namespace wasp::analysis {
 
@@ -71,7 +72,7 @@ class SpillColumnStore final : public TraceStore {
   SpillColumnStore& operator=(const SpillColumnStore&) = delete;
 
   // --- Write side (single-threaded, before finalize) ----------------------
-  void append(std::span<const trace::Record> records);
+  void append(const trace::RecordView& records);
   /// Append with the offline log's auxiliary columns (parallel spans). A
   /// store is either aux or non-aux for its whole life — the first append
   /// decides, mixing is an error.

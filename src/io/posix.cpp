@@ -36,14 +36,14 @@ sim::Task<File> Posix::open(const std::string& path, OpenMode mode) {
   f.is_open = true;
 
   co_await faulted_meta(fs, fs::MetaOp::kOpen, f.id, trace::Op::kOpen,
-                        f.key(), "open " + path);
+                        f.key(), "open", &path);
   co_return f;
 }
 
 sim::Task<void> Posix::close(File& f) {
   WASP_CHECK_MSG(f.is_open, "close on closed file");
   co_await faulted_meta(*f.fs, fs::MetaOp::kClose, f.id, trace::Op::kClose,
-                        f.key(), "close");
+                        f.key(), "close", nullptr);
   f.is_open = false;
 }
 
@@ -137,8 +137,8 @@ sim::Task<void> Posix::data_op(File& f, fs::Bytes offset, fs::Bytes size,
 
 sim::Task<void> Posix::faulted_meta(fs::FileSystemSim& fsys, fs::MetaOp mop,
                                     fs::FileId id, trace::Op top,
-                                    trace::FileKey key,
-                                    const std::string& what) {
+                                    trace::FileKey key, const char* verb,
+                                    const std::string* path) {
   sim::FaultChannel* fc = fsys.fault_channel();
   for (std::uint32_t attempt = 1;; ++attempt) {
     const sim::Time t0 = p_.now();
@@ -150,6 +150,8 @@ sim::Task<void> Posix::faulted_meta(fs::FileSystemSim& fsys, fs::MetaOp mop,
       const sim::RetryPolicy& rp = fc->retry();
       if (attempt >= rp.max_attempts) {
         fc->note_exhausted();
+        const std::string what =
+            path != nullptr ? std::string(verb) + " " + *path : verb;
         throw sim::FaultError(
             sim::FaultKind::kMetaError,
             what + " on " + fsys.mount() + " failed after " +
@@ -235,13 +237,13 @@ sim::Task<void> Posix::stat(const std::string& path) {
   trace::FileKey key;
   if (id) key = {p_.tracer().register_fs(fs), *id};
   co_await faulted_meta(fs, fs::MetaOp::kStat, id.value_or(fs::kInvalidFile),
-                        trace::Op::kStat, key, "stat " + path);
+                        trace::Op::kStat, key, "stat", &path);
 }
 
 sim::Task<void> Posix::sync(File& f) {
   WASP_CHECK_MSG(f.is_open, "sync on closed file");
   co_await faulted_meta(*f.fs, fs::MetaOp::kSync, f.id, trace::Op::kSync,
-                        f.key(), "sync");
+                        f.key(), "sync", nullptr);
 }
 
 sim::Task<void> Posix::unlink(const std::string& path) {
@@ -251,8 +253,8 @@ sim::Task<void> Posix::unlink(const std::string& path) {
   WASP_CHECK_MSG(id.has_value(), "unlink: no such file: " + path);
   const fs::Bytes size = ns.inode(*id).size;
   co_await faulted_meta(fs, fs::MetaOp::kUnlink, *id, trace::Op::kUnlink,
-                        {p_.tracer().register_fs(fs), *id},
-                        "unlink " + path);
+                        {p_.tracer().register_fs(fs), *id}, "unlink",
+                        &path);
   ns.unlink(path);
   fs.note_growth(p_.site(), -static_cast<std::int64_t>(size));
 }

@@ -97,10 +97,13 @@ class Posix {
                           std::uint32_t count, DataOpSpec spec);
 
   /// Metadata op with the same fault/retry semantics; records both failed
-  /// attempts and the successful op under `top`/`key`.
+  /// attempts and the successful op under `top`/`key`. Exhausted retries
+  /// name the op "<verb> <path>" (just the verb when `path` is null), a
+  /// string built only then.
   sim::Task<void> faulted_meta(fs::FileSystemSim& fsys, fs::MetaOp mop,
                                fs::FileId id, trace::Op top,
-                               trace::FileKey key, const std::string& what);
+                               trace::FileKey key, const char* verb,
+                               const std::string* path);
 
   runtime::Proc& p_;
   trace::Iface iface_;

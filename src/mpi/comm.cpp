@@ -46,22 +46,27 @@ const std::vector<int>& Comm::ranks_on_node(int node) const {
   return node_ranks_[static_cast<std::size_t>(node)];
 }
 
-sim::Task<void> Comm::barrier() {
-  const std::uint64_t gen = barrier_gen_;
-  if (++barrier_arrived_ == size()) {
-    barrier_arrived_ = 0;
-    ++barrier_gen_;
-    co_await sim::Delay(eng_, tree_latency());
-    auto it = barrier_events_.find(gen);
-    if (it != barrier_events_.end()) {
-      it->second->set();
-      barrier_events_.erase(it);
-    }
-    co_return;
+bool Comm::BarrierAwaiter::await_suspend(std::coroutine_handle<> h) {
+  Comm& c = comm_;
+  if (++c.barrier_arrived_ < c.size()) {
+    c.barrier_waiters_.push_back(h);
+    return true;
   }
-  auto& ev = barrier_events_[gen];
-  if (!ev) ev = std::make_unique<sim::Event>(eng_);
-  co_await ev->wait();
+  c.barrier_arrived_ = 0;
+  last_ = true;
+  if (c.tree_latency_ == 0) return false;  // release in await_resume now
+  c.eng_.schedule_after(c.tree_latency_, h);
+  return true;
+}
+
+void Comm::release_barrier() {
+  const auto n = static_cast<std::size_t>(size() - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    eng_.schedule(eng_.now(), barrier_waiters_[i]);
+  }
+  barrier_waiters_.erase(barrier_waiters_.begin(),
+                         barrier_waiters_.begin() +
+                             static_cast<std::ptrdiff_t>(n));
 }
 
 sim::Task<void> Comm::bcast(int rank, int root, util::Bytes n) {

@@ -9,6 +9,7 @@
 // preserved.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -44,8 +45,27 @@ class Comm {
   }
   bool is_node_leader(int rank) const { return node_leader(rank) == rank; }
 
+  /// Awaitable returned by barrier(). A plain awaiter, not a Task: an
+  /// arrival costs no coroutine frame, and every rank parks on the
+  /// communicator's one waiter list.
+  class BarrierAwaiter {
+   public:
+    explicit BarrierAwaiter(Comm& comm) noexcept : comm_(comm) {}
+    bool await_ready() const noexcept { return false; }
+    bool await_suspend(std::coroutine_handle<> h);
+    void await_resume() {
+      if (last_) comm_.release_barrier();
+    }
+
+   private:
+    Comm& comm_;
+    bool last_ = false;
+  };
+
   /// All ranks must call; completes when the last arrives (+ log2 latency).
-  sim::Task<void> barrier();
+  /// The last arrival waits out the tree latency itself, then wakes the
+  /// others in arrival order at that instant.
+  BarrierAwaiter barrier() noexcept { return BarrierAwaiter(*this); }
 
   /// Synchronizing bcast of n bytes from root; all ranks call.
   sim::Task<void> bcast(int rank, int root, util::Bytes n);
@@ -81,6 +101,11 @@ class Comm {
     std::unique_ptr<sim::Event> arrival;
   };
   Mailbox& mailbox(int rank, int tag);
+  /// Wake the size() - 1 oldest barrier waiters: the generation whose last
+  /// arrival is resuming. Releases run in generation order (a later
+  /// generation's last rank arrives, and so resumes, no earlier), so that
+  /// generation is always the front of the list.
+  void release_barrier();
 
   sim::Engine& eng_;
   std::vector<int> rank_to_node_;
@@ -90,10 +115,10 @@ class Comm {
   int num_nodes_ = 0;
   NetParams net_;
 
-  // Barrier generations.
-  std::uint64_t barrier_gen_ = 0;
+  // Arrivals in the open barrier generation, and the ranks parked on any
+  // generation not yet released.
   int barrier_arrived_ = 0;
-  std::map<std::uint64_t, std::unique_ptr<sim::Event>> barrier_events_;
+  std::vector<std::coroutine_handle<>> barrier_waiters_;
 
   std::map<std::pair<int, int>, Mailbox> mailboxes_;
 };

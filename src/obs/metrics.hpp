@@ -4,10 +4,11 @@
 // Three metric kinds, all named by stable string keys:
 //
 //   Counter    monotonic u64, thread-local sharded: add() touches only the
-//              calling thread's shard slot (an uncontended relaxed atomic),
-//              and snapshot() sums live shards + the folded values of
-//              threads that already exited — hot paths never share a cache
-//              line, and a snapshot never blocks writers.
+//              calling thread's shard slot, and snapshot() sums live shards
+//              + the folded values of threads that already exited — hot
+//              paths never share a cache line, and a snapshot never blocks
+//              writers. A shard has one writer, so add() is a relaxed load
+//              and store, not a locked read-modify-write.
 //   Gauge      last-write-wins i64 (plus a monotonic-max variant).
 //   Histogram  bounded power-of-two histogram of u64 samples: bucket b >= 1
 //              counts values in [2^(b-1), 2^b), bucket 0 counts zeros.
@@ -21,9 +22,9 @@
 //
 // Telemetry is strictly read-only with respect to simulation and analysis
 // results: nothing here feeds back into any computation. Counter/histogram
-// accumulation is always on (an uncontended relaxed add); everything that
-// must read a clock gates on Registry::timing_enabled(), so the disabled
-// cost is one branch.
+// accumulation is always on (an add on a thread-owned slot); everything
+// that must read a clock gates on Registry::timing_enabled(), so the
+// disabled cost is one branch.
 #pragma once
 
 #include <atomic>
@@ -80,6 +81,14 @@ inline constexpr std::uint32_t kHistSlots = kHistBuckets + 1;  // + sum slot
 /// folded into the retired accumulator when the thread exits).
 std::atomic<std::uint64_t>* tls_slots();
 std::uint32_t value_bucket(std::uint64_t v) noexcept;
+/// Add to a slot that only the calling thread writes: a relaxed load and
+/// store, no locked read-modify-write. Readers on other threads (snapshot())
+/// still load whole values.
+inline void bump(std::atomic<std::uint64_t>& slot,
+                 std::uint64_t n) noexcept {
+  slot.store(slot.load(std::memory_order_relaxed) + n,
+             std::memory_order_relaxed);
+}
 }  // namespace detail
 
 /// Cheap copyable handle; obtain from Registry::counter(). A
@@ -89,7 +98,7 @@ class Counter {
   Counter() = default;
   void add(std::uint64_t n = 1) const noexcept {
     if (slot_ == detail::kInvalidSlot) return;
-    detail::tls_slots()[slot_].fetch_add(n, std::memory_order_relaxed);
+    detail::bump(detail::tls_slots()[slot_], n);
   }
 
  private:
@@ -118,9 +127,8 @@ class Histogram {
   void add(std::uint64_t v) const noexcept {
     if (first_ == detail::kInvalidSlot) return;
     auto* s = detail::tls_slots();
-    s[first_].fetch_add(v, std::memory_order_relaxed);  // sum slot
-    s[first_ + 1 + detail::value_bucket(v)].fetch_add(
-        1, std::memory_order_relaxed);
+    detail::bump(s[first_], v);  // sum slot
+    detail::bump(s[first_ + 1 + detail::value_bucket(v)], 1);
   }
 
  private:
@@ -140,8 +148,15 @@ class CounterCell {
   CounterCell(const CounterCell&) = delete;
   CounterCell& operator=(const CounterCell&) = delete;
 
+  /// Safe from any thread (the spill store's cells are bumped by cursors
+  /// and its prefetch thread alike).
   void add(std::uint64_t n = 1) noexcept {
     v_.fetch_add(n, std::memory_order_relaxed);
+  }
+  /// add() for a cell that only one thread ever writes (FramePool's
+  /// per-thread cache): no locked read-modify-write.
+  void add_single_writer(std::uint64_t n = 1) noexcept {
+    detail::bump(v_, n);
   }
   std::uint64_t value() const noexcept {
     return v_.load(std::memory_order_relaxed);

@@ -378,65 +378,52 @@ std::int64_t Expr::eval(const EvalContext& ctx) const {
   return eval_node(*ast_, ctx, text_);
 }
 
-namespace {
-
-/// A template split once into alternating literal / expression pieces:
-/// literals.size() == exprs.size() + 1, and expansion interleaves them as
-/// literals[0] eval(exprs[0]) literals[1] ... literals.back().
-struct CompiledTemplate {
-  std::vector<std::string> literals;
-  std::vector<Expr> exprs;
-};
-
-/// expand() sits on the replay hot path — a paper-scale run evaluates the
-/// same handful of path templates hundreds of thousands of times, and
-/// re-parsing the embedded expressions dominated the profile. Split and
-/// parse each distinct template once per thread (run_many replays on
-/// worker threads, so the cache is thread_local rather than locked) and
-/// re-evaluate the cached ASTs. Malformed templates throw before anything
-/// is cached, so every call on a bad template keeps failing identically.
-const CompiledTemplate& compiled_template(const std::string& tmpl) {
-  thread_local std::unordered_map<std::string, CompiledTemplate> cache;
-  const auto it = cache.find(tmpl);
-  if (it != cache.end()) return it->second;
-
-  CompiledTemplate ct;
-  std::string lit;
-  std::size_t i = 0;
-  while (i < tmpl.size()) {
-    const char c = tmpl[i];
-    if (c != '{') {
-      WASP_CHECK_MSG(c != '}',
-                     "unmatched '}' in path template: " + tmpl);
-      lit += c;
-      ++i;
-      continue;
+PathTemplate::PathTemplate(const std::string& tmpl)
+    : size_hint_(tmpl.size()) {
+  try {
+    std::string lit;
+    std::size_t i = 0;
+    while (i < tmpl.size()) {
+      const char c = tmpl[i];
+      if (c != '{') {
+        WASP_CHECK_MSG(c != '}', "unmatched '}' in path template: " + tmpl);
+        lit += c;
+        ++i;
+        continue;
+      }
+      const std::size_t close = tmpl.find('}', i + 1);
+      WASP_CHECK_MSG(close != std::string::npos,
+                     "unmatched '{' in path template: " + tmpl);
+      literals_.push_back(std::move(lit));
+      lit.clear();
+      exprs_.emplace_back(tmpl.substr(i + 1, close - i - 1));
+      i = close + 1;
     }
-    const std::size_t close = tmpl.find('}', i + 1);
-    WASP_CHECK_MSG(close != std::string::npos,
-                   "unmatched '{' in path template: " + tmpl);
-    ct.literals.push_back(std::move(lit));
-    lit.clear();
-    ct.exprs.emplace_back(tmpl.substr(i + 1, close - i - 1));
-    i = close + 1;
+    literals_.push_back(std::move(lit));
+  } catch (const util::SimError& e) {
+    error_ = e.what();
   }
-  ct.literals.push_back(std::move(lit));
-  return cache.emplace(tmpl, std::move(ct)).first->second;
 }
 
-}  // namespace
+std::string PathTemplate::expand(const EvalContext& ctx) const {
+  if (!error_.empty()) throw util::SimError(error_);
+  if (exprs_.empty()) return literals_.front();
+  std::string out;
+  out.reserve(size_hint_ + 8 * exprs_.size());
+  for (std::size_t k = 0; k < exprs_.size(); ++k) {
+    out += literals_[k];
+    out += std::to_string(exprs_[k].eval(ctx));
+  }
+  out += literals_.back();
+  return out;
+}
 
 std::string expand(const std::string& tmpl, const EvalContext& ctx) {
-  const CompiledTemplate& ct = compiled_template(tmpl);
-  if (ct.exprs.empty()) return ct.literals.front();
-  std::string out;
-  out.reserve(tmpl.size() + 8 * ct.exprs.size());
-  for (std::size_t k = 0; k < ct.exprs.size(); ++k) {
-    out += ct.literals[k];
-    out += std::to_string(ct.exprs[k].eval(ctx));
-  }
-  out += ct.literals.back();
-  return out;
+  // size_of() arguments re-expand the same few templates on every
+  // evaluation: split and parse each distinct one once per thread (run_many
+  // replays on worker threads, so the cache is thread_local, not locked).
+  thread_local std::unordered_map<std::string, PathTemplate> cache;
+  return cache.try_emplace(tmpl, tmpl).first->second.expand(ctx);
 }
 
 }  // namespace wasp::pattern

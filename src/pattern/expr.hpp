@@ -77,6 +77,24 @@ class Expr {
   std::shared_ptr<const detail::ExprNode> ast_;
 };
 
+/// A file-name template split once into literal and "{expr}" pieces, for
+/// callers that expand the same template many times. Construction never
+/// throws: a malformed template (unmatched brace, bad expression) keeps its
+/// diagnostic and throws it as util::SimError from every expand().
+class PathTemplate {
+ public:
+  explicit PathTemplate(const std::string& tmpl);
+  std::string expand(const EvalContext& ctx) const;
+
+ private:
+  /// literals_.size() == exprs_.size() + 1; expansion interleaves them as
+  /// literals_[0] eval(exprs_[0]) literals_[1] ... literals_.back().
+  std::vector<std::string> literals_;
+  std::vector<Expr> exprs_;
+  std::size_t size_hint_ = 0;
+  std::string error_;  ///< non-empty: the diagnostic expand() throws
+};
+
 /// Expand a file-name template: each "{expr}" placeholder is replaced by
 /// the decimal value of the enclosed expression ("/p/hacc/{rank}.ckpt").
 std::string expand(const std::string& tmpl, const EvalContext& ctx);

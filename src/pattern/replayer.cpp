@@ -3,8 +3,8 @@
 #include <array>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "io/compression.hpp"
@@ -50,16 +50,28 @@ struct CommSet {
   std::vector<mpi::Comm*> comms;  ///< [0] regular, [node] per_node family
 };
 
+/// An op with the names it uses resolved once per replay: its communicator
+/// (kAllreduce), event (kSignal / kWaitEvent) and compiled path template
+/// (kOpen / kStat), over a bound body. A name the pattern does not declare
+/// binds to null, and the op raises the diagnostic when it runs.
+struct BoundOp {
+  const Op* op = nullptr;
+  CommSet* comm = nullptr;
+  EventState* event = nullptr;
+  std::optional<PathTemplate> path;
+  std::vector<BoundOp> body;
+};
+
 /// Everything one replay shares; lane coroutines keep it alive.
 struct RunState {
   runtime::Simulation& sim;
   JobPattern pat;
   std::map<std::string, std::uint16_t> app_ids;
   std::map<std::string, CommSet> comms;
-  // Hash map, not std::map: signal/wait ops resolve their event once per
-  // executed op (paced lanes make this millions of lookups) and nothing
-  // iterates the container, so ordering buys nothing here.
-  std::unordered_map<std::string, std::unique_ptr<EventState>> events;
+  std::map<std::string, std::unique_ptr<EventState>> events;
+  /// Bound op lists: phase_ops[group][phase] and stage_ops[dag stage].
+  std::vector<std::vector<std::vector<BoundOp>>> phase_ops;
+  std::vector<std::vector<BoundOp>> stage_ops;
 
   RunState(runtime::Simulation& s, JobPattern p) : sim(s), pat(std::move(p)) {}
 
@@ -77,13 +89,48 @@ struct RunState {
     return it->second;
   }
 
-  EventState& event(const std::string& name) {
-    auto it = events.find(name);
-    WASP_CHECK_MSG(it != events.end(),
-                   "pattern: event '" + name + "' is not declared");
-    return *it->second;
+  std::vector<BoundOp> bind(const std::vector<Op>& ops) {
+    std::vector<BoundOp> out(ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const Op& o = ops[i];
+      BoundOp& b = out[i];
+      b.op = &o;
+      switch (o.kind) {
+        case OpKind::kOpen:
+        case OpKind::kStat:
+          b.path.emplace(o.path);
+          break;
+        case OpKind::kAllreduce:
+          if (auto it = comms.find(o.comm); it != comms.end()) {
+            b.comm = &it->second;
+          }
+          break;
+        case OpKind::kSignal:
+        case OpKind::kWaitEvent:
+          if (auto it = events.find(o.event); it != events.end()) {
+            b.event = it->second.get();
+          }
+          break;
+        default:
+          break;
+      }
+      b.body = bind(o.body);
+    }
+    return out;
   }
 };
+
+CommSet& comm_of(const BoundOp& b) {
+  WASP_CHECK_MSG(b.comm != nullptr,
+                 "pattern: comm '" + b.op->comm + "' is not declared");
+  return *b.comm;
+}
+
+EventState& event_of(const BoundOp& b) {
+  WASP_CHECK_MSG(b.event != nullptr,
+                 "pattern: event '" + b.op->event + "' is not declared");
+  return *b.event;
+}
 
 /// All interface layers a phase might drive. Construction is side-effect
 /// free, so building the unused ones costs nothing and keeps dispatch flat.
@@ -218,21 +265,22 @@ sim::Time jittered(const Op& o, util::Rng& rng) {
       (o.jitter_lo + o.jitter_span * rng.uniform()));
 }
 
-sim::Task<void> spawn_body(std::shared_ptr<RunState> st, const Op* op,
+sim::Task<void> spawn_body(std::shared_ptr<RunState> st, const BoundOp* op,
                            LaneCfg cfg, Env env, int rank, int node);
 
-sim::Task<void> exec_ops(ExecCtx& c, const std::vector<Op>& ops) {
+sim::Task<void> exec_ops(ExecCtx& c, const std::vector<BoundOp>& ops) {
   // One context for the whole op list: it only carries pointers into `c`
   // (env bindings mutate underneath it, which eval() sees), and building
   // the size_of std::function per op showed up in profiles.
   const EvalContext ec = eval_ctx(c);
-  for (const Op& o : ops) {
+  for (const BoundOp& b : ops) {
+    const Op& o = *b.op;
     const sim::Time op_vt0 = c.p.now();
     switch (o.kind) {
       case OpKind::kGroup: {
         if (o.var.empty()) {
           if (o.when.empty() || o.when.eval(ec) != 0) {
-            co_await exec_ops(c, o.body);
+            co_await exec_ops(c, b.body);
           }
           break;
         }
@@ -243,12 +291,12 @@ sim::Task<void> exec_ops(ExecCtx& c, const std::vector<Op>& ops) {
         for (std::int64_t i = begin; i < end; i += step) {
           c.env.set(o.var, i);
           if (!o.when.empty() && o.when.eval(ec) == 0) break;
-          co_await exec_ops(c, o.body);
+          co_await exec_ops(c, b.body);
         }
         break;
       }
       case OpKind::kOpen: {
-        const std::string path = expand(o.path, ec);
+        const std::string path = b.path->expand(ec);
         Slot& s = slot_of(c, o);
         switch (o.layer) {
           case Layer::kPosix:
@@ -388,7 +436,7 @@ sim::Task<void> exec_ops(ExecCtx& c, const std::vector<Op>& ops) {
         break;
       }
       case OpKind::kStat:
-        co_await c.L.posix.stat(expand(o.path, ec));
+        co_await c.L.posix.stat(b.path->expand(ec));
         break;
       case OpKind::kCompute:
         co_await c.p.compute(jittered(o, c.rng));
@@ -400,7 +448,7 @@ sim::Task<void> exec_ops(ExecCtx& c, const std::vector<Op>& ops) {
         co_await c.p.barrier();
         break;
       case OpKind::kAllreduce: {
-        mpi::Comm& comm = *c.st->comm_set(o.comm).comms.at(0);
+        mpi::Comm& comm = *comm_of(b).comms.at(0);
         const util::Bytes n = eval_bytes(o.size, ec);
         const sim::Time t0 = c.p.now();
         co_await comm.allreduce(n);
@@ -411,17 +459,17 @@ sim::Task<void> exec_ops(ExecCtx& c, const std::vector<Op>& ops) {
         break;
       }
       case OpKind::kSignal: {
-        EventState& es = c.st->event(o.event);
+        EventState& es = event_of(b);
         if (--es.remaining == 0) es.ev.set();
         break;
       }
       case OpKind::kWaitEvent:
-        co_await c.st->event(o.event).ev.wait();
+        co_await event_of(b).ev.wait();
         break;
       case OpKind::kSpawn: {
         const std::int64_t* r = c.env.find("rank");
         const std::int64_t* n = c.env.find("node");
-        c.p.engine().spawn(spawn_body(c.st, &o, *c.cfg, c.env,
+        c.p.engine().spawn(spawn_body(c.st, &b, *c.cfg, c.env,
                                       r != nullptr ? static_cast<int>(*r)
                                                    : c.p.rank(),
                                       n != nullptr ? static_cast<int>(*n)
@@ -455,9 +503,9 @@ sim::Task<void> exec_ops(ExecCtx& c, const std::vector<Op>& ops) {
   }
 }
 
-sim::Task<void> spawn_body(std::shared_ptr<RunState> st, const Op* op,
+sim::Task<void> spawn_body(std::shared_ptr<RunState> st, const BoundOp* op,
                            LaneCfg cfg, Env env, int rank, int node) {
-  runtime::Proc p(st->sim, st->app_id(op->app), rank, node);
+  runtime::Proc p(st->sim, st->app_id(op->op->app), rank, node);
   Layers L(p, cfg.stdio_buffer, cfg.mpiio, cfg.codec);
   util::Rng rng =
       util::Rng(cfg.rng_seed).fork(static_cast<std::uint64_t>(rank));
@@ -498,18 +546,20 @@ sim::Task<void> lane_body(std::shared_ptr<RunState> st, std::size_t gi,
   env.set("leader", leader ? 1 : 0);
   LaneCfg cfg{g.stdio_buffer, g.hdf5, g.mpiio, g.codec, g.rng_seed};
 
-  for (const PhasePattern& ph : g.phases) {
-    runtime::Proc p(st->sim, st->app_id(ph.app), rank, node, comm, comm_rank);
+  for (std::size_t pi = 0; pi < g.phases.size(); ++pi) {
+    runtime::Proc p(st->sim, st->app_id(g.phases[pi].app), rank, node, comm,
+                    comm_rank);
     Layers L(p, g.stdio_buffer, g.mpiio, g.codec);
     std::map<std::string, Slot> slots;
     ExecCtx c{st, &cfg, p, L, env, rng, slots};
-    co_await exec_ops(c, ph.ops);
+    co_await exec_ops(c, st->phase_ops[gi][pi]);
   }
 }
 
 sim::Task<void> dag_task_body(std::shared_ptr<RunState> st,
-                              const DagStage* stage, int instance,
+                              std::size_t si, int instance,
                               runtime::Proc& p) {
+  const DagStage* stage = &st->pat.dag.stages[si];
   const DagDecl& dag = st->pat.dag;
   LaneCfg cfg;
   cfg.stdio_buffer = dag.stdio_buffer;
@@ -523,7 +573,7 @@ sim::Task<void> dag_task_body(std::shared_ptr<RunState> st,
   env.set("node", p.node());
   std::map<std::string, Slot> slots;
   ExecCtx c{st, &cfg, p, L, env, rng, slots};
-  co_await exec_ops(c, stage->ops);
+  co_await exec_ops(c, st->stage_ops[si]);
 }
 
 sim::Task<void> dag_driver(std::shared_ptr<RunState> st) {
@@ -535,8 +585,8 @@ sim::Task<void> dag_driver(std::shared_ptr<RunState> st) {
     for (int inst = 0; inst < stage->count; ++inst) {
       workflow::TaskSpec spec;
       spec.app = stage->app;
-      spec.body = [st, stage, inst](runtime::Proc& p) {
-        return dag_task_body(st, stage, inst, p);
+      spec.body = [st, si, inst](runtime::Proc& p) {
+        return dag_task_body(st, si, inst, p);
       };
       const int id = dag.add_task(std::move(spec));
       task_ids[si].push_back(id);
@@ -604,6 +654,13 @@ void replay(runtime::Simulation& sim, const JobPattern& pat) {
   for (const EventDecl& decl : st->pat.events) {
     st->events.emplace(decl.name, std::make_unique<EventState>(
                                       sim.engine(), decl.countdown));
+  }
+  for (const LaneGroup& g : st->pat.groups) {
+    auto& bound = st->phase_ops.emplace_back();
+    for (const PhasePattern& ph : g.phases) bound.push_back(st->bind(ph.ops));
+  }
+  for (const DagStage& stage : st->pat.dag.stages) {
+    st->stage_ops.push_back(st->bind(stage.ops));
   }
   for (std::size_t gi = 0; gi < st->pat.groups.size(); ++gi) {
     const LaneGroup& g = st->pat.groups[gi];

@@ -51,9 +51,10 @@ struct Cache {
 
   // Registry shards owned by the cache: allocate/deallocate run once per
   // coroutine frame (millions of times per run), so the process-wide
-  // counters are fed through instance-local cells — one relaxed add on a
-  // thread-owned cacheline — instead of a registry TLS-slot call per op.
-  // The registry folds live cells into the totals at snapshot time.
+  // counters are fed through instance-local cells — only this thread writes
+  // them, so a bump is a relaxed load and store on a thread-owned cacheline
+  // — instead of a registry TLS-slot call per op. The registry folds live
+  // cells into the totals at snapshot time.
   obs::CounterCell hits{"engine.frame_pool.hits"};
   obs::CounterCell misses{"engine.frame_pool.misses"};
   obs::CounterCell bytes{"engine.frame_pool.bytes"};
@@ -86,7 +87,7 @@ void* FramePool::allocate(std::size_t bytes) {
   if (need > kMaxPooled) {
     if (!tls_cache_dead) {
       ++tls_cache.stats.oversize;
-      tls_cache.bytes.add(need);
+      tls_cache.bytes.add_single_writer(need);
     } else {
       pool_metrics().bytes.add(need);
     }
@@ -106,12 +107,12 @@ void* FramePool::allocate(std::size_t bytes) {
     --c.count_[idx];
     c.stats.cached_bytes -= block;
     ++c.stats.hits;
-    c.hits.add(1);
+    c.hits.add_single_writer(1);
     return n;  // header in front of the node still holds `block`
   }
   ++c.stats.misses;
-  c.misses.add(1);
-  c.bytes.add(block);
+  c.misses.add_single_writer(1);
+  c.bytes.add_single_writer(block);
   return make_block(block);
 }
 

@@ -167,7 +167,7 @@ struct FileSiteHash {
 void write_log(const std::string& filename, const Tracer& tracer) {
   std::ofstream os(filename, std::ios::binary | std::ios::trunc);
   WASP_CHECK_MSG(os.good(), "cannot open trace log for write: " + filename);
-  const std::vector<Record>& records = tracer.records();
+  const RecordBlocks& records = tracer.records();
 
   // Resolve each distinct file once, in record order: its path goes into
   // the deduplicated path table (first-appearance order), and its
@@ -176,9 +176,9 @@ void write_log(const std::string& filename, const Tracer& tracer) {
   std::unordered_map<std::string, std::uint32_t> path_ids;
   std::vector<std::pair<std::uint32_t, std::uint64_t>> files;  // path, size
   std::unordered_map<FileSite, std::uint32_t, FileSiteHash> file_ids;
-  std::vector<std::uint32_t> file_of(records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const Record& r = records[i];
+  std::vector<std::uint32_t> file_of;
+  file_of.reserve(records.size());
+  for (const Record& r : records) {
     FileSite site{nullptr, fs::kInvalidFile};
     if (r.file.valid()) {
       auto& fsys = tracer.filesystem(r.file.fs);
@@ -198,7 +198,7 @@ void write_log(const std::string& filename, const Tracer& tracer) {
       if (new_path) path_table.push_back(std::move(path));
       files.emplace_back(pit->second, inode != nullptr ? inode->size : 0);
     }
-    file_of[i] = it->second;
+    file_of.push_back(it->second);
   }
 
   CheckedWriter w(os, filename);
@@ -216,9 +216,10 @@ void write_log(const std::string& filename, const Tracer& tracer) {
   w.put_u64(path_table.size());
   for (const auto& p : path_table) w.put_string(p);
   w.put_u64(records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const auto& [path_idx, size] = files[file_of[i]];
-    const Row row = to_row(records[i], path_idx, size);
+  std::size_t i = 0;
+  for (const Record& r : records) {
+    const auto& [path_idx, size] = files[file_of[i++]];
+    const Row row = to_row(r, path_idx, size);
     w.write(&row, sizeof(row));
   }
   w.finish();

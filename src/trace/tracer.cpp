@@ -8,6 +8,8 @@ std::int16_t Tracer::register_fs(fs::FileSystemSim& fs) {
   for (std::size_t i = 0; i < filesystems_.size(); ++i) {
     if (filesystems_[i] == &fs) return static_cast<std::int16_t>(i);
   }
+  WASP_CHECK_MSG(filesystems_.size() <= 0x7fff,
+                 "tracer: more than 32768 filesystems registered");
   filesystems_.push_back(&fs);
   return static_cast<std::int16_t>(filesystems_.size() - 1);
 }
@@ -20,6 +22,8 @@ fs::FileSystemSim& Tracer::filesystem(std::int16_t idx) const {
 }
 
 std::uint16_t Tracer::register_app(std::string name) {
+  WASP_CHECK_MSG(apps_.size() <= 0xffff,
+                 "tracer: more than 65536 apps registered");
   apps_.push_back(std::move(name));
   return static_cast<std::uint16_t>(apps_.size() - 1);
 }

@@ -36,7 +36,8 @@ TracedRun traced_run(const Workload& w, sim::Engine::QueueKind kind) {
   TracedRun r;
   r.out = run_with(sim, w, advisor::RunConfig{},
                    analysis::Analyzer::Options{});
-  r.records = sim.tracer().records();
+  const auto& records = sim.tracer().records();
+  r.records.assign(records.begin(), records.end());
   for (std::size_t a = 0; a < sim.tracer().num_apps(); ++a) {
     r.apps.push_back(sim.tracer().app_name(static_cast<std::uint16_t>(a)));
   }

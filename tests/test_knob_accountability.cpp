@@ -108,7 +108,8 @@ const std::vector<Row> kRows = {
 std::vector<trace::Record> trace_of(const Workload& w, const Cfg& cfg) {
   runtime::Simulation sim(cluster::lassen(4));
   simulate(sim, w, cfg);
-  return sim.tracer().records();
+  const auto& records = sim.tracer().records();
+  return {records.begin(), records.end()};
 }
 
 TEST(KnobAccountability, EverySettingHasAPinnedEffectOnTheTrace) {
@@ -121,7 +122,8 @@ TEST(KnobAccountability, EverySettingHasAPinnedEffectOnTheTrace) {
     const auto recs =
         run_with(sim, w, Cfg{}, analysis::Analyzer::Options{})
             .recommendations;
-    const auto default_trace = sim.tracer().records();
+    const std::vector<trace::Record> default_trace(
+        sim.tracer().records().begin(), sim.tracer().records().end());
 
     std::map<std::string, const advisor::Recommendation*> emitted;
     for (const auto& r : recs) emitted["rec:" + r.id] = &r;

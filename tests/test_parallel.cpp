@@ -171,24 +171,43 @@ TEST(ColumnStore, ParallelFillMatchesSequential) {
   auto out = workloads::run_with(
       sim, workloads::make_hacc(workloads::HaccParams::test()),
       advisor::RunConfig{}, analysis::Analyzer::Options{});
-  const auto& records = sim.tracer().records();
-  ASSERT_GT(records.size(), 100u);
-
-  const auto seq = analysis::ColumnStore::from_records(records, 1);
-  const auto par = analysis::ColumnStore::from_records(records, 4);
-  ASSERT_EQ(seq.size(), par.size());
-  ASSERT_EQ(seq.size(), records.size());
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_TRUE(seq.row(i) == par.row(i)) << "row " << i;
-    EXPECT_TRUE(par.row(i) == records[i]) << "row " << i;
+  // A tracer just past one record block, so transposition crosses the
+  // boundary between blocks.
+  trace::Tracer blocked;
+  for (std::size_t i = 0; i < trace::RecordBlocks::kBlockRecords + 5; ++i) {
+    trace::Record r;
+    r.app = static_cast<std::uint16_t>(i % 7);
+    r.rank = static_cast<std::int32_t>(i);
+    r.node = static_cast<std::int32_t>(i % 3);
+    r.op = i % 2 == 0 ? trace::Op::kRead : trace::Op::kWrite;
+    r.file = {0, static_cast<fs::FileId>(i % 11)};
+    r.offset = i * 4096;
+    r.size = 4096 + i % 5;
+    r.count = static_cast<std::uint32_t>(1 + i % 4);
+    r.tstart = static_cast<sim::Time>(i) * 10;
+    r.tend = r.tstart + 7;
+    blocked.add(r);
   }
+  for (const trace::Tracer* tracer : {&sim.tracer(), &blocked}) {
+    const auto& records = tracer->records();
+    ASSERT_GT(records.size(), 100u);
 
-  const auto pred = [](const analysis::ColumnStore& cs, std::size_t i) {
-    return trace::is_io(cs.op(i)) && cs.size_col(i) > 0;
-  };
-  const auto s1 = seq.select(pred);
-  for (int jobs : {1, 2, 4}) {
-    EXPECT_EQ(s1, seq.select(pred, jobs, 113)) << "jobs=" << jobs;
+    const auto seq = analysis::ColumnStore::from_records(records, 1);
+    const auto par = analysis::ColumnStore::from_records(records, 4);
+    ASSERT_EQ(seq.size(), par.size());
+    ASSERT_EQ(seq.size(), records.size());
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+      EXPECT_TRUE(seq.row(i) == par.row(i)) << "row " << i;
+      EXPECT_TRUE(par.row(i) == records[i]) << "row " << i;
+    }
+
+    const auto pred = [](const analysis::ColumnStore& cs, std::size_t i) {
+      return trace::is_io(cs.op(i)) && cs.size_col(i) > 0;
+    };
+    const auto s1 = seq.select(pred);
+    for (int jobs : {1, 2, 4}) {
+      EXPECT_EQ(s1, seq.select(pred, jobs, 113)) << "jobs=" << jobs;
+    }
   }
 }
 
@@ -261,7 +280,8 @@ TEST(ScenarioRunner, ConcurrentTracesMatchSequentialRecordForRecord) {
     const auto entry = workloads::paper_workloads()[workload_index];
     runtime::Simulation sim(cluster::lassen(4));
     workloads::simulate(sim, entry.make_test(), advisor::RunConfig{});
-    return sim.tracer().records();
+    const auto& records = sim.tracer().records();
+    return std::vector<trace::Record>(records.begin(), records.end());
   };
 
   const std::size_t n = workloads::paper_workloads().size();

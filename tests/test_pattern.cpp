@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "pattern/pattern.hpp"
+#include "pattern/replayer.hpp"
 #include "util/error.hpp"
 #include "workloads/registry.hpp"
 
@@ -159,6 +160,65 @@ TEST(PatternReplay, HandleUsedOnAnotherLayerIsDiagnosed) {
     EXPECT_NE(std::string(e.what()).find(
                   "handle 'in' used on a layer it was not opened on"),
               std::string::npos)
+        << e.what();
+  }
+}
+
+// Names bind once per replay, but an undeclared one is still diagnosed
+// only when (and if) the op using it runs.
+TEST(PatternReplay, UndeclaredNamesFailWhenTheirOpRuns) {
+  auto run = [](const char* guard, Op op) {
+    runtime::Simulation sim(cluster::tiny(1));
+    JobPattern pat;
+    pat.name = "undeclared";
+    pat.apps = {"a"};
+    pat.comms.push_back({"world", 1, 1, false});
+    LaneGroup g;
+    g.comm = "world";
+    PhasePattern ph;
+    ph.app = "a";
+    std::vector<Op> body;
+    body.push_back(std::move(op));
+    ph.ops.push_back(ops::when(Expr(guard), std::move(body)));
+    g.phases.push_back(std::move(ph));
+    pat.groups.push_back(std::move(g));
+    replay(sim, pat);
+    sim.engine().run();
+  };
+  const std::pair<Op, const char*> cases[] = {
+      {ops::signal("nope"), "event 'nope' is not declared"},
+      {ops::wait_event("nope"), "event 'nope' is not declared"},
+      {ops::allreduce("nowhere", Expr::lit(8)),
+       "comm 'nowhere' is not declared"},
+      {ops::stat("/p/{"), "unmatched '{' in path template"},
+  };
+  for (const auto& [op, diagnosis] : cases) {
+    SCOPED_TRACE(diagnosis);
+    EXPECT_NO_THROW(run("0", op));
+    try {
+      run("1", op);
+      ADD_FAILURE() << "expected SimError";
+    } catch (const util::SimError& e) {
+      EXPECT_NE(std::string(e.what()).find(diagnosis), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Record::app is 16 bits: a pattern naming more apps than that must fail
+// loudly instead of wrapping ids and charging records to the wrong app.
+TEST(PatternReplay, MoreAppsThanTraceIdsIsDiagnosed) {
+  runtime::Simulation sim(cluster::tiny(1));
+  JobPattern pat;
+  pat.name = "many-apps";
+  for (int i = 0; i < 65537; ++i) {
+    pat.apps.push_back("app" + std::to_string(i));
+  }
+  try {
+    replay(sim, pat);
+    FAIL() << "expected SimError";
+  } catch (const util::SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("65536"), std::string::npos)
         << e.what();
   }
 }
