@@ -2,81 +2,33 @@
 
 #include "util/error.hpp"
 
-namespace wasp::analysis::codec {
+namespace wasp::analysis::codec::detail {
 
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(v));
+using util::raise_check_failure;
+
+void varint_past_end() {
+  raise_check_failure("p < end", __FILE__, __LINE__,
+                      "varint runs past the encoded buffer");
 }
 
-std::uint64_t get_varint(const std::uint8_t*& p, const std::uint8_t* end) {
-  std::uint64_t v = 0;
-  for (unsigned shift = 0; shift < 64; shift += 7) {
-    WASP_CHECK_MSG(p < end, "varint runs past the encoded buffer");
-    const std::uint8_t b = *p++;
-    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) return v;
-  }
-  WASP_CHECK_MSG(false, "varint longer than 10 bytes");
-  return 0;  // unreachable
+void varint_overlong() {
+  raise_check_failure("false", __FILE__, __LINE__,
+                      "varint longer than 10 bytes");
 }
 
-std::vector<std::uint8_t> encode_delta(const std::uint64_t* vals,
-                                       std::size_t n) {
-  std::vector<std::uint8_t> out;
-  out.reserve(n + 8);
-  std::uint64_t prev = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    // Wrapping difference, zigzagged so small moves in either direction
-    // stay short.
-    put_varint(out, zigzag(static_cast<std::int64_t>(vals[i] - prev)));
-    prev = vals[i];
-  }
-  return out;
+void delta_trailing_bytes() {
+  raise_check_failure("p == end", __FILE__, __LINE__,
+                      "delta column has trailing bytes");
 }
 
-void decode_delta(const std::uint8_t* data, std::size_t len,
-                  std::uint64_t* out, std::size_t n) {
-  const std::uint8_t* p = data;
-  const std::uint8_t* end = data + len;
-  std::uint64_t prev = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    prev += static_cast<std::uint64_t>(unzigzag(get_varint(p, end)));
-    out[i] = prev;
-  }
-  WASP_CHECK_MSG(p == end, "delta column has trailing bytes");
+void rle_run_out_of_range() {
+  raise_check_failure("run > 0 && run <= n - produced", __FILE__, __LINE__,
+                      "RLE run length out of range");
 }
 
-std::vector<std::uint8_t> encode_rle(const std::uint64_t* vals,
-                                     std::size_t n) {
-  std::vector<std::uint8_t> out;
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t run = 1;
-    while (i + run < n && vals[i + run] == vals[i]) ++run;
-    put_varint(out, run);
-    put_varint(out, vals[i]);
-    i += run;
-  }
-  return out;
+void rle_trailing_bytes() {
+  raise_check_failure("p == end", __FILE__, __LINE__,
+                      "RLE column has trailing bytes");
 }
 
-void decode_rle(const std::uint8_t* data, std::size_t len, std::uint64_t* out,
-                std::size_t n) {
-  const std::uint8_t* p = data;
-  const std::uint8_t* end = data + len;
-  std::size_t produced = 0;
-  while (produced < n) {
-    const std::uint64_t run = get_varint(p, end);
-    WASP_CHECK_MSG(run > 0 && run <= n - produced,
-                   "RLE run length out of range");
-    const std::uint64_t v = get_varint(p, end);
-    for (std::uint64_t k = 0; k < run; ++k) out[produced++] = v;
-  }
-  WASP_CHECK_MSG(p == end, "RLE column has trailing bytes");
-}
-
-}  // namespace wasp::analysis::codec
+}  // namespace wasp::analysis::codec::detail

@@ -57,25 +57,29 @@ void remove_partial_chunk(const std::string& path) {
   }
 }
 
-template <typename T>
-void write_col_raw(std::ostream& os, const std::vector<T>& col) {
+template <typename Col>
+void write_col_raw(std::ostream& os, const Col& col) {
   os.write(reinterpret_cast<const char*>(col.data()),
-           static_cast<std::streamsize>(col.size() * sizeof(T)));
+           static_cast<std::streamsize>(col.size() *
+                                         sizeof(typename Col::value_type)));
 }
 
-template <typename T>
-void read_col_raw(std::istream& is, std::vector<T>& col, std::size_t rows) {
+template <typename Col>
+void read_col_raw(std::istream& is, Col& col, std::size_t rows) {
   col.resize(rows);
   is.read(reinterpret_cast<char*>(col.data()),
-          static_cast<std::streamsize>(rows * sizeof(T)));
+          static_cast<std::streamsize>(rows *
+                                       sizeof(typename Col::value_type)));
 }
 
 /// Read one WSPCHK02 column: tag, payload length, payload; decode into the
 /// typed column. Every length and the decoded row count are validated, so
-/// truncated or corrupt files throw instead of mis-decoding.
-template <typename T>
-void read_col(std::istream& is, std::vector<T>& col, std::size_t rows,
-              const std::string& path) {
+/// truncated or corrupt files throw instead of mis-decoding. `payload` is
+/// scratch shared by the columns of one chunk.
+template <typename Col>
+void read_col(std::istream& is, Col& col, std::size_t rows,
+              const std::string& path, std::vector<std::uint8_t>& payload) {
+  using T = typename Col::value_type;
   std::uint8_t tag = 0xff;
   is.read(reinterpret_cast<char*>(&tag), 1);
   const std::uint64_t len = read_u64(is);
@@ -92,19 +96,16 @@ void read_col(std::istream& is, std::vector<T>& col, std::size_t rows,
     case codec::Encoding::kRle: {
       WASP_CHECK_MSG(len <= codec::max_encoded_bytes(rows),
                      "oversized encoded column in spill chunk: " + path);
-      std::vector<std::uint8_t> buf(static_cast<std::size_t>(len));
-      is.read(reinterpret_cast<char*>(buf.data()),
-              static_cast<std::streamsize>(buf.size()));
+      const auto n = static_cast<std::size_t>(len);
+      if (payload.size() < n) payload.resize(n);
+      is.read(reinterpret_cast<char*>(payload.data()),
+              static_cast<std::streamsize>(n));
       WASP_CHECK_MSG(is.good(), "truncated spill chunk: " + path);
-      std::vector<std::uint64_t> widened(rows);
-      if (static_cast<codec::Encoding>(tag) == codec::Encoding::kDelta) {
-        codec::decode_delta(buf.data(), buf.size(), widened.data(), rows);
-      } else {
-        codec::decode_rle(buf.data(), buf.size(), widened.data(), rows);
-      }
       col.resize(rows);
-      for (std::size_t i = 0; i < rows; ++i) {
-        col[i] = codec::narrow<T>(widened[i]);
+      if (static_cast<codec::Encoding>(tag) == codec::Encoding::kDelta) {
+        codec::decode_delta(payload.data(), n, col.data(), rows);
+      } else {
+        codec::decode_rle(payload.data(), n, col.data(), rows);
       }
       return;
     }
@@ -161,20 +162,64 @@ std::string SpillColumnStore::chunk_file_path(std::size_t index) const {
   return dir_ + "/" + name;
 }
 
-void SpillColumnStore::push_row(const trace::Record& r) {
-  open_.app.push_back(r.app);
-  open_.rank.push_back(r.rank);
-  open_.node.push_back(r.node);
-  open_.iface.push_back(r.iface);
-  open_.op.push_back(r.op);
-  open_.fs.push_back(r.file.fs);
-  open_.file.push_back(r.file.file);
-  open_.offset.push_back(r.offset);
-  open_.size.push_back(r.size);
-  open_.count.push_back(r.count);
-  open_.tstart.push_back(r.tstart);
-  open_.tend.push_back(r.tend);
-  max_fs_ = std::max(max_fs_, r.file.fs);
+void SpillColumnStore::Columns::clear() noexcept {
+  app.clear();
+  rank.clear();
+  node.clear();
+  iface.clear();
+  op.clear();
+  fs.clear();
+  file.clear();
+  offset.clear();
+  size.clear();
+  count.clear();
+  tstart.clear();
+  tend.clear();
+  path_idx.clear();
+  file_size.clear();
+}
+
+std::size_t SpillColumnStore::push_rows(
+    std::span<const trace::Record> records) {
+  const std::size_t base = open_.rows();
+  const std::size_t n = std::min(records.size(), opts_.chunk_rows - base);
+  // Grow every column once, then fill through plain pointers so the loop
+  // never re-reads a vector's bounds.
+  const auto grow = [base, n](auto& col) {
+    col.resize(base + n);
+    return col.data() + base;
+  };
+  auto* app = grow(open_.app);
+  auto* rank = grow(open_.rank);
+  auto* node = grow(open_.node);
+  auto* iface = grow(open_.iface);
+  auto* op = grow(open_.op);
+  auto* fs = grow(open_.fs);
+  auto* file = grow(open_.file);
+  auto* offset = grow(open_.offset);
+  auto* size = grow(open_.size);
+  auto* count = grow(open_.count);
+  auto* tstart = grow(open_.tstart);
+  auto* tend = grow(open_.tend);
+  std::int16_t max_fs = max_fs_;
+  for (std::size_t i = 0; i < n; ++i) {
+    const trace::Record& r = records[i];
+    app[i] = r.app;
+    rank[i] = r.rank;
+    node[i] = r.node;
+    iface[i] = r.iface;
+    op[i] = r.op;
+    fs[i] = r.file.fs;
+    file[i] = r.file.file;
+    offset[i] = r.offset;
+    size[i] = r.size;
+    count[i] = r.count;
+    tstart[i] = r.tstart;
+    tend[i] = r.tend;
+    max_fs = std::max(max_fs, r.file.fs);
+  }
+  max_fs_ = max_fs;
+  return n;
 }
 
 void SpillColumnStore::maybe_flush() {
@@ -186,9 +231,9 @@ void SpillColumnStore::append(const trace::RecordView& records) {
   WASP_CHECK_MSG(!aux_decided_ || !has_aux_,
                  "mixing aux and non-aux appends on one spill store");
   aux_decided_ = true;
-  for (const std::span<const trace::Record> piece : records.pieces()) {
-    for (const trace::Record& r : piece) {
-      push_row(r);
+  for (std::span<const trace::Record> piece : records.pieces()) {
+    while (!piece.empty()) {
+      piece = piece.subspan(push_rows(piece));
       maybe_flush();
     }
   }
@@ -206,10 +251,13 @@ void SpillColumnStore::append(std::span<const trace::Record> records,
       "aux columns must parallel the record span");
   aux_decided_ = true;
   has_aux_ = true;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    push_row(records[i]);
-    open_.path_idx.push_back(path_idx[i]);
-    open_.file_size.push_back(file_sizes[i]);
+  for (std::size_t i = 0; i < records.size();) {
+    const std::size_t n = push_rows(records.subspan(i));
+    open_.path_idx.insert(open_.path_idx.end(), path_idx.begin() + i,
+                          path_idx.begin() + i + n);
+    open_.file_size.insert(open_.file_size.end(), file_sizes.begin() + i,
+                           file_sizes.begin() + i + n);
+    i += n;
     maybe_flush();
   }
   total_rows_ += records.size();
@@ -225,43 +273,31 @@ void SpillColumnStore::finalize() {
 }
 
 template <typename T>
-void SpillColumnStore::write_col(std::ostream& os, const std::vector<T>& col,
+void SpillColumnStore::write_col(std::ostream& os, const Column<T>& col,
                                  Col id) {
   const std::size_t n = col.size();
-  std::vector<std::uint64_t> widened(n);
-  for (std::size_t i = 0; i < n; ++i) widened[i] = codec::widen(col[i]);
-  const auto delta = codec::encode_delta(widened.data(), n);
-  const auto rle = codec::encode_rle(widened.data(), n);
-  const std::size_t raw_size = n * sizeof(T);
-
-  codec::Encoding enc = codec::Encoding::kRaw;
-  std::size_t payload = raw_size;
-  if (delta.size() < payload) {
-    enc = codec::Encoding::kDelta;
-    payload = delta.size();
-  }
-  if (rle.size() < payload) {
-    enc = codec::Encoding::kRle;
-    payload = rle.size();
-  }
+  const codec::EncodedSizes sizes = codec::measure(col.data(), n);
+  const codec::Encoding enc = sizes.smallest();
+  const std::uint64_t payload = sizes.of(enc);
 
   const auto tag = static_cast<std::uint8_t>(enc);
   os.write(reinterpret_cast<const char*>(&tag), 1);
   write_u64(os, payload);
-  switch (enc) {
-    case codec::Encoding::kRaw:
-      write_col_raw(os, col);
-      break;
-    case codec::Encoding::kDelta:
-      os.write(reinterpret_cast<const char*>(delta.data()),
-               static_cast<std::streamsize>(delta.size()));
-      break;
-    case codec::Encoding::kRle:
-      os.write(reinterpret_cast<const char*>(rle.data()),
-               static_cast<std::streamsize>(rle.size()));
-      break;
+  if (enc == codec::Encoding::kRaw) {
+    write_col_raw(os, col);
+  } else {
+    const auto bound = static_cast<std::size_t>(codec::max_encoded_bytes(n));
+    if (encode_buf_.size() < bound) encode_buf_.resize(bound);
+    const std::uint8_t* end =
+        enc == codec::Encoding::kDelta
+            ? codec::encode_delta(col.data(), n, encode_buf_.data())
+            : codec::encode_rle(col.data(), n, encode_buf_.data());
+    WASP_CHECK_MSG(end == encode_buf_.data() + payload,
+                   "encoded spill column size differs from its measure");
+    os.write(reinterpret_cast<const char*>(encode_buf_.data()),
+             static_cast<std::streamsize>(payload));
   }
-  col_raw_[id] += raw_size;
+  col_raw_[id] += sizes.raw;
   col_stored_[id] += payload + 1 + sizeof(std::uint64_t);
 }
 
@@ -335,7 +371,7 @@ void SpillColumnStore::flush_open_chunk() {
   std::uint64_t raw_total = 0;
   for (std::size_t c = 0; c < kNumCols; ++c) raw_total += col_raw_[c];
   raw_bytes_.add(raw_total - raw_bytes_.value());
-  open_ = Columns{};
+  open_.clear();
   ++chunks_written_;
 }
 
@@ -375,21 +411,22 @@ std::shared_ptr<const SpillColumnStore::ChunkData> SpillColumnStore::load_chunk(
 
   auto data = std::make_shared<ChunkData>();
   Columns& c = data->cols;
-  read_col(is, c.app, rows, path);
-  read_col(is, c.rank, rows, path);
-  read_col(is, c.node, rows, path);
-  read_col(is, c.iface, rows, path);
-  read_col(is, c.op, rows, path);
-  read_col(is, c.fs, rows, path);
-  read_col(is, c.file, rows, path);
-  read_col(is, c.offset, rows, path);
-  read_col(is, c.size, rows, path);
-  read_col(is, c.count, rows, path);
-  read_col(is, c.tstart, rows, path);
-  read_col(is, c.tend, rows, path);
+  std::vector<std::uint8_t> payload;
+  read_col(is, c.app, rows, path, payload);
+  read_col(is, c.rank, rows, path, payload);
+  read_col(is, c.node, rows, path, payload);
+  read_col(is, c.iface, rows, path, payload);
+  read_col(is, c.op, rows, path, payload);
+  read_col(is, c.fs, rows, path, payload);
+  read_col(is, c.file, rows, path, payload);
+  read_col(is, c.offset, rows, path, payload);
+  read_col(is, c.size, rows, path, payload);
+  read_col(is, c.count, rows, path, payload);
+  read_col(is, c.tstart, rows, path, payload);
+  read_col(is, c.tend, rows, path, payload);
   if (aux) {
-    read_col(is, c.path_idx, rows, path);
-    read_col(is, c.file_size, rows, path);
+    read_col(is, c.path_idx, rows, path, payload);
+    read_col(is, c.file_size, rows, path, payload);
   }
   WASP_CHECK_MSG(is.good(), "truncated spill chunk: " + path);
 

@@ -43,6 +43,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "analysis/trace_store.hpp"
@@ -124,22 +125,45 @@ class SpillColumnStore final : public TraceStore {
   bool chunk_cached(std::size_t index) const;
 
  private:
+  /// Leaves the elements a resize adds uninitialized: every element of a
+  /// chunk column is written (by push_rows or a decoder) right after the
+  /// column grows, so zero-filling it first would be wasted work.
+  template <typename T>
+  struct UninitAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+      using other = UninitAllocator<U>;
+    };
+    template <typename U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+  template <typename T>
+  using Column = std::vector<T, UninitAllocator<T>>;
+
   struct Columns {
-    std::vector<std::uint16_t> app;
-    std::vector<std::int32_t> rank;
-    std::vector<std::int32_t> node;
-    std::vector<trace::Iface> iface;
-    std::vector<trace::Op> op;
-    std::vector<std::int16_t> fs;
-    std::vector<fs::FileId> file;
-    std::vector<fs::Bytes> offset;
-    std::vector<fs::Bytes> size;
-    std::vector<std::uint32_t> count;
-    std::vector<sim::Time> tstart;
-    std::vector<sim::Time> tend;
-    std::vector<std::uint32_t> path_idx;   // aux, empty when absent
-    std::vector<std::uint64_t> file_size;  // aux, empty when absent
+    Column<std::uint16_t> app;
+    Column<std::int32_t> rank;
+    Column<std::int32_t> node;
+    Column<trace::Iface> iface;
+    Column<trace::Op> op;
+    Column<std::int16_t> fs;
+    Column<fs::FileId> file;
+    Column<fs::Bytes> offset;
+    Column<fs::Bytes> size;
+    Column<std::uint32_t> count;
+    Column<sim::Time> tstart;
+    Column<sim::Time> tend;
+    Column<std::uint32_t> path_idx;   // aux, empty when absent
+    Column<std::uint64_t> file_size;  // aux, empty when absent
     std::size_t rows() const noexcept { return app.size(); }
+    /// Empty every column, keeping its capacity for the next chunk.
+    void clear() noexcept;
   };
 
   /// Column ids in chunk-file declaration order (stats indexing).
@@ -180,11 +204,13 @@ class SpillColumnStore final : public TraceStore {
   static constexpr std::size_t kNoChunk =
       std::numeric_limits<std::size_t>::max();
 
-  void push_row(const trace::Record& r);
+  /// Transpose records into the open chunk up to its chunk_rows boundary;
+  /// returns how many were taken.
+  std::size_t push_rows(std::span<const trace::Record> records);
   void maybe_flush();
   void flush_open_chunk();
   template <typename T>
-  void write_col(std::ostream& os, const std::vector<T>& col, Col id);
+  void write_col(std::ostream& os, const Column<T>& col, Col id);
   std::shared_ptr<const ChunkData> load_chunk(std::size_t index) const;
   /// Cache lookup / shared in-flight wait / off-lock load. Returns null
   /// only on the prefetch path when the chunk is already cached or being
@@ -207,6 +233,8 @@ class SpillColumnStore final : public TraceStore {
   std::size_t chunks_written_ = 0;
   std::int16_t max_fs_ = -1;
   Columns open_;
+  /// Encoded-payload scratch reused by every column of every flush.
+  std::vector<std::uint8_t> encode_buf_;
 
   // Write-side per-column stats (single writer thread, read only after
   // finalize). The byte totals live in CounterCells below.

@@ -5,8 +5,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <unordered_map>
 #include <ostream>
+#include <string_view>
+#include <type_traits>
+#include <unordered_map>
 
 #include "obs/obs.hpp"
 #include "util/error.hpp"
@@ -46,7 +48,7 @@ class CheckedWriter {
 
   void put_u64(std::uint64_t v) { write(&v, sizeof(v)); }
 
-  void put_string(const std::string& s) {
+  void put_string(std::string_view s) {
     put_u64(s.size());
     write(s.data(), s.size());
   }
@@ -93,9 +95,13 @@ std::string get_string(std::istream& is, const std::string& path) {
   return s;
 }
 
-// Fixed-width on-disk row (independent of struct padding).
+// Fixed-width on-disk row. The pad fields name the struct's alignment
+// holes, so every one of a row's 80 bytes is a field that is written (the
+// pads as zero): uninitialized padding made "identical" runs produce
+// different log bytes.
 struct Row {
   std::uint16_t app;
+  std::uint16_t pad0;
   std::int32_t rank;
   std::int32_t node;
   std::uint8_t iface;
@@ -105,20 +111,25 @@ struct Row {
   std::uint64_t offset;
   std::uint64_t size;
   std::uint32_t count;
+  std::uint32_t pad1;
   std::uint64_t tstart;
   std::uint64_t tend;
   std::uint32_t path_idx;
+  std::uint32_t pad2;
   std::uint64_t file_size;
 };
+static_assert(sizeof(Row) == 80 &&
+                  std::has_unique_object_representations_v<Row>,
+              "a log row has no padding bytes");
+
+/// Rows move between memory and the file this many at a time.
+constexpr std::size_t kBlockRows = 4096;
 
 Row to_row(const Record& r, std::uint32_t path_idx,
-           std::uint64_t file_size) {
-  // memset, not just member init: the struct has padding holes (after app,
-  // count, path_idx) and every byte lands on disk — uninitialized padding
-  // made "identical" runs produce different log bytes.
+           std::uint64_t file_size) noexcept {
   Row row;
-  std::memset(&row, 0, sizeof(row));
   row.app = r.app;
+  row.pad0 = 0;
   row.rank = r.rank;
   row.node = r.node;
   row.iface = static_cast<std::uint8_t>(r.iface);
@@ -128,14 +139,16 @@ Row to_row(const Record& r, std::uint32_t path_idx,
   row.offset = r.offset;
   row.size = r.size;
   row.count = r.count;
+  row.pad1 = 0;
   row.tstart = r.tstart;
   row.tend = r.tend;
   row.path_idx = path_idx;
+  row.pad2 = 0;
   row.file_size = file_size;
   return row;
 }
 
-Record from_row(const Row& row) {
+Record from_row(const Row& row) noexcept {
   Record r;
   r.app = row.app;
   r.rank = row.rank;
@@ -151,15 +164,108 @@ Record from_row(const Row& row) {
   return r;
 }
 
-/// A file as the log sees it: its namespace (one per node on node-local
-/// filesystems; null for file-less records) and inode id.
-using FileSite = std::pair<const fs::Namespace*, fs::FileId>;
+/// Each record's file as the log stores it: an index into the deduplicated
+/// path table (first-appearance order) and the file's end-of-run size.
+/// A file is its namespace (one per node on node-local filesystems) plus
+/// its inode id, so files resolve through one dense inode-indexed table per
+/// namespace, reached by (filesystem, node). The tracer's namespaces must
+/// outlive the table: paths() views their inode paths.
+class FileTable {
+ public:
+  struct Entry {
+    std::uint32_t path_idx = kUnseen;
+    std::uint64_t size = 0;
+  };
 
-struct FileSiteHash {
-  std::size_t operator()(const FileSite& f) const noexcept {
-    return std::hash<const void*>{}(f.first) ^
-           (f.second * 0x9E3779B97F4A7C15ULL);
+  explicit FileTable(const Tracer& tracer) : tracer_(tracer) {
+    sites_.resize(tracer.num_filesystems());
+    for (std::size_t f = 0; f < sites_.size(); ++f) {
+      sites_[f].shared =
+          tracer.filesystem(static_cast<std::int16_t>(f)).shared();
+    }
   }
+
+  /// The record's entry; the first sight of a path appends it to paths().
+  Entry resolve(const Record& r) {
+    if (!r.file.valid()) return {empty_path(), 0};
+    NsTable& t = table_for(r);
+    if (r.file.file >= t.entries.size()) return {empty_path(), 0};
+    Entry& e = t.entries[r.file.file];
+    if (e.path_idx == kUnseen) {
+      const fs::Inode& inode = t.ns->inodes()[r.file.file];
+      e = {path_index(inode.path), inode.size};
+    }
+    return e;
+  }
+
+  const std::vector<std::string_view>& paths() const noexcept {
+    return paths_;
+  }
+
+ private:
+  static constexpr std::uint32_t kUnseen = ~std::uint32_t{0};
+
+  struct NsTable {
+    const fs::Namespace* ns = nullptr;  ///< null until first bound
+    /// One entry per inode id; path_idx is kUnseen until first resolved.
+    std::vector<Entry> entries;
+  };
+
+  /// A filesystem's namespace tables: one per node, or one in slot 0 on a
+  /// shared filesystem.
+  struct Site {
+    bool shared = false;
+    std::vector<NsTable> by_node;
+  };
+
+  NsTable& table_for(const Record& r) {
+    const auto f = static_cast<std::size_t>(r.file.fs);
+    if (f < sites_.size()) {
+      Site& site = sites_[f];
+      // A negative node wraps past every slot and takes the checked path.
+      const std::size_t slot =
+          site.shared ? 0 : static_cast<std::size_t>(r.node);
+      if (slot < site.by_node.size() && site.by_node[slot].ns != nullptr) {
+        return site.by_node[slot];
+      }
+    }
+    return bind(r);
+  }
+
+  /// First sight of a (filesystem, node) pair: look its namespace up the
+  /// way Tracer::path_of does, throwing on a bad fs index or node.
+  NsTable& bind(const Record& r) {
+    fs::FileSystemSim& fsys = tracer_.filesystem(r.file.fs);
+    const int node = fsys.shared() ? 0 : r.node;
+    const fs::Namespace& ns = fsys.ns(fs::ProcSite{node, 0});
+    std::vector<NsTable>& by_node =
+        sites_[static_cast<std::size_t>(r.file.fs)].by_node;
+    const auto slot = static_cast<std::size_t>(node);
+    if (by_node.size() <= slot) by_node.resize(slot + 1);
+    NsTable& t = by_node[slot];
+    t.ns = &ns;
+    t.entries.resize(ns.inodes().size());
+    path_ids_.reserve(path_ids_.size() + ns.inodes().size());
+    return t;
+  }
+
+  std::uint32_t empty_path() {
+    if (empty_path_ == kUnseen) empty_path_ = path_index({});
+    return empty_path_;
+  }
+
+  std::uint32_t path_index(std::string_view path) {
+    const auto [it, fresh] = path_ids_.try_emplace(
+        path, static_cast<std::uint32_t>(paths_.size()));
+    if (fresh) paths_.push_back(path);
+    return it->second;
+  }
+
+  const Tracer& tracer_;
+  std::vector<Site> sites_;
+  std::vector<std::string_view> paths_;
+  std::unordered_map<std::string_view, std::uint32_t> path_ids_;
+  std::uint32_t empty_path_ = kUnseen;
 };
 
 }  // namespace
@@ -170,35 +276,11 @@ void write_log(const std::string& filename, const Tracer& tracer) {
   const RecordBlocks& records = tracer.records();
 
   // Resolve each distinct file once, in record order: its path goes into
-  // the deduplicated path table (first-appearance order), and its
-  // end-of-run size is read from the inode.
-  std::vector<std::string> path_table;
-  std::unordered_map<std::string, std::uint32_t> path_ids;
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> files;  // path, size
-  std::unordered_map<FileSite, std::uint32_t, FileSiteHash> file_ids;
-  std::vector<std::uint32_t> file_of;
-  file_of.reserve(records.size());
-  for (const Record& r : records) {
-    FileSite site{nullptr, fs::kInvalidFile};
-    if (r.file.valid()) {
-      auto& fsys = tracer.filesystem(r.file.fs);
-      site = {&fsys.ns(fs::ProcSite{fsys.shared() ? 0 : r.node, 0}),
-              r.file.file};
-    }
-    const auto [it, fresh] = file_ids.try_emplace(
-        site, static_cast<std::uint32_t>(files.size()));
-    if (fresh) {
-      const fs::Inode* inode =
-          site.first != nullptr && site.second < site.first->inodes().size()
-              ? &site.first->inodes()[site.second]
-              : nullptr;
-      std::string path = inode != nullptr ? inode->path : "";
-      const auto [pit, new_path] = path_ids.try_emplace(
-          path, static_cast<std::uint32_t>(path_table.size()));
-      if (new_path) path_table.push_back(std::move(path));
-      files.emplace_back(pit->second, inode != nullptr ? inode->size : 0);
-    }
-    file_of.push_back(it->second);
+  // the deduplicated path table (first-appearance order), which the header
+  // carries ahead of the rows.
+  FileTable files(tracer);
+  for (std::size_t b = 0; b < records.num_blocks(); ++b) {
+    for (const Record& r : records.block(b)) files.resolve(r);
   }
 
   CheckedWriter w(os, filename);
@@ -213,15 +295,22 @@ void write_log(const std::string& filename, const Tracer& tracer) {
     w.put_string(fsys.name());
     w.put_u64(fsys.shared() ? 1 : 0);
   }
-  w.put_u64(path_table.size());
-  for (const auto& p : path_table) w.put_string(p);
+  w.put_u64(files.paths().size());
+  for (const std::string_view p : files.paths()) w.put_string(p);
   w.put_u64(records.size());
-  std::size_t i = 0;
-  for (const Record& r : records) {
-    const auto& [path_idx, size] = files[file_of[i++]];
-    const Row row = to_row(r, path_idx, size);
-    w.write(&row, sizeof(row));
+  std::vector<Row> block(std::min(records.size(), kBlockRows));
+  std::size_t staged = 0;
+  for (std::size_t b = 0; b < records.num_blocks(); ++b) {
+    for (const Record& r : records.block(b)) {
+      const FileTable::Entry file = files.resolve(r);
+      block[staged++] = to_row(r, file.path_idx, file.size);
+      if (staged == block.size()) {
+        w.write(block.data(), staged * sizeof(Row));
+        staged = 0;
+      }
+    }
   }
+  if (staged > 0) w.write(block.data(), staged * sizeof(Row));
   w.finish();
 }
 
@@ -271,25 +360,46 @@ std::size_t LogReader::next_chunk(std::size_t max_rows,
   WASP_OBS_SPAN("log.read_chunk");
   const auto n = static_cast<std::size_t>(
       std::min<std::uint64_t>(max_rows, remaining_));
-  for (std::size_t i = 0; i < n; ++i) {
-    Row row;
-    is_.read(reinterpret_cast<char*>(&row), sizeof(row));
-    const std::uint64_t index = header_.num_records - remaining_ + i;
-    WASP_CHECK_MSG(is_.good(),
-                   "truncated trace log: " + filename_ + " (short read at record " +
-                       std::to_string(index) + " of " +
+  const std::uint64_t first = header_.num_records - remaining_;
+  const std::size_t num_fs = header_.fs_names.size();
+  std::vector<Row> block(std::min(n, kBlockRows));
+  for (std::size_t done = 0; done < n;) {
+    const std::size_t want = std::min(n - done, block.size());
+    is_.read(reinterpret_cast<char*>(block.data()),
+             static_cast<std::streamsize>(want * sizeof(Row)));
+    const auto got = static_cast<std::size_t>(is_.gcount()) / sizeof(Row);
+    for (std::size_t i = 0; i < got; ++i) {
+      const Row& row = block[i];
+      const std::uint64_t index = first + done + i;
+      WASP_CHECK_MSG(row.path_idx < header_.path_table.size() ||
+                         header_.path_table.empty(),
+                     "bad path index in trace log: " + filename_);
+      // The analyzer indexes per-interface and per-op arrays by these
+      // bytes.
+      WASP_CHECK_MSG(row.iface <= static_cast<std::uint8_t>(Iface::kMpi) &&
+                         row.op <= static_cast<std::uint8_t>(Op::kSendRecv),
+                     "bad interface or op code in trace log: " + filename_ +
+                         " (record " + std::to_string(index) + ")");
+      // Durations are unsigned: a reversed span would wrap to ~585 years.
+      WASP_CHECK_MSG(row.tend >= row.tstart,
+                     "trace log record ends before it starts: " + filename_ +
+                         " (record " + std::to_string(index) + ")");
+      // The analyzer keys files by (fs, inode), so a valid file key must
+      // name one of the header's filesystems.
+      WASP_CHECK_MSG(row.fs < 0 || row.file == fs::kInvalidFile ||
+                         static_cast<std::size_t>(row.fs) < num_fs,
+                     "bad filesystem index in trace log: " + filename_ +
+                         " (record " + std::to_string(index) + ")");
+      records.push_back(from_row(row));
+      path_idx.push_back(row.path_idx);
+      file_sizes.push_back(row.file_size);
+    }
+    WASP_CHECK_MSG(got == want,
+                   "truncated trace log: " + filename_ +
+                       " (short read at record " +
+                       std::to_string(first + done + got) + " of " +
                        std::to_string(header_.num_records) + ")");
-    WASP_CHECK_MSG(
-        row.path_idx < header_.path_table.size() || header_.path_table.empty(),
-        "bad path index in trace log: " + filename_);
-    // The analyzer indexes per-interface and per-op arrays by these bytes.
-    WASP_CHECK_MSG(row.iface <= static_cast<std::uint8_t>(Iface::kMpi) &&
-                       row.op <= static_cast<std::uint8_t>(Op::kSendRecv),
-                   "bad interface or op code in trace log: " + filename_ +
-                       " (record " + std::to_string(index) + ")");
-    records.push_back(from_row(row));
-    path_idx.push_back(row.path_idx);
-    file_sizes.push_back(row.file_size);
+    done += want;
   }
   remaining_ -= n;
   return n;

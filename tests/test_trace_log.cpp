@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -212,6 +214,104 @@ TEST(TraceLog, RejectsOutOfRangeEnumBytes) {
         while (reader.next_chunk(3, records, path_idx, file_sizes) > 0) {},
         util::SimError);
   }
+  std::remove(path.c_str());
+}
+
+std::string file_content(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::stringstream buf;
+  buf << is.rdbuf();
+  return buf.str();
+}
+
+/// Write `content` over `path`, then require that reading the log throws a
+/// SimError whose message names the path and contains `what`.
+void expect_rejected(const std::string& path, const std::string& content,
+                     const std::string& what) {
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(content.data(), static_cast<std::streamsize>(content.size()));
+  }
+  try {
+    read_log(path);
+    ADD_FAILURE() << "read_log accepted a row no tracer writes (" << what
+                  << ")";
+  } catch (const util::SimError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(path), std::string::npos) << msg;
+    EXPECT_NE(msg.find(what), std::string::npos) << msg;
+  }
+}
+
+// A record that ends before it starts has an unsigned duration that wraps
+// to ~1.8e10 s, which the analyzer would fold into its I/O time shares.
+TEST(TraceLog, RejectsRecordEndingBeforeItStarts) {
+  Simulation sim(cluster::tiny(2));
+  populate(sim);
+  const std::string path = temp_path("reversed.wtrc");
+  write_log(path, sim.tracer());
+  const auto& records = sim.tracer().records();
+  std::size_t victim = 0;
+  while (records[victim].tstart == 0) ++victim;
+  std::string content = file_content(path);
+  // Rows are 80 bytes at the end of the file; tend is at row offset 56.
+  const std::size_t row = content.size() - 80 * (records.size() - victim);
+  const std::uint64_t tend = records[victim].tstart - 1;
+  std::memcpy(content.data() + row + 56, &tend, sizeof(tend));
+  expect_rejected(path, content, "record " + std::to_string(victim) + ")");
+  std::remove(path.c_str());
+}
+
+// A valid file key must name a filesystem in the header's table: the
+// analyzer keys its per-file state by (fs, inode), so a stray fs index
+// silently invents a file.
+TEST(TraceLog, RejectsFilesystemIndexPastHeader) {
+  Simulation sim(cluster::tiny(2));
+  populate(sim);
+  const std::string path = temp_path("badfs.wtrc");
+  write_log(path, sim.tracer());
+  const auto& records = sim.tracer().records();
+  std::size_t victim = 0;
+  while (!records[victim].file.valid()) ++victim;
+  std::string content = file_content(path);
+  // The fs index is the int16 at row offset 14.
+  const std::size_t row = content.size() - 80 * (records.size() - victim);
+  const auto fs = static_cast<std::int16_t>(sim.tracer().num_filesystems());
+  std::memcpy(content.data() + row + 14, &fs, sizeof(fs));
+  expect_rejected(path, content, "record " + std::to_string(victim) + ")");
+  std::remove(path.c_str());
+}
+
+// A log that shrinks after LogReader validated its size (a writer still
+// truncating it, a full disk) is diagnosed at the first record the file no
+// longer holds, even when that record is cut mid-row.
+TEST(TraceLog, ShortReadNamesFirstMissingRecord) {
+  Simulation sim(cluster::tiny(2));
+  populate(sim);
+  const std::string path = temp_path("shrunk.wtrc");
+  write_log(path, sim.tracer());
+  const std::size_t n = sim.tracer().records().size();
+  ASSERT_GE(n, 3u);
+  LogReader reader(path);
+  // Cut two whole rows and 7 bytes of the one before them.
+  std::filesystem::resize_file(path,
+                               std::filesystem::file_size(path) - 2 * 80 - 7);
+  std::vector<Record> records;
+  std::vector<std::uint32_t> path_idx;
+  std::vector<std::uint64_t> file_sizes;
+  try {
+    while (reader.next_chunk(2, records, path_idx, file_sizes) > 0) {
+    }
+    ADD_FAILURE() << "next_chunk read past the end of a truncated log";
+  } catch (const util::SimError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(path), std::string::npos) << msg;
+    EXPECT_NE(msg.find("short read at record " + std::to_string(n - 3) +
+                       " of " + std::to_string(n)),
+              std::string::npos)
+        << msg;
+  }
+  EXPECT_EQ(records.size(), n - 3);
   std::remove(path.c_str());
 }
 
