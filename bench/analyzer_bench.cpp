@@ -25,6 +25,7 @@
 #include "analysis/spill_store.hpp"
 #include "obs/obs.hpp"
 #include "trace/synthetic.hpp"
+#include "util/parallel.hpp"
 #include "util/parse.hpp"
 
 namespace {
@@ -158,26 +159,30 @@ int main(int argc, char** argv) {
   gen.files_per_invalid = 5;
   const auto records = wasp::trace::synthetic_records(a.rows, gen);
 
-  wasp::analysis::TraceInput input;
-  input.records = records;
-  input.app_names = {"a0", "a1", "a2", "a3", "a4"};
-  input.path_at = [](std::size_t i) { return "/f/" + std::to_string(i); };
-  input.size_at = [](std::size_t i) -> wasp::fs::Bytes { return i + 1; };
-  input.fs_shared = [](std::int16_t f) { return f == 0; };
-
-  std::unique_ptr<wasp::analysis::SpillColumnStore> spill;
+  std::unique_ptr<wasp::analysis::TraceStore> store;
   if (a.backend == "spill") {
     const std::string dir =
         a.spill_dir.empty()
             ? (std::filesystem::temp_directory_path() / "analyzer_bench.spill")
                   .string()
             : a.spill_dir;
-    spill = std::make_unique<wasp::analysis::SpillColumnStore>(
+    auto spill = std::make_unique<wasp::analysis::SpillColumnStore>(
         wasp::analysis::SpillColumnStore::Options{.dir = dir});
     spill->append(records);
     spill->finalize();
-    input.store = spill.get();
+    store = std::move(spill);
+  } else {
+    store = std::make_unique<wasp::analysis::ColumnStore>(
+        wasp::analysis::ColumnStore::from_records(
+            records, wasp::util::resolve_jobs(a.jobs)));
   }
+
+  wasp::analysis::TraceInput input;
+  input.store = store.get();
+  input.app_names = {"a0", "a1", "a2", "a3", "a4"};
+  input.path_at = [](std::size_t i) { return "/f/" + std::to_string(i); };
+  input.size_at = [](std::size_t i) -> wasp::fs::Bytes { return i + 1; };
+  input.fs_shared = [](std::int16_t f) { return f == 0; };
 
   std::printf(
       "analyzer_bench: rows=%zu backend=%s jobs=%d chunk_rows=%zu "

@@ -4,7 +4,7 @@
 // (§V-B + §IV-D.4).
 //
 // Build & run:  ./build/examples/example_montage_workflow
-#include <fstream>
+#include <cstdio>
 #include <iostream>
 
 #include "advisor/rules.hpp"
@@ -79,12 +79,15 @@ int main() {
   // --- Part 2: persist the Recorder-style log and re-analyze ------------
   const std::string log_path = "/tmp/wasp_pipeline.wtrc";
   trace::write_log(log_path, sim.tracer());
-  auto log = trace::read_log(log_path);
-  std::cout << "trace log: " << log.records.size() << " records, "
-            << log.apps.size() << " apps written to " << log_path << "\n";
+  trace::LogReader reader(log_path);
+  analysis::ColumnStore store;
+  analysis::load_log(reader, store);
+  std::cout << "trace log: " << store.size() << " records, "
+            << reader.header().apps.size() << " apps written to " << log_path
+            << "\n";
 
   analysis::Analyzer analyzer;
-  auto profile = analyzer.analyze(sim.tracer());
+  auto profile = analyzer.analyze(analysis::log_input(reader.header(), store));
   charz::WorkloadDecl decl;
   decl.name = "pipeline";
   charz::Characterizer characterizer;
@@ -93,6 +96,7 @@ int main() {
             << ", data-op share "
             << util::format_percent(profile.totals.data_op_fraction())
             << "\n";
+  std::remove(log_path.c_str());
 
   // --- Part 3: the paper's Montage case study at reduced scale ----------
   workloads::MontageMpiParams P = workloads::MontageMpiParams::test();

@@ -310,7 +310,6 @@ double Analyzer::union_seconds(
 
 TraceInput tracer_input(const trace::Tracer& tracer) {
   TraceInput input;
-  input.records = tracer.records();
   for (std::size_t a = 0; a < tracer.num_apps(); ++a) {
     input.app_names.push_back(tracer.app_name(static_cast<std::uint16_t>(a)));
   }
@@ -334,35 +333,53 @@ TraceInput tracer_input(const trace::Tracer& tracer) {
   return input;
 }
 
-WorkloadProfile Analyzer::analyze(const trace::Tracer& tracer) const {
-  return analyze(tracer_input(tracer));
+void load_log(trace::LogReader& reader, TraceStore& store) {
+  std::vector<trace::Record> records;
+  std::vector<std::uint32_t> path_idx;
+  std::vector<std::uint64_t> file_sizes;
+  // The store's clamped chunk size: a 0-row read would end the loop before
+  // the first chunk.
+  while (reader.next_chunk(store.chunk_rows(), records, path_idx,
+                           file_sizes) > 0) {
+    store.append(records, path_idx, file_sizes);
+    records.clear();
+    path_idx.clear();
+    file_sizes.clear();
+  }
+  store.finalize();
 }
 
-WorkloadProfile Analyzer::analyze(const trace::LogData& log) const {
+TraceInput log_input(const trace::LogHeader& header, const TraceStore& store) {
   TraceInput input;
-  input.records = log.records;
-  input.app_names = log.apps;
-  input.path_at = [&log](std::size_t i) { return log.paths[i]; };
-  input.size_at = [&log](std::size_t i) -> fs::Bytes {
-    return i < log.file_sizes.size() ? log.file_sizes[i] : 0;
+  input.store = &store;
+  input.app_names = header.apps;
+  input.path_at = [&header, &store](std::size_t i) {
+    return header.path_table.empty()
+               ? std::string()
+               : header.path_table[store.path_idx_at(i)];
   };
-  input.fs_shared = [&log](std::int16_t idx) {
+  input.size_at = [&store](std::size_t i) { return store.file_size_at(i); };
+  input.fs_shared = [&header](std::int16_t idx) {
     const auto u = static_cast<std::size_t>(idx);
-    return u >= log.fs_shared.size() || log.fs_shared[u];
+    return u >= header.fs_shared.size() || header.fs_shared[u];
   };
+  return input;
+}
+
+WorkloadProfile Analyzer::analyze(const trace::Tracer& tracer) const {
+  ColumnStore cs = ColumnStore::from_records(tracer.records(),
+                                             util::resolve_jobs(opts_.jobs));
+  cs.set_chunk_rows(opts_.chunk_rows > 0 ? opts_.chunk_rows : 65536);
+  TraceInput input = tracer_input(tracer);
+  input.store = &cs;
   return analyze(input);
 }
 
 WorkloadProfile Analyzer::analyze(const TraceInput& input) const {
-  if (input.store != nullptr) return analyze_store(*input.store, input);
-  const int jobs = util::resolve_jobs(opts_.jobs);
-  ColumnStore cs = ColumnStore::from_records(input.records, jobs);
-  cs.set_chunk_rows(opts_.chunk_rows > 0 ? opts_.chunk_rows : 65536);
-  return analyze_store(cs, input);
-}
-
-WorkloadProfile Analyzer::analyze_store(const TraceStore& store,
-                                        const TraceInput& input) const {
+  if (input.store == nullptr) {
+    throw util::SimError("analyzer input has no trace store");
+  }
+  const TraceStore& store = *input.store;
   WorkloadProfile p;
   const int jobs = util::resolve_jobs(opts_.jobs);
   const std::size_t grain = opts_.chunk_rows > 0 ? opts_.chunk_rows : 65536;
@@ -748,7 +765,7 @@ WorkloadProfile Analyzer::analyze_store(const TraceStore& store,
           // column reads per row. Same arithmetic as the row-at-a-time
           // loop, so the bins stay byte-identical.
           for (std::size_t pos = range.begin; pos < range.end;) {
-            const ChunkSpan s = cs.span(pos, range.end);
+            const ChunkColumns s = cs.span(pos, range.end);
             for (std::size_t k = 0; k < s.rows; ++k) {
               const trace::Op op = s.op[k];
               if (!trace::is_data(op)) continue;

@@ -1,5 +1,5 @@
-// The Analyzer: turns a trace (via ColumnStore) into a WorkloadProfile.
-// Simulated counterpart of the Vani suite's Analyzer tool.
+// The Analyzer: turns a trace, held in a TraceStore, into a
+// WorkloadProfile. Simulated counterpart of the Vani suite's Analyzer tool.
 #pragma once
 
 #include <functional>
@@ -11,14 +11,10 @@
 
 namespace wasp::analysis {
 
-/// Uniform trace source for the analyzer: a live Tracer, a persisted
-/// LogData, or any TraceStore backend all reduce to this view.
+/// What the analyzer reads of a trace: its rows, held in a store of either
+/// backend, and the registries that name them.
 struct TraceInput {
-  /// Row-major records, transposed into an in-memory ColumnStore. Ignored
-  /// when `store` is set.
-  trace::RecordView records;
-  /// Columnar backend to stream from directly (in-memory or spill); takes
-  /// precedence over `records`. Not owned — must outlive the analyze call.
+  /// The rows. Required; not owned — must outlive the analyze call.
   const TraceStore* store = nullptr;
   std::vector<std::string> app_names;
   /// Resolved file path of record i ("" when file-less).
@@ -29,9 +25,20 @@ struct TraceInput {
   std::function<bool(std::int16_t)> fs_shared;
 };
 
-/// Build a TraceInput over a live tracer's records and registries. The
-/// returned input borrows the tracer.
+/// A live tracer's registries (app names, paths, end-of-run file sizes) for
+/// a store holding its records in trace order; the caller sets `store`.
+/// The returned input borrows the tracer.
 TraceInput tracer_input(const trace::Tracer& tracer);
+
+/// Stream every row of a log into `store`, one store chunk at a time, with
+/// each row's path-table index and end-of-run file size as the store's aux
+/// columns; then seal the store.
+void load_log(trace::LogReader& reader, TraceStore& store);
+
+/// The input of a log that load_log() streamed into `store`: app names and
+/// filesystem sharing from the log's header, each row's path through its
+/// path table. The returned input borrows both.
+TraceInput log_input(const trace::LogHeader& header, const TraceStore& store);
 
 class Analyzer {
  public:
@@ -61,15 +68,12 @@ class Analyzer {
   Analyzer() : opts_() {}
   explicit Analyzer(const Options& opts) : opts_(opts) {}
 
-  /// Analyze a live trace (uses the tracer's registries to resolve names
-  /// and paths).
+  /// Analyze a live trace: transpose its records into a ColumnStore (with
+  /// `jobs` threads, chunked at `chunk_rows`) and resolve names and paths
+  /// through the tracer's registries.
   WorkloadProfile analyze(const trace::Tracer& tracer) const;
 
-  /// Analyze a persisted Recorder-style log (offline pipeline — no
-  /// Simulation required).
-  WorkloadProfile analyze(const trace::LogData& log) const;
-
-  /// Analyze any trace view.
+  /// Analyze the trace in input.store; throws SimError when it is null.
   WorkloadProfile analyze(const TraceInput& input) const;
 
   const Options& options() const noexcept { return opts_; }
@@ -80,9 +84,6 @@ class Analyzer {
   static double union_seconds(std::vector<std::pair<sim::Time, sim::Time>> iv);
 
  private:
-  WorkloadProfile analyze_store(const TraceStore& store,
-                                const TraceInput& input) const;
-
   Options opts_;
 };
 

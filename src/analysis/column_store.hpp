@@ -4,29 +4,135 @@
 // DASK. Analysis here runs over these columns, optionally filled and
 // scanned chunk-parallel (fixed chunking, chunk-order merges — results are
 // independent of the job count).
+//
+// Columns is the one column set both backends store their rows in: all of
+// a ColumnStore, and the spill store's open chunk and every chunk it loads
+// back. Records are transposed into it, and a view is taken of it, in one
+// place each.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "analysis/trace_store.hpp"
 #include "trace/record_blocks.hpp"
-#include "util/parallel.hpp"
 
 namespace wasp::analysis {
 
+/// Leaves the elements a resize adds uninitialized: every element of a
+/// column is written (by a transposition or a decoder) right after the
+/// column grows, so zero-filling it first would be wasted work.
+template <typename T>
+struct UninitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = UninitAllocator<U>;
+  };
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+template <typename T>
+using Column = std::vector<T, UninitAllocator<T>>;
+
+/// A trace's rows as one contiguous array per record field, plus the
+/// offline log's two auxiliary columns (empty when the rows came from
+/// records rather than a log).
+struct Columns {
+  /// Column ids in declaration order, which is also the chunk-file order.
+  enum Id : std::size_t {
+    kApp, kRank, kNode, kIface, kOp, kFs, kFile, kOffset, kSize, kCount,
+    kTstart, kTend, kPathIdx, kFileSize, kNumColumns,
+  };
+  static constexpr const char* kNames[kNumColumns] = {
+      "app",    "rank", "node",  "iface",  "op",   "fs",       "file",
+      "offset", "size", "count", "tstart", "tend", "path_idx", "file_size",
+  };
+
+  Column<std::uint16_t> app;
+  Column<std::int32_t> rank;
+  Column<std::int32_t> node;
+  Column<trace::Iface> iface;
+  Column<trace::Op> op;
+  Column<std::int16_t> fs;
+  Column<fs::FileId> file;
+  Column<fs::Bytes> offset;
+  Column<fs::Bytes> size;
+  Column<std::uint32_t> count;
+  Column<sim::Time> tstart;
+  Column<sim::Time> tend;
+  Column<std::uint32_t> path_idx;   ///< aux, empty when absent
+  Column<std::uint64_t> file_size;  ///< aux, empty when absent
+
+  /// Calls f(column, id) on each record column, then on each aux column
+  /// when `aux` is set, in declaration order. `Self` is Columns or const
+  /// Columns.
+  template <typename Self, typename F>
+  static void each(Self& c, bool aux, F&& f) {
+    f(c.app, kApp);
+    f(c.rank, kRank);
+    f(c.node, kNode);
+    f(c.iface, kIface);
+    f(c.op, kOp);
+    f(c.fs, kFs);
+    f(c.file, kFile);
+    f(c.offset, kOffset);
+    f(c.size, kSize);
+    f(c.count, kCount);
+    f(c.tstart, kTstart);
+    f(c.tend, kTend);
+    if (aux) {
+      f(c.path_idx, kPathIdx);
+      f(c.file_size, kFileSize);
+    }
+  }
+
+  std::size_t rows() const noexcept { return app.size(); }
+  /// Resize the record columns to n rows; rows added stay uninitialized
+  /// until put() writes them.
+  void resize(std::size_t n);
+  /// Transpose records into rows [at, at + records.size()), which must
+  /// exist. Disjoint row ranges may be written concurrently.
+  void put(std::size_t at, std::span<const trace::Record> records);
+  /// Append records as new rows.
+  void append(std::span<const trace::Record> records);
+  /// Append records as new rows together with their aux values.
+  void append(std::span<const trace::Record> records,
+              std::span<const std::uint32_t> path_idx,
+              std::span<const std::uint64_t> file_sizes);
+  /// Empty every column, keeping its capacity.
+  void clear() noexcept;
+  /// Largest fs index over the rows (-1 when there are none).
+  std::int16_t max_fs() const noexcept;
+  /// All rows as one view whose first row is global row `base`.
+  ChunkColumns view(std::size_t base) const noexcept;
+};
+
+/// The in-memory TraceStore: one Columns holding the whole trace.
 class ColumnStore : public TraceStore {
  public:
   /// Transpose records into columns, reading each piece of the view in
   /// place. With jobs > 1 the fill runs chunk-parallel over preallocated
   /// columns (each chunk writes a disjoint row range), producing the same
-  /// store as the sequential fill.
+  /// store as the sequential fill. The store has no aux columns.
   static ColumnStore from_records(const trace::RecordView& records,
                                   int jobs = 1);
 
-  std::size_t size() const noexcept override { return app_.size(); }
-  bool empty() const noexcept { return app_.empty(); }
+  /// Append log rows with their aux columns; an error on a store built from
+  /// records.
+  void append(std::span<const trace::Record> records,
+              std::span<const std::uint32_t> path_idx,
+              std::span<const std::uint64_t> file_sizes) override;
+
+  std::size_t size() const noexcept override { return cols_.rows(); }
 
   /// Storage-chunk size of the TraceStore view. Purely a view property —
   /// chunks are zero-copy slices of the contiguous columns, so any value
@@ -42,80 +148,11 @@ class ColumnStore : public TraceStore {
   ChunkHandle span_at(std::size_t row) const override;
 
   /// Direct scan over the contiguous fs column — no chunk handles needed.
-  std::int16_t max_fs() const override;
-
-  // Column accessors.
-  std::uint16_t app(std::size_t i) const { return app_[i]; }
-  std::int32_t rank(std::size_t i) const { return rank_[i]; }
-  std::int32_t node(std::size_t i) const { return node_[i]; }
-  trace::Iface iface(std::size_t i) const { return iface_[i]; }
-  trace::Op op(std::size_t i) const { return op_[i]; }
-  trace::FileKey file(std::size_t i) const { return {fs_[i], file_[i]}; }
-  fs::Bytes offset(std::size_t i) const { return offset_[i]; }
-  fs::Bytes size_col(std::size_t i) const { return size_[i]; }
-  std::uint32_t count(std::size_t i) const { return count_[i]; }
-  sim::Time tstart(std::size_t i) const { return tstart_[i]; }
-  sim::Time tend(std::size_t i) const { return tend_[i]; }
-
-  fs::Bytes total_bytes(std::size_t i) const {
-    return size_[i] * static_cast<fs::Bytes>(count_[i]);
-  }
-  double duration_sec(std::size_t i) const {
-    return sim::to_seconds(tend_[i] - tstart_[i]);
-  }
-
-  /// Reconstruct a row (tests, CSV export).
-  trace::Record row(std::size_t i) const;
-
-  /// Indices of rows matching a predicate over (store, index), ascending.
-  template <typename Pred>
-  std::vector<std::size_t> select(Pred pred) const {
-    std::vector<std::size_t> out;
-    out.reserve(size());
-    for (std::size_t i = 0; i < size(); ++i) {
-      if (pred(*this, i)) out.push_back(i);
-    }
-    return out;
-  }
-
-  /// select() with the predicate evaluated chunk-parallel; per-chunk hits
-  /// are concatenated in chunk-index order, so the result is exactly the
-  /// sequential select() for any job count.
-  template <typename Pred>
-  std::vector<std::size_t> select(Pred pred, int jobs,
-                                  std::size_t grain = 65536) const {
-    const auto hits = util::parallel_map(
-        jobs, size(), grain,
-        [&](const util::ChunkRange& c) {
-          std::vector<std::size_t> local;
-          local.reserve(c.size());
-          for (std::size_t i = c.begin; i < c.end; ++i) {
-            if (pred(*this, i)) local.push_back(i);
-          }
-          return local;
-        });
-    std::size_t total = 0;
-    for (const auto& h : hits) total += h.size();
-    std::vector<std::size_t> out;
-    out.reserve(total);
-    for (const auto& h : hits) out.insert(out.end(), h.begin(), h.end());
-    return out;
-  }
+  std::int16_t max_fs() const override { return cols_.max_fs(); }
 
  private:
   std::size_t chunk_rows_ = 65536;
-  std::vector<std::uint16_t> app_;
-  std::vector<std::int32_t> rank_;
-  std::vector<std::int32_t> node_;
-  std::vector<trace::Iface> iface_;
-  std::vector<trace::Op> op_;
-  std::vector<std::int16_t> fs_;
-  std::vector<fs::FileId> file_;
-  std::vector<fs::Bytes> offset_;
-  std::vector<fs::Bytes> size_;
-  std::vector<std::uint32_t> count_;
-  std::vector<sim::Time> tstart_;
-  std::vector<sim::Time> tend_;
+  Columns cols_;
 };
 
 }  // namespace wasp::analysis

@@ -147,7 +147,7 @@ inline bool is_io_row(trace::Iface iface, trace::Op op) noexcept {
 /// App bookkeeping over every record: first/last event, CPU/GPU time,
 /// procs/nodes membership, the per-app I/O row lists the phase pass
 /// consumes, and the job's time range.
-void k_apps(const ChunkSpan& s, DenseState& d,
+void k_apps(const ChunkColumns& s, DenseState& d,
             const std::vector<std::string>& app_names) {
   if (!d.time_init) {
     d.time_init = true;
@@ -175,7 +175,7 @@ void k_apps(const ChunkSpan& s, DenseState& d,
     a.ranks.insert(s.rank[k]);
     d.nodes.insert(s.node[k]);
     const trace::Op op = s.op[k];
-    if (trace::is_io(op)) a.io_rows.push_back(s.begin + k);
+    if (trace::is_io(op)) a.io_rows.push_back(s.base + k);
     const trace::Iface iface = s.iface[k];
     if (iface == trace::Iface::kCpu) {
       st.cpu_sec += sim::to_seconds(s.tend[k] - s.tstart[k]);
@@ -193,7 +193,7 @@ void k_apps(const ChunkSpan& s, DenseState& d,
 /// interning the scoped file once per row, then updating its stats, rank
 /// sets, and access-stream state inline, plus the global transfer-size
 /// frequencies and sequentiality counters.
-void k_io(const ChunkSpan& s, DenseState& d,
+void k_io(const ChunkColumns& s, DenseState& d,
           const std::vector<char>& fs_is_shared) {
   for (std::size_t k = 0; k < s.rows; ++k) {
     const trace::Op op = s.op[k];
@@ -260,7 +260,7 @@ void k_io(const ChunkSpan& s, DenseState& d,
       fstat.node_scope = scope;
       fstat.first_access = s.tstart[k];
       fstat.last_access = s.tend[k];
-      f.first_row = s.begin + k;
+      f.first_row = s.base + k;
     } else {
       fstat.first_access = std::min(fstat.first_access, s.tstart[k]);
       fstat.last_access = std::max(fstat.last_access, s.tend[k]);
@@ -376,7 +376,7 @@ ChunkState scan_chunk(const TraceStore& store, const util::ChunkRange& range,
   d.read_iv.resize(d.read_hist.num_buckets());
   d.write_iv.resize(d.write_hist.num_buckets());
   for (std::size_t pos = range.begin; pos < range.end;) {
-    const ChunkSpan s = cs.span(pos, range.end);
+    const ChunkColumns s = cs.span(pos, range.end);
     k_apps(s, d, app_names);
     k_io(s, d, fs_is_shared);
     pos += s.rows;

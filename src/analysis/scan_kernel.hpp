@@ -1,14 +1,15 @@
 // The analyzer's map step: one chunk's pass over its row range, producing
-// the ChunkState partial that analyze_store() merges in chunk-index order.
+// the ChunkState partial that Analyzer::analyze() merges in chunk-index
+// order.
 //
 // Two implementations produce byte-identical ChunkStates:
 //
 //  - scan_chunk(): batched columnar kernels. The range is walked as
-//    contiguous ChunkSpans (one residency resolution per storage chunk) and
-//    each span goes through two tight passes: app bookkeeping + job time
-//    range over every record, then one fused decode of the I/O records (op
-//    breakdowns, size histograms + interval collection, file bookkeeping +
-//    sequentiality). Per-row state lives in dense structures
+//    contiguous ChunkColumns spans (one residency resolution per storage
+//    chunk) and each span goes through two tight passes: app bookkeeping +
+//    job time range over every record, then one fused decode of the I/O
+//    records (op breakdowns, size histograms + interval collection, file
+//    bookkeeping + sequentiality). Per-row state lives in dense structures
 //    (apps indexed by id, files interned once per row into an
 //    open-addressed FileTable, flat hash maps for rank/size keys) that are
 //    sorted into ChunkState's key-ordered vectors once per chunk.

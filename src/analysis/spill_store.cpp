@@ -23,12 +23,6 @@ constexpr char kChunkMagic[8] = {'W', 'S', 'P', 'C', 'H', 'K', '0', '2'};
 constexpr std::uint64_t kChunkVersion = 2;
 constexpr std::uint64_t kFlagAux = 1;
 
-constexpr const char* kColNames[] = {
-    "app",   "rank",  "node",   "iface",    "op",        "fs",  "file",
-    "offset", "size", "count",  "tstart",   "tend",      "path_idx",
-    "file_size",
-};
-
 // One store per subdirectory: a process-wide sequence number plus the pid
 // keeps two stores sharing one --spill-dir (even across processes) from
 // ever colliding on chunk file names.
@@ -162,66 +156,6 @@ std::string SpillColumnStore::chunk_file_path(std::size_t index) const {
   return dir_ + "/" + name;
 }
 
-void SpillColumnStore::Columns::clear() noexcept {
-  app.clear();
-  rank.clear();
-  node.clear();
-  iface.clear();
-  op.clear();
-  fs.clear();
-  file.clear();
-  offset.clear();
-  size.clear();
-  count.clear();
-  tstart.clear();
-  tend.clear();
-  path_idx.clear();
-  file_size.clear();
-}
-
-std::size_t SpillColumnStore::push_rows(
-    std::span<const trace::Record> records) {
-  const std::size_t base = open_.rows();
-  const std::size_t n = std::min(records.size(), opts_.chunk_rows - base);
-  // Grow every column once, then fill through plain pointers so the loop
-  // never re-reads a vector's bounds.
-  const auto grow = [base, n](auto& col) {
-    col.resize(base + n);
-    return col.data() + base;
-  };
-  auto* app = grow(open_.app);
-  auto* rank = grow(open_.rank);
-  auto* node = grow(open_.node);
-  auto* iface = grow(open_.iface);
-  auto* op = grow(open_.op);
-  auto* fs = grow(open_.fs);
-  auto* file = grow(open_.file);
-  auto* offset = grow(open_.offset);
-  auto* size = grow(open_.size);
-  auto* count = grow(open_.count);
-  auto* tstart = grow(open_.tstart);
-  auto* tend = grow(open_.tend);
-  std::int16_t max_fs = max_fs_;
-  for (std::size_t i = 0; i < n; ++i) {
-    const trace::Record& r = records[i];
-    app[i] = r.app;
-    rank[i] = r.rank;
-    node[i] = r.node;
-    iface[i] = r.iface;
-    op[i] = r.op;
-    fs[i] = r.file.fs;
-    file[i] = r.file.file;
-    offset[i] = r.offset;
-    size[i] = r.size;
-    count[i] = r.count;
-    tstart[i] = r.tstart;
-    tend[i] = r.tend;
-    max_fs = std::max(max_fs, r.file.fs);
-  }
-  max_fs_ = max_fs;
-  return n;
-}
-
 void SpillColumnStore::maybe_flush() {
   if (open_.rows() >= opts_.chunk_rows) flush_open_chunk();
 }
@@ -233,7 +167,9 @@ void SpillColumnStore::append(const trace::RecordView& records) {
   aux_decided_ = true;
   for (std::span<const trace::Record> piece : records.pieces()) {
     while (!piece.empty()) {
-      piece = piece.subspan(push_rows(piece));
+      const std::size_t n = std::min(piece.size(), open_room());
+      open_.append(piece.first(n));
+      piece = piece.subspan(n);
       maybe_flush();
     }
   }
@@ -252,11 +188,9 @@ void SpillColumnStore::append(std::span<const trace::Record> records,
   aux_decided_ = true;
   has_aux_ = true;
   for (std::size_t i = 0; i < records.size();) {
-    const std::size_t n = push_rows(records.subspan(i));
-    open_.path_idx.insert(open_.path_idx.end(), path_idx.begin() + i,
-                          path_idx.begin() + i + n);
-    open_.file_size.insert(open_.file_size.end(), file_sizes.begin() + i,
-                           file_sizes.begin() + i + n);
+    const std::size_t n = std::min(records.size() - i, open_room());
+    open_.append(records.subspan(i, n), path_idx.subspan(i, n),
+                 file_sizes.subspan(i, n));
     i += n;
     maybe_flush();
   }
@@ -274,7 +208,7 @@ void SpillColumnStore::finalize() {
 
 template <typename T>
 void SpillColumnStore::write_col(std::ostream& os, const Column<T>& col,
-                                 Col id) {
+                                 Columns::Id id) {
   const std::size_t n = col.size();
   const codec::EncodedSizes sizes = codec::measure(col.data(), n);
   const codec::Encoding enc = sizes.smallest();
@@ -317,29 +251,16 @@ void SpillColumnStore::flush_open_chunk() {
   // written; its delta across this flush is the expected body size, used to
   // diagnose short writes below.
   std::uint64_t stored_before = 0;
-  for (std::size_t c = 0; c < kNumCols; ++c) stored_before += col_stored_[c];
+  for (const std::uint64_t b : col_stored_) stored_before += b;
   errno = 0;
   const std::uint64_t flags = has_aux_ ? kFlagAux : 0;
   os.write(kChunkMagic, sizeof(kChunkMagic));
   write_u64(os, kChunkVersion);
   write_u64(os, rows);
   write_u64(os, flags);
-  write_col(os, open_.app, kColApp);
-  write_col(os, open_.rank, kColRank);
-  write_col(os, open_.node, kColNode);
-  write_col(os, open_.iface, kColIface);
-  write_col(os, open_.op, kColOp);
-  write_col(os, open_.fs, kColFs);
-  write_col(os, open_.file, kColFile);
-  write_col(os, open_.offset, kColOffset);
-  write_col(os, open_.size, kColSize);
-  write_col(os, open_.count, kColCount);
-  write_col(os, open_.tstart, kColTstart);
-  write_col(os, open_.tend, kColTend);
-  if (has_aux_) {
-    write_col(os, open_.path_idx, kColPathIdx);
-    write_col(os, open_.file_size, kColFileSize);
-  }
+  Columns::each(open_, has_aux_, [&](const auto& col, Columns::Id id) {
+    write_col(os, col, id);
+  });
   os.flush();
   if (!os.good()) {
     // Graceful degradation on a real disk error (ENOSPC, EIO, quota): close
@@ -348,7 +269,7 @@ void SpillColumnStore::flush_open_chunk() {
     // diagnosed error instead of a corrupt-chunk failure at read time.
     const int err = errno;
     std::uint64_t stored_after = 0;
-    for (std::size_t c = 0; c < kNumCols; ++c) stored_after += col_stored_[c];
+    for (const std::uint64_t b : col_stored_) stored_after += b;
     const std::uint64_t expected =
         sizeof(kChunkMagic) + 3 * sizeof(std::uint64_t) +
         (stored_after - stored_before);
@@ -369,8 +290,9 @@ void SpillColumnStore::flush_open_chunk() {
   // Cells are monotonic, so bring raw_bytes_ up to the running col_raw_
   // total by its delta instead of recomputing from zero.
   std::uint64_t raw_total = 0;
-  for (std::size_t c = 0; c < kNumCols; ++c) raw_total += col_raw_[c];
+  for (const std::uint64_t b : col_raw_) raw_total += b;
   raw_bytes_.add(raw_total - raw_bytes_.value());
+  max_fs_ = std::max(max_fs_, open_.max_fs());
   open_.clear();
   ++chunks_written_;
 }
@@ -397,7 +319,7 @@ std::shared_ptr<const SpillColumnStore::ChunkData> SpillColumnStore::load_chunk(
   const std::uint64_t flags = read_u64(is);
   const auto rows = static_cast<std::size_t>(rows64);
   // Every chunk except the last must hold exactly chunk_rows rows —
-  // view_of() computes each chunk's base as index * chunk_rows, so a short
+  // chunk() computes each chunk's base as index * chunk_rows, so a short
   // non-final chunk (truncated rewrite, mixed-config directory) would
   // silently misalign every later row's global index.
   const std::size_t expected =
@@ -410,24 +332,10 @@ std::shared_ptr<const SpillColumnStore::ChunkData> SpillColumnStore::load_chunk(
   WASP_CHECK_MSG(aux == has_aux_, "spill chunk aux flag mismatch: " + path);
 
   auto data = std::make_shared<ChunkData>();
-  Columns& c = data->cols;
   std::vector<std::uint8_t> payload;
-  read_col(is, c.app, rows, path, payload);
-  read_col(is, c.rank, rows, path, payload);
-  read_col(is, c.node, rows, path, payload);
-  read_col(is, c.iface, rows, path, payload);
-  read_col(is, c.op, rows, path, payload);
-  read_col(is, c.fs, rows, path, payload);
-  read_col(is, c.file, rows, path, payload);
-  read_col(is, c.offset, rows, path, payload);
-  read_col(is, c.size, rows, path, payload);
-  read_col(is, c.count, rows, path, payload);
-  read_col(is, c.tstart, rows, path, payload);
-  read_col(is, c.tend, rows, path, payload);
-  if (aux) {
-    read_col(is, c.path_idx, rows, path, payload);
-    read_col(is, c.file_size, rows, path, payload);
-  }
+  Columns::each(data->cols, aux, [&](auto& col, Columns::Id) {
+    read_col(is, col, rows, path, payload);
+  });
   WASP_CHECK_MSG(is.good(), "truncated spill chunk: " + path);
 
   loads_.add(1);
@@ -583,29 +491,6 @@ void SpillColumnStore::prefetch_loop() {
   }
 }
 
-ChunkColumns SpillColumnStore::view_of(const ChunkData& data,
-                                       std::size_t base) const {
-  const Columns& c = data.cols;
-  ChunkColumns v;
-  v.base = base;
-  v.rows = c.rows();
-  v.app = c.app.data();
-  v.rank = c.rank.data();
-  v.node = c.node.data();
-  v.iface = c.iface.data();
-  v.op = c.op.data();
-  v.fs = c.fs.data();
-  v.file = c.file.data();
-  v.offset = c.offset.data();
-  v.size = c.size.data();
-  v.count = c.count.data();
-  v.tstart = c.tstart.data();
-  v.tend = c.tend.data();
-  if (!c.path_idx.empty()) v.path_idx = c.path_idx.data();
-  if (!c.file_size.empty()) v.file_size = c.file_size.data();
-  return v;
-}
-
 ChunkHandle SpillColumnStore::chunk(std::size_t chunk_index) const {
   WASP_CHECK_MSG(finalized_, "reading a spill store before finalize()");
   WASP_CHECK_MSG(chunk_index < chunks_written_,
@@ -614,7 +499,7 @@ ChunkHandle SpillColumnStore::chunk(std::size_t chunk_index) const {
       acquire_chunk(chunk_index, /*for_prefetch=*/false);
   maybe_schedule_prefetch(chunk_index);
   ChunkHandle h;
-  h.cols = view_of(*data, chunk_index * opts_.chunk_rows);
+  h.cols = data->cols.view(chunk_index * opts_.chunk_rows);
   h.pin = std::shared_ptr<const void>(data, data.get());
   return h;
 }
@@ -622,18 +507,6 @@ ChunkHandle SpillColumnStore::chunk(std::size_t chunk_index) const {
 bool SpillColumnStore::chunk_cached(std::size_t index) const {
   std::lock_guard<std::mutex> lock(mu_);
   return cache_.find(index) != cache_.end();
-}
-
-std::uint32_t SpillColumnStore::path_idx_at(std::size_t i) const {
-  WASP_CHECK_MSG(has_aux_, "spill store carries no path column");
-  const ChunkHandle h = chunk(i / opts_.chunk_rows);
-  return h.cols.path_idx[i - h.cols.base];
-}
-
-fs::Bytes SpillColumnStore::file_size_at(std::size_t i) const {
-  WASP_CHECK_MSG(has_aux_, "spill store carries no file-size column");
-  const ChunkHandle h = chunk(i / opts_.chunk_rows);
-  return h.cols.file_size[i - h.cols.base];
 }
 
 std::size_t SpillColumnStore::resident_chunks() const noexcept {
@@ -655,9 +528,9 @@ IoStats SpillColumnStore::io_stats() const {
   s.bytes_written = bytes_written_.value();
   s.bytes_read = bytes_read_.value();
   s.raw_bytes = raw_bytes_.value();
-  for (std::size_t c = 0; c < kNumCols; ++c) {
+  for (std::size_t c = 0; c < Columns::kNumColumns; ++c) {
     if (col_raw_[c] == 0) continue;
-    s.columns.push_back({kColNames[c], col_raw_[c], col_stored_[c]});
+    s.columns.push_back({Columns::kNames[c], col_raw_[c], col_stored_[c]});
   }
   return s;
 }

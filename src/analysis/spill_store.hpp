@@ -26,9 +26,10 @@
 // counts actual alive chunk buffers (cached, in-flight, or pinned) so
 // tests can assert the bound.
 //
-// A trace reaches the store by streaming a trace log through
-// trace::LogReader, which also supplies the offline log's auxiliary columns
-// (path-table index, end-of-run file size).
+// A trace reaches the store as a trace log streamed through
+// analysis::load_log, which also supplies the offline log's auxiliary
+// columns (path-table index, end-of-run file size). The open chunk and each
+// loaded chunk are analysis::Columns, the in-memory store's column set.
 #pragma once
 
 #include <atomic>
@@ -43,10 +44,9 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "analysis/trace_store.hpp"
+#include "analysis/column_store.hpp"
 #include "obs/metrics.hpp"
 #include "trace/record_blocks.hpp"
 
@@ -74,36 +74,25 @@ class SpillColumnStore final : public TraceStore {
 
   // --- Write side (single-threaded, before finalize) ----------------------
   void append(const trace::RecordView& records);
-  /// Append with the offline log's auxiliary columns (parallel spans). A
-  /// store is either aux or non-aux for its whole life — the first append
-  /// decides, mixing is an error.
+  /// Append log rows with their aux columns. A store is either aux or
+  /// non-aux for its whole life — the first append decides, mixing is an
+  /// error.
   void append(std::span<const trace::Record> records,
               std::span<const std::uint32_t> path_idx,
-              std::span<const std::uint64_t> file_sizes);
+              std::span<const std::uint64_t> file_sizes) override;
   /// Flush the partial tail chunk and seal the store for reading (this is
   /// also where the prefetch thread starts). Required before
   /// chunk()/row(); append() afterwards is an error.
-  void finalize();
+  void finalize() override;
   bool finalized() const noexcept { return finalized_; }
 
   // --- TraceStore ---------------------------------------------------------
   std::size_t size() const noexcept override { return total_rows_; }
   std::size_t chunk_rows() const noexcept override { return opts_.chunk_rows; }
   ChunkHandle chunk(std::size_t chunk_index) const override;
-  /// Spans are capped at one storage chunk: chunk files decode into
-  /// separate allocations, so a chunk is the largest contiguous view this
-  /// backend can serve. Routing through chunk() keeps the LRU/pin
-  /// accounting and the sequential-scan prefetcher working unchanged.
-  ChunkHandle span_at(std::size_t row) const override {
-    return chunk(row / opts_.chunk_rows);
-  }
   std::int16_t max_fs() const override { return max_fs_; }
   IoStats io_stats() const override;
-
-  // --- Auxiliary columns --------------------------------------------------
   bool has_aux() const noexcept { return has_aux_; }
-  std::uint32_t path_idx_at(std::size_t i) const;
-  fs::Bytes file_size_at(std::size_t i) const;
 
   // --- Observability ------------------------------------------------------
   std::size_t resident_chunks() const noexcept;
@@ -125,54 +114,6 @@ class SpillColumnStore final : public TraceStore {
   bool chunk_cached(std::size_t index) const;
 
  private:
-  /// Leaves the elements a resize adds uninitialized: every element of a
-  /// chunk column is written (by push_rows or a decoder) right after the
-  /// column grows, so zero-filling it first would be wasted work.
-  template <typename T>
-  struct UninitAllocator : std::allocator<T> {
-    template <typename U>
-    struct rebind {
-      using other = UninitAllocator<U>;
-    };
-    template <typename U>
-    void construct(U* p) noexcept {
-      ::new (static_cast<void*>(p)) U;
-    }
-    template <typename U, typename... Args>
-    void construct(U* p, Args&&... args) {
-      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
-    }
-  };
-  template <typename T>
-  using Column = std::vector<T, UninitAllocator<T>>;
-
-  struct Columns {
-    Column<std::uint16_t> app;
-    Column<std::int32_t> rank;
-    Column<std::int32_t> node;
-    Column<trace::Iface> iface;
-    Column<trace::Op> op;
-    Column<std::int16_t> fs;
-    Column<fs::FileId> file;
-    Column<fs::Bytes> offset;
-    Column<fs::Bytes> size;
-    Column<std::uint32_t> count;
-    Column<sim::Time> tstart;
-    Column<sim::Time> tend;
-    Column<std::uint32_t> path_idx;   // aux, empty when absent
-    Column<std::uint64_t> file_size;  // aux, empty when absent
-    std::size_t rows() const noexcept { return app.size(); }
-    /// Empty every column, keeping its capacity for the next chunk.
-    void clear() noexcept;
-  };
-
-  /// Column ids in chunk-file declaration order (stats indexing).
-  enum Col : std::size_t {
-    kColApp, kColRank, kColNode, kColIface, kColOp, kColFs, kColFile,
-    kColOffset, kColSize, kColCount, kColTstart, kColTend, kColPathIdx,
-    kColFileSize, kNumCols,
-  };
-
   /// Alive-chunk accounting, shared with every loaded chunk so buffers that
   /// outlive eviction (still pinned by a cursor) keep counting as resident.
   struct Residency {
@@ -204,13 +145,14 @@ class SpillColumnStore final : public TraceStore {
   static constexpr std::size_t kNoChunk =
       std::numeric_limits<std::size_t>::max();
 
-  /// Transpose records into the open chunk up to its chunk_rows boundary;
-  /// returns how many were taken.
-  std::size_t push_rows(std::span<const trace::Record> records);
+  /// Rows the open chunk takes before it is full.
+  std::size_t open_room() const noexcept {
+    return opts_.chunk_rows - open_.rows();
+  }
   void maybe_flush();
   void flush_open_chunk();
   template <typename T>
-  void write_col(std::ostream& os, const Column<T>& col, Col id);
+  void write_col(std::ostream& os, const Column<T>& col, Columns::Id id);
   std::shared_ptr<const ChunkData> load_chunk(std::size_t index) const;
   /// Cache lookup / shared in-flight wait / off-lock load. Returns null
   /// only on the prefetch path when the chunk is already cached or being
@@ -222,7 +164,6 @@ class SpillColumnStore final : public TraceStore {
   void evict_lru_back_locked() const;
   void maybe_schedule_prefetch(std::size_t just_served) const;
   void prefetch_loop();
-  ChunkColumns view_of(const ChunkData& data, std::size_t base) const;
 
   Options opts_;
   std::string dir_;  ///< per-instance subdirectory of opts_.dir
@@ -238,8 +179,8 @@ class SpillColumnStore final : public TraceStore {
 
   // Write-side per-column stats (single writer thread, read only after
   // finalize). The byte totals live in CounterCells below.
-  std::uint64_t col_raw_[kNumCols] = {};
-  std::uint64_t col_stored_[kNumCols] = {};
+  std::uint64_t col_raw_[Columns::kNumColumns] = {};
+  std::uint64_t col_stored_[Columns::kNumColumns] = {};
 
   std::shared_ptr<Residency> residency_;
   mutable std::mutex mu_;

@@ -2,15 +2,31 @@
 
 #include <algorithm>
 
+#include "util/error.hpp"
+
 namespace wasp::analysis {
 
-std::int16_t TraceStore::max_fs() const {
-  std::int16_t m = -1;
-  Cursor cs(*this);
-  for (std::size_t i = 0, n = size(); i < n; ++i) {
-    m = std::max(m, cs.file(i).fs);
-  }
-  return m;
+ChunkColumns ChunkColumns::slice(std::size_t i,
+                                 std::size_t limit) const noexcept {
+  const std::size_t k = i - base;
+  ChunkColumns s;
+  s.base = i;
+  s.rows = std::min(base + rows, limit) - i;
+  s.app = app + k;
+  s.rank = rank + k;
+  s.node = node + k;
+  s.iface = iface + k;
+  s.op = op + k;
+  s.fs = fs + k;
+  s.file = file + k;
+  s.offset = offset + k;
+  s.size = size + k;
+  s.count = count + k;
+  s.tstart = tstart + k;
+  s.tend = tend + k;
+  if (path_idx != nullptr) s.path_idx = path_idx + k;
+  if (file_size != nullptr) s.file_size = file_size + k;
+  return s;
 }
 
 trace::Record TraceStore::row(std::size_t i) const {
@@ -32,34 +48,25 @@ trace::Record TraceStore::row(std::size_t i) const {
   return r;
 }
 
+std::uint32_t TraceStore::path_idx_at(std::size_t i) const {
+  const ChunkHandle h = chunk(i / chunk_rows());
+  WASP_CHECK_MSG(h.cols.path_idx != nullptr,
+                 "trace store carries no path column");
+  return h.cols.path_idx[i - h.cols.base];
+}
+
+fs::Bytes TraceStore::file_size_at(std::size_t i) const {
+  const ChunkHandle h = chunk(i / chunk_rows());
+  WASP_CHECK_MSG(h.cols.file_size != nullptr,
+                 "trace store carries no file-size column");
+  return h.cols.file_size[i - h.cols.base];
+}
+
 void Cursor::seek(std::size_t i) {
   // Drop the old pin before fetching: a bounded spill cache must never hold
   // two chunks on this cursor's account.
   handle_ = ChunkHandle{};
   handle_ = store_->span_at(i);
-}
-
-ChunkSpan Cursor::span(std::size_t i, std::size_t limit) {
-  const ChunkColumns& c = at(i);
-  const std::size_t k = i - c.base;
-  ChunkSpan s;
-  s.begin = i;
-  s.rows = std::min(c.base + c.rows, limit) - i;
-  s.app = c.app + k;
-  s.rank = c.rank + k;
-  s.node = c.node + k;
-  s.iface = c.iface + k;
-  s.op = c.op + k;
-  s.fs = c.fs + k;
-  s.file = c.file + k;
-  s.offset = c.offset + k;
-  s.size = c.size + k;
-  s.count = c.count + k;
-  s.tstart = c.tstart + k;
-  s.tend = c.tend + k;
-  if (c.path_idx != nullptr) s.path_idx = c.path_idx + k;
-  if (c.file_size != nullptr) s.file_size = c.file_size + k;
-  return s;
 }
 
 }  // namespace wasp::analysis

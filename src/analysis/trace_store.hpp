@@ -5,17 +5,20 @@
 // [c*chunk_rows, min((c+1)*chunk_rows, size))), and a Cursor walks rows by
 // global index while pinning one chunk at a time.
 //
-// Two backends implement it: ColumnStore (in-memory; chunk views are
-// zero-copy slices of its columns) and SpillColumnStore (chunk files on
-// disk with a bounded LRU of resident chunks). Both serve bit-identical
-// column values through the same cursor, and the analyzer's map-reduce
-// chunking/merge order is independent of the storage chunking — so profiles
-// are byte-identical across backends and job counts.
+// Two backends implement it, as two residencies of one column set
+// (analysis::Columns): ColumnStore (in memory; chunk views are zero-copy
+// slices of its columns) and SpillColumnStore (chunk files on disk with a
+// bounded LRU of resident chunks). Both take an offline log's rows through
+// the same append() and serve bit-identical column values through the same
+// cursor, and the analyzer's map-reduce chunking/merge order is independent
+// of the storage chunking — so profiles are byte-identical across backends
+// and job counts.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "trace/record.hpp"
@@ -64,8 +67,9 @@ struct IoStats {
   }
 };
 
-/// Borrowed columnar view of one storage chunk: rows [base, base + rows).
-/// Pointers index chunk-locally: column[i - base] for a global row i.
+/// Borrowed columnar view of rows [base, base + rows): column[k] is row
+/// base + k. A storage chunk, a whole in-memory store, and a cursor's span
+/// are all views of this one shape.
 struct ChunkColumns {
   std::size_t base = 0;
   std::size_t rows = 0;
@@ -88,6 +92,9 @@ struct ChunkColumns {
   bool contains(std::size_t i) const noexcept {
     return i >= base && i - base < rows;
   }
+  /// Rows [i, min(base + rows, limit)) as a view of their own; `i` must
+  /// lie inside this view.
+  ChunkColumns slice(std::size_t i, std::size_t limit) const noexcept;
 };
 
 /// A pinned chunk: the view stays valid for as long as `pin` is held, even
@@ -98,34 +105,21 @@ struct ChunkHandle {
   std::shared_ptr<const void> pin;
 };
 
-/// Zero-offset columnar window over a contiguous run of resident rows:
-/// column[k] is row `begin + k` for k in [0, rows). This is what the
-/// batched scan kernels consume — one span per storage chunk instead of a
-/// residency check per column read. The pointers borrow the cursor's
-/// current pin and stay valid until the cursor seeks past the span.
-struct ChunkSpan {
-  std::size_t begin = 0;  ///< global row index of element 0
-  std::size_t rows = 0;   ///< contiguous rows served by this span
-  const std::uint16_t* app = nullptr;
-  const std::int32_t* rank = nullptr;
-  const std::int32_t* node = nullptr;
-  const trace::Iface* iface = nullptr;
-  const trace::Op* op = nullptr;
-  const std::int16_t* fs = nullptr;
-  const fs::FileId* file = nullptr;
-  const fs::Bytes* offset = nullptr;
-  const fs::Bytes* size = nullptr;
-  const std::uint32_t* count = nullptr;
-  const sim::Time* tstart = nullptr;
-  const sim::Time* tend = nullptr;
-  const std::uint32_t* path_idx = nullptr;   // null when absent
-  const std::uint64_t* file_size = nullptr;  // null when absent
-};
-
 class TraceStore {
  public:
   virtual ~TraceStore() = default;
 
+  // --- Write side (single-threaded, before the first read) --------------
+  /// Append rows of an offline log with its auxiliary columns (path-table
+  /// index and end-of-run file size per row, parallel to `records`).
+  virtual void append(std::span<const trace::Record> records,
+                      std::span<const std::uint32_t> path_idx,
+                      std::span<const std::uint64_t> file_sizes) = 0;
+  /// Seal the store after its last append. A spill store must be sealed
+  /// before it is read; the in-memory store reads its columns as they fill.
+  virtual void finalize() {}
+
+  // --- Read side ---------------------------------------------------------
   virtual std::size_t size() const noexcept = 0;
   /// Storage-chunk size in rows (>= 1). Purely a storage property: analysis
   /// results do not depend on it.
@@ -134,12 +128,13 @@ class TraceStore {
   /// fetch chunks from worker threads.
   virtual ChunkHandle chunk(std::size_t chunk_index) const = 0;
   /// The maximal contiguous resident view containing `row`. The base
-  /// implementation serves the row's storage chunk; backends whose chunk
-  /// views alias one contiguous allocation (ColumnStore) override to hand
-  /// out the whole store in a single view, so a sequential scan resolves
-  /// residency exactly once. Span partitioning never changes analysis
-  /// results — kernels accumulate per-row state in row order regardless of
-  /// where span boundaries fall.
+  /// implementation serves the row's storage chunk — the largest view a
+  /// spill store can serve, since its chunks decode into separate
+  /// allocations. ColumnStore, whose chunk views alias one contiguous
+  /// allocation, hands out the whole store in a single view, so a
+  /// sequential scan resolves residency exactly once. Span partitioning
+  /// never changes analysis results — kernels accumulate per-row state in
+  /// row order regardless of where span boundaries fall.
   virtual ChunkHandle span_at(std::size_t row) const {
     return chunk(row / chunk_rows());
   }
@@ -150,11 +145,10 @@ class TraceStore {
   }
 
   /// Largest fs registry index across all rows (-1 when every row is
-  /// file-less or the store is empty). The base implementation scans the
-  /// whole trace through a cursor; backends that track it during append
-  /// override to answer in O(1) — for a spill store that saves one full
-  /// serial pass over every chunk file per analyze() call.
-  virtual std::int16_t max_fs() const;
+  /// file-less or the store is empty), answered without a pass over the
+  /// chunks: for a spill store that saves one full serial pass over every
+  /// chunk file per analyze() call.
+  virtual std::int16_t max_fs() const = 0;
 
   /// Backend I/O counters (loads, cache behavior, bytes, compression).
   /// Purely in-memory backends report the default all-zero stats.
@@ -162,12 +156,16 @@ class TraceStore {
 
   /// Reconstruct one row (serial post-merge resolution, tests, CSV export).
   trace::Record row(std::size_t i) const;
+  /// Row i's auxiliary columns: its index into the log's path table and its
+  /// file's end-of-run size. Throw SimError on a store built without them.
+  std::uint32_t path_idx_at(std::size_t i) const;
+  fs::Bytes file_size_at(std::size_t i) const;
 };
 
 /// Row-indexed access over a TraceStore, caching the chunk that served the
 /// last access — sequential scans fetch each chunk exactly once. Construct
 /// one Cursor per thread; the cursor itself is not thread-safe (the store
-/// is). Accessor names mirror ColumnStore's so scan code reads the same.
+/// is).
 class Cursor {
  public:
   explicit Cursor(const TraceStore& store) : store_(&store) {}
@@ -202,7 +200,9 @@ class Cursor {
   /// paying one residency resolution per storage chunk instead of one check
   /// per column read. The span borrows this cursor's pin: it is invalidated
   /// by the next span()/accessor call that seeks to a different chunk.
-  ChunkSpan span(std::size_t i, std::size_t limit);
+  ChunkColumns span(std::size_t i, std::size_t limit) {
+    return at(i).slice(i, limit);
+  }
 
  private:
   const ChunkColumns& at(std::size_t i) {

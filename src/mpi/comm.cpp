@@ -69,27 +69,6 @@ void Comm::release_barrier() {
                              static_cast<std::ptrdiff_t>(n));
 }
 
-sim::Task<void> Comm::bcast(int rank, int root, util::Bytes n) {
-  WASP_CHECK(root >= 0 && root < size());
-  co_await barrier();
-  if (rank != root && n > 0) {
-    co_await sim::Delay(
-        eng_, tree_latency() +
-                  sim::seconds(static_cast<double>(n) / net_.bandwidth_bps));
-  }
-}
-
-sim::Task<void> Comm::gather(int rank, int root, util::Bytes per_rank) {
-  co_await barrier();
-  const util::Bytes moved =
-      rank == root ? per_rank * static_cast<util::Bytes>(size()) : per_rank;
-  if (moved > 0) {
-    co_await sim::Delay(
-        eng_, tree_latency() + sim::seconds(static_cast<double>(moved) /
-                                            net_.bandwidth_bps));
-  }
-}
-
 sim::Task<void> Comm::allreduce(util::Bytes n) {
   co_await barrier();
   if (n > 0) {
@@ -98,44 +77,6 @@ sim::Task<void> Comm::allreduce(util::Bytes n) {
                        ceil_log2(size());
     co_await sim::Delay(eng_, tree_latency() + sim::seconds(sec));
   }
-}
-
-Comm::Mailbox& Comm::mailbox(int rank, int tag) {
-  return mailboxes_[{rank, tag}];
-}
-
-sim::Task<void> Comm::send(int from, int to, util::Bytes n, int tag) {
-  WASP_CHECK_MSG(to >= 0 && to < size(), "send to invalid rank");
-  auto& box = mailbox(to, tag);
-  box.messages.push_back(Message{from, n});
-  if (box.arrival) box.arrival->set();
-  co_await sim::Delay(eng_, net_.latency);
-}
-
-sim::Task<Comm::Message> Comm::recv(int rank, int from, int tag) {
-  auto& box = mailbox(rank, tag);
-  for (;;) {
-    auto it = std::find_if(box.messages.begin(), box.messages.end(),
-                           [from](const Message& m) {
-                             return from < 0 || m.from == from;
-                           });
-    if (it != box.messages.end()) {
-      Message msg = *it;
-      box.messages.erase(it);
-      co_await sim::Delay(
-          eng_, net_.latency + sim::seconds(static_cast<double>(msg.bytes) /
-                                            net_.bandwidth_bps));
-      co_return msg;
-    }
-    if (!box.arrival) box.arrival = std::make_unique<sim::Event>(eng_);
-    box.arrival->reset();
-    co_await box.arrival->wait();
-  }
-}
-
-std::size_t Comm::pending(int rank, int tag) const {
-  auto it = mailboxes_.find({rank, tag});
-  return it == mailboxes_.end() ? 0 : it->second.messages.size();
 }
 
 }  // namespace wasp::mpi

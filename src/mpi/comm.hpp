@@ -1,23 +1,16 @@
 // Simulated MPI communicator.
 //
 // Models the synchronization and network cost of the MPI operations the
-// exemplar workloads use: barrier, bcast, gather, allreduce, point-to-point
-// send/recv (the Pegasus master/worker scheduler), plus the node topology
+// workload patterns replay — barrier and allreduce — plus the node topology
 // queries collective I/O aggregation needs. Collectives charge an analytic
-// log2(P) latency + bandwidth term; point-to-point goes through mailboxes so
-// true dataflow ordering (a recv completes only after the matching send) is
-// preserved.
+// log2(P) latency + bandwidth term.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <memory>
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/sync.hpp"
 #include "sim/task.hpp"
 #include "util/units.hpp"
 
@@ -67,28 +60,8 @@ class Comm {
   /// others in arrival order at that instant.
   BarrierAwaiter barrier() noexcept { return BarrierAwaiter(*this); }
 
-  /// Synchronizing bcast of n bytes from root; all ranks call.
-  sim::Task<void> bcast(int rank, int root, util::Bytes n);
-
-  /// Gather per_rank bytes to root; all ranks call.
-  sim::Task<void> gather(int rank, int root, util::Bytes per_rank);
-
   /// Allreduce of n bytes; all ranks call.
   sim::Task<void> allreduce(util::Bytes n);
-
-  /// Asynchronous-completion send: enqueues the message and pays latency.
-  sim::Task<void> send(int from, int to, util::Bytes n, int tag = 0);
-
-  struct Message {
-    int from = -1;
-    util::Bytes bytes = 0;
-  };
-  /// Blocks until a message with `tag` addressed to `rank` arrives
-  /// (from == -1 matches any sender), then pays the transfer cost.
-  sim::Task<Message> recv(int rank, int from = -1, int tag = 0);
-
-  /// Messages queued for (rank, tag) right now.
-  std::size_t pending(int rank, int tag = 0) const;
 
   const NetParams& net() const noexcept { return net_; }
 
@@ -96,11 +69,6 @@ class Comm {
   sim::Time tree_latency() const noexcept { return tree_latency_; }
 
  private:
-  struct Mailbox {
-    std::deque<Message> messages;
-    std::unique_ptr<sim::Event> arrival;
-  };
-  Mailbox& mailbox(int rank, int tag);
   /// Wake the size() - 1 oldest barrier waiters: the generation whose last
   /// arrival is resuming. Releases run in generation order (a later
   /// generation's last rank arrives, and so resumes, no earlier), so that
@@ -119,8 +87,6 @@ class Comm {
   // generation not yet released.
   int barrier_arrived_ = 0;
   std::vector<std::coroutine_handle<>> barrier_waiters_;
-
-  std::map<std::pair<int, int>, Mailbox> mailboxes_;
 };
 
 }  // namespace wasp::mpi

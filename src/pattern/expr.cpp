@@ -1,7 +1,7 @@
 #include "pattern/expr.hpp"
 
 #include <cctype>
-#include <unordered_map>
+#include <optional>
 
 #include "util/error.hpp"
 
@@ -36,7 +36,8 @@ struct ExprNode {
   enum class Kind : std::uint8_t { kLit, kVar, kNeg, kBin, kCall, kSizeOf };
   Kind kind = Kind::kLit;
   std::int64_t lit = 0;
-  std::string name;  ///< variable name (kVar) or path template (kSizeOf)
+  std::string name;  ///< variable name (kVar)
+  std::optional<PathTemplate> path;  ///< size_of()'s template (kSizeOf)
   BinOp op = BinOp::kAdd;
   Fn fn = Fn::kMax;
   std::shared_ptr<const ExprNode> a, b;
@@ -250,7 +251,7 @@ class Parser {
         }
         auto n = std::make_shared<ExprNode>();
         n->kind = ExprNode::Kind::kSizeOf;
-        n->name = lex_.cur().text;
+        n->path.emplace(lex_.cur().text);
         lex_.advance();
         expect_punct(")");
         return n;
@@ -299,7 +300,7 @@ std::int64_t eval_node(const ExprNode& n, const EvalContext& ctx,
       return -eval_node(*n.a, ctx, text);
     case ExprNode::Kind::kSizeOf: {
       if (!ctx.size_of) fail(text, "size_of() has no provider here");
-      return ctx.size_of(expand(n.name, ctx));
+      return ctx.size_of(n.path->expand(ctx));
     }
     case ExprNode::Kind::kCall: {
       const std::int64_t a = eval_node(*n.a, ctx, text);
@@ -416,14 +417,6 @@ std::string PathTemplate::expand(const EvalContext& ctx) const {
   }
   out += literals_.back();
   return out;
-}
-
-std::string expand(const std::string& tmpl, const EvalContext& ctx) {
-  // size_of() arguments re-expand the same few templates on every
-  // evaluation: split and parse each distinct one once per thread (run_many
-  // replays on worker threads, so the cache is thread_local, not locked).
-  thread_local std::unordered_map<std::string, PathTemplate> cache;
-  return cache.try_emplace(tmpl, tmpl).first->second.expand(ctx);
 }
 
 }  // namespace wasp::pattern

@@ -20,8 +20,9 @@
 //   call  := ("max"|"min"|"ceil_div") "(" expr "," expr ")"
 //          | "size_of" "(" string ")"
 // Division/modulo truncate toward zero (C++ semantics) and throw on zero
-// divisors. size_of() takes a file-name template (see expand()) and asks
-// the evaluation context for the file's current size.
+// divisors. size_of() takes a file-name template (see PathTemplate), which
+// is compiled once when the expression is parsed, and asks the evaluation
+// context for the expanded file's current size.
 #pragma once
 
 #include <cstdint>
@@ -77,10 +78,11 @@ class Expr {
   std::shared_ptr<const detail::ExprNode> ast_;
 };
 
-/// A file-name template split once into literal and "{expr}" pieces, for
-/// callers that expand the same template many times. Construction never
-/// throws: a malformed template (unmatched brace, bad expression) keeps its
-/// diagnostic and throws it as util::SimError from every expand().
+/// A file-name template ("/p/hacc/{rank}.ckpt") split once into literal and
+/// "{expr}" pieces; expand() replaces each placeholder by the decimal value
+/// of its expression. Construction never throws: a malformed template
+/// (unmatched brace, bad expression) keeps its diagnostic and throws it as
+/// util::SimError from every expand().
 class PathTemplate {
  public:
   explicit PathTemplate(const std::string& tmpl);
@@ -94,9 +96,5 @@ class PathTemplate {
   std::size_t size_hint_ = 0;
   std::string error_;  ///< non-empty: the diagnostic expand() throws
 };
-
-/// Expand a file-name template: each "{expr}" placeholder is replaced by
-/// the decimal value of the enclosed expression ("/p/hacc/{rank}.ckpt").
-std::string expand(const std::string& tmpl, const EvalContext& ctx);
 
 }  // namespace wasp::pattern

@@ -29,16 +29,4 @@ sim::Task<void> Proc::barrier() {
   record(trace::Iface::kMpi, trace::Op::kBarrier, {}, 0, 0, 1, t0);
 }
 
-sim::Task<void> Proc::bcast(int root, fs::Bytes n) {
-  const sim::Time t0 = now();
-  co_await comm().bcast(comm_rank_, root, n);
-  record(trace::Iface::kMpi, trace::Op::kBcast, {}, 0, n, 1, t0);
-}
-
-sim::Task<void> Proc::allreduce(fs::Bytes n) {
-  const sim::Time t0 = now();
-  co_await comm().allreduce(n);
-  record(trace::Iface::kMpi, trace::Op::kSendRecv, {}, 0, n, 1, t0);
-}
-
 }  // namespace wasp::runtime

@@ -45,10 +45,8 @@ class Proc {
   /// Traced GPU compute span.
   sim::Task<void> gpu_compute(sim::Time duration);
 
-  /// Traced collective wrappers.
+  /// Traced barrier on the process's communicator.
   sim::Task<void> barrier();
-  sim::Task<void> bcast(int root, fs::Bytes n);
-  sim::Task<void> allreduce(fs::Bytes n);
 
   /// Append a fully-specified record stamped with this process's identity.
   /// No-op while this process is inside a Suppression scope. Inline: every

@@ -405,28 +405,6 @@ std::size_t LogReader::next_chunk(std::size_t max_rows,
   return n;
 }
 
-LogData read_log(const std::string& filename) {
-  LogReader reader(filename);
-  const LogHeader& h = reader.header();
-  LogData data;
-  data.apps = h.apps;
-  data.fs_names = h.fs_names;
-  data.fs_shared = h.fs_shared;
-  const auto n = static_cast<std::size_t>(h.num_records);
-  data.records.reserve(n);
-  data.paths.reserve(n);
-  data.file_sizes.reserve(n);
-  std::vector<std::uint32_t> path_idx;
-  path_idx.reserve(n);
-  while (reader.next_chunk(1u << 16, data.records, path_idx,
-                           data.file_sizes) > 0) {
-  }
-  for (const std::uint32_t pi : path_idx) {
-    data.paths.push_back(h.path_table.empty() ? "" : h.path_table[pi]);
-  }
-  return data;
-}
-
 void write_csv(std::ostream& os, const Tracer& tracer) {
   os << "app,rank,node,iface,op,path,offset,size,count,tstart_ns,tend_ns\n";
   for (const auto& r : tracer.records()) {

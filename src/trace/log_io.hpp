@@ -1,9 +1,10 @@
 // Row-format trace persistence — the simulated Recorder log files.
 //
 // After a job, the tracer's records can be written to a self-contained
-// binary log (app names + file paths + rows) and read back for offline
-// analysis, mirroring the paper's Recorder-logs-on-GPFS -> Analyzer
-// pipeline. A CSV exporter is provided for human inspection.
+// binary log (app names + file paths + rows) and streamed back through
+// LogReader for offline analysis, mirroring the paper's
+// Recorder-logs-on-GPFS -> Analyzer pipeline. A CSV exporter is provided
+// for human inspection.
 #pragma once
 
 #include <fstream>
@@ -15,20 +16,6 @@
 #include "trace/tracer.hpp"
 
 namespace wasp::trace {
-
-/// A trace detached from its Simulation: everything the Analyzer needs.
-struct LogData {
-  std::vector<std::string> apps;
-  std::vector<std::string> fs_names;
-  /// Whether each registered filesystem is node-shared; parallel to
-  /// fs_names.
-  std::vector<bool> fs_shared;
-  /// Path of each record's file ("" when file-less); parallel to records.
-  std::vector<std::string> paths;
-  /// End-of-run size of each record's file; parallel to records.
-  std::vector<std::uint64_t> file_sizes;
-  std::vector<Record> records;
-};
 
 /// Serialize the tracer's current records (binary, versioned header),
 /// streaming them from tracer.records(): each distinct file's path is
@@ -49,7 +36,8 @@ struct LogHeader {
 /// including the declared record count against the actual file size, so a
 /// corrupt count throws SimError instead of driving a huge allocation —
 /// then emits record chunks on demand. Arbitrarily large logs never
-/// materialize whole; feed the chunks to an analysis::SpillColumnStore.
+/// materialize whole: analysis::load_log() feeds the chunks to either
+/// trace store, in the store's chunk size.
 class LogReader {
  public:
   explicit LogReader(const std::string& filename);
@@ -68,9 +56,6 @@ class LogReader {
   LogHeader header_;
   std::uint64_t remaining_ = 0;
 };
-
-/// Load a log written by write_log. Throws SimError on malformed input.
-LogData read_log(const std::string& filename);
 
 /// Human-readable CSV of the records.
 void write_csv(std::ostream& os, const Tracer& tracer);

@@ -4,9 +4,9 @@
 // kBlockRecords, so a growing trace never copies a record and every block
 // is the same size (a freed block is an ordinary heap chunk the next run's
 // tracer reuses). RecordView presents records as consecutive contiguous
-// pieces — the tracer's blocks, or one span over a loaded log or a test's
-// vector — and is what transposition (analysis::ColumnStore), the spill
-// store's append and the analyzer's TraceInput read.
+// pieces — the tracer's blocks, or one span over a vector — and is what
+// transposition (analysis::ColumnStore::from_records) and the spill
+// store's record append read.
 #pragma once
 
 #include <cstddef>

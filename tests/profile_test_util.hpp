@@ -1,5 +1,5 @@
 // Bit-identity comparison helpers shared by the determinism tests, plus the
-// offline spill-backend analysis they compare against. Every double is
+// offline log analysis they compare across backends. Every double is
 // compared with operator== — the contract under test is that profiles are
 // bit-identical across job counts and trace-store backends, not merely
 // close, so tolerances would hide exactly the bugs these tests exist to
@@ -117,40 +117,17 @@ inline void expect_profiles_identical(const analysis::WorkloadProfile& a,
   EXPECT_EQ(a.size_frequencies, b.size_frequencies);
 }
 
-/// Analyze a trace log the way `wasp_analyze --backend spill` does: stream
-/// it through trace::LogReader into `store` (fresh, not yet finalized) one
-/// store chunk at a time, then analyze over the store with the log's path
-/// table and end-of-run file sizes. `store` stays open for inspection.
-inline analysis::WorkloadProfile analyze_log_spilled(
-    const std::string& log_path, analysis::SpillColumnStore& store,
+/// Analyze a trace log the way `wasp_analyze` does: stream it into `store`
+/// (fresh, of either backend) one store chunk at a time, then analyze over
+/// the store with the log's path table and end-of-run file sizes. `store`
+/// stays open for inspection.
+inline analysis::WorkloadProfile analyze_log(
+    const std::string& log_path, analysis::TraceStore& store,
     const analysis::Analyzer::Options& opts = {}) {
   trace::LogReader reader(log_path);
-  const trace::LogHeader& h = reader.header();
-  std::vector<trace::Record> records;
-  std::vector<std::uint32_t> path_idx;
-  std::vector<std::uint64_t> file_sizes;
-  while (reader.next_chunk(store.chunk_rows(), records, path_idx,
-                           file_sizes) > 0) {
-    store.append(records, path_idx, file_sizes);
-    records.clear();
-    path_idx.clear();
-    file_sizes.clear();
-  }
-  store.finalize();
-
-  analysis::TraceInput input;
-  input.store = &store;
-  input.app_names = h.apps;
-  input.path_at = [&](std::size_t i) {
-    return h.path_table.empty() ? std::string()
-                                : h.path_table[store.path_idx_at(i)];
-  };
-  input.size_at = [&](std::size_t i) { return store.file_size_at(i); };
-  input.fs_shared = [&](std::int16_t idx) {
-    const auto u = static_cast<std::size_t>(idx);
-    return u >= h.fs_shared.size() || h.fs_shared[u];
-  };
-  return analysis::Analyzer(opts).analyze(input);
+  analysis::load_log(reader, store);
+  return analysis::Analyzer(opts).analyze(
+      analysis::log_input(reader.header(), store));
 }
 
 }  // namespace wasp::testutil

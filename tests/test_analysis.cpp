@@ -6,6 +6,7 @@
 #include "analysis/analyzer.hpp"
 #include "io/posix.hpp"
 #include "sim_test_util.hpp"
+#include "util/error.hpp"
 
 namespace wasp::analysis {
 namespace {
@@ -49,7 +50,7 @@ TEST(ColumnStore, RoundTripsRecords) {
   EXPECT_EQ(back.rank, r.rank);
   EXPECT_EQ(back.file, r.file);
   EXPECT_EQ(back.count, r.count);
-  EXPECT_EQ(cs.total_bytes(0), 4096u * 8);
+  EXPECT_EQ(Cursor(cs).total_bytes(0), 4096u * 8);
 }
 
 TEST(ColumnStore, SelectFilters) {
@@ -58,10 +59,32 @@ TEST(ColumnStore, SelectFilters) {
     records[i].rank = static_cast<std::int32_t>(i);
   }
   auto cs = ColumnStore::from_records(records);
-  auto idx = cs.select([](const ColumnStore& c, std::size_t i) {
-    return c.rank(i) >= 3;
-  });
+  Cursor c(cs);
+  std::vector<std::size_t> idx;
+  for (std::size_t i = 0; i < cs.size(); ++i) {
+    if (c.rank(i) >= 3) idx.push_back(i);
+  }
   EXPECT_EQ(idx, (std::vector<std::size_t>{3, 4}));
+}
+
+// A store built from records has no aux columns: asking for them, or
+// appending log rows after the records, is diagnosed. So is an analyzer
+// input without a store.
+TEST(ColumnStore, MisuseFailsLoudly) {
+  const std::vector<trace::Record> one(1);
+  const std::vector<std::uint32_t> idx(1, 0);
+  const std::vector<std::uint64_t> sz(1, 0);
+  auto cs = ColumnStore::from_records(one);
+  EXPECT_THROW(cs.path_idx_at(0), util::SimError);
+  EXPECT_THROW(cs.file_size_at(0), util::SimError);
+  EXPECT_THROW(cs.append(one, idx, sz), util::SimError);
+
+  ColumnStore log;
+  log.append(one, idx, sz);
+  EXPECT_EQ(log.path_idx_at(0), 0u);
+  EXPECT_THROW(log.append(one, idx, {}), util::SimError);
+
+  EXPECT_THROW(Analyzer().analyze(TraceInput{}), util::SimError);
 }
 
 struct AnalysisFixture : ::testing::Test {

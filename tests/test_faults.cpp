@@ -142,9 +142,9 @@ TEST(FaultDeterminism, ProfilesIdenticalAcrossBackends) {
   trace::write_log(path, sim.tracer());
   analysis::SpillColumnStore store(
       {.dir = temp_path("faults.spill"), .chunk_rows = 512});
-  expect_profiles_identical(
-      analysis::Analyzer().analyze(trace::read_log(path)),
-      testutil::analyze_log_spilled(path, store));
+  analysis::ColumnStore memory;
+  expect_profiles_identical(testutil::analyze_log(path, memory),
+                            testutil::analyze_log(path, store));
   std::remove(path.c_str());
 }
 
@@ -317,8 +317,9 @@ TEST(FaultDegradation, TruncatedTraceLogNamesThePath) {
   const auto full = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, full / 2);
   try {
-    trace::read_log(path);
-    FAIL() << "read_log accepted a truncated file";
+    analysis::ColumnStore store;
+    (void)testutil::analyze_log(path, store);
+    FAIL() << "the log path accepted a truncated file";
   } catch (const util::SimError& e) {
     EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
         << e.what();

@@ -115,91 +115,6 @@ TEST(Comm, BarrierRoundsAllocateNoFrames) {
   EXPECT_EQ(frames_for(100), one_round);
 }
 
-TEST(Comm, BcastChargesNonRootsBandwidth) {
-  Engine eng;
-  Comm comm(eng, {0, 1}, NetParams{1e9, 0});
-  std::vector<sim::Time> done(2);
-  auto prog = [](Engine& e, Comm& c, int rank,
-                 std::vector<sim::Time>& out) -> Task<void> {
-    co_await c.bcast(rank, 0, 1'000'000'000ULL);  // 1GB over 1GB/s
-    out[static_cast<std::size_t>(rank)] = e.now();
-  };
-  eng.spawn(prog(eng, comm, 0, done));
-  eng.spawn(prog(eng, comm, 1, done));
-  eng.run();
-  EXPECT_LT(done[0], done[1]);
-  EXPECT_NEAR(sim::to_seconds(done[1]), 1.0, 1e-3);
-}
-
-TEST(Comm, SendRecvDeliversInOrder) {
-  Engine eng;
-  Comm comm(eng, {0, 1}, NetParams{1e12, 0});
-  std::vector<int> got;
-  auto sender = [](Engine& e, Comm& c) -> Task<void> {
-    co_await c.send(0, 1, 10, /*tag=*/7);
-    co_await sim::Delay(e, 1 * sim::kMs);
-    co_await c.send(0, 1, 20, 7);
-  };
-  auto receiver = [](Comm& c, std::vector<int>& out) -> Task<void> {
-    auto a = co_await c.recv(1, /*from=*/0, 7);
-    out.push_back(static_cast<int>(a.bytes));
-    auto b = co_await c.recv(1, 0, 7);
-    out.push_back(static_cast<int>(b.bytes));
-  };
-  eng.spawn(sender(eng, comm));
-  eng.spawn(receiver(comm, got));
-  eng.run();
-  EXPECT_EQ(got, (std::vector<int>{10, 20}));
-}
-
-TEST(Comm, RecvBlocksUntilSendArrives) {
-  Engine eng;
-  Comm comm(eng, {0, 1}, NetParams{1e12, 0});
-  sim::Time recv_done = 0;
-  auto sender = [](Engine& e, Comm& c) -> Task<void> {
-    co_await sim::Delay(e, 5 * sim::kSec);
-    co_await c.send(0, 1, 1, 0);
-  };
-  auto receiver = [](Engine& e, Comm& c, sim::Time& out) -> Task<void> {
-    co_await c.recv(1);
-    out = e.now();
-  };
-  eng.spawn(receiver(eng, comm, recv_done));
-  eng.spawn(sender(eng, comm));
-  eng.run();
-  EXPECT_GE(recv_done, 5 * sim::kSec);
-}
-
-TEST(Comm, RecvWildcardMatchesAnySender) {
-  Engine eng;
-  Comm comm(eng, {0, 1, 2}, NetParams{1e12, 0});
-  int from = -2;
-  auto sender = [](Comm& c, int rank) -> Task<void> {
-    co_await c.send(rank, 0, 1, 0);
-  };
-  auto receiver = [](Comm& c, int& out) -> Task<void> {
-    auto m = co_await c.recv(0, -1, 0);
-    out = m.from;
-  };
-  eng.spawn(receiver(comm, from));
-  eng.spawn(sender(comm, 2));
-  eng.run();
-  EXPECT_EQ(from, 2);
-}
-
-TEST(Comm, PendingCountsQueuedMessages) {
-  Engine eng;
-  Comm comm(eng, {0, 1}, NetParams{});
-  auto sender = [](Comm& c) -> Task<void> {
-    co_await c.send(0, 1, 1, 3);
-    co_await c.send(0, 1, 1, 3);
-  };
-  eng.spawn(sender(comm));
-  eng.run();
-  EXPECT_EQ(comm.pending(1, 3), 2u);
-  EXPECT_EQ(comm.pending(1, 0), 0u);
-}
-
 TEST(Comm, AllreduceSynchronizes) {
   Engine eng;
   Comm comm(eng, {0, 1, 2, 3}, NetParams{1e9, 1 * sim::kUs});

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/analyzer.hpp"
+#include "profile_test_util.hpp"
 #include "trace/log_io.hpp"
 #include "workloads/ior.hpp"
 #include "workloads/registry.hpp"
@@ -45,9 +46,9 @@ TEST(OfflineAnalysis, DiskRoundTripProfileMatches) {
     runtime::Simulation sim(cluster::lassen(4));
     workloads::simulate(sim, entry.make_test(), advisor::RunConfig{});
     trace::write_log(path, sim.tracer());
-    analysis::Analyzer analyzer;
-    const auto live = analyzer.analyze(sim.tracer());
-    const auto from_disk = analyzer.analyze(trace::read_log(path));
+    const auto live = analysis::Analyzer().analyze(sim.tracer());
+    analysis::ColumnStore store;
+    const auto from_disk = testutil::analyze_log(path, store);
     expect_profiles_equal(live, from_disk);
   }
   std::remove(path.c_str());

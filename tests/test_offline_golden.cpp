@@ -145,7 +145,7 @@ TEST(OfflineGolden, LogStreamedChunkFiles) {
   const std::string log = write_montage_log(temp_path("stream.wtrc"));
   SpillColumnStore store(
       {.dir = temp_path("stream.spill"), .chunk_rows = 64});
-  (void)testutil::analyze_log_spilled(log, store);
+  (void)testutil::analyze_log(log, store);
   expect_pinned("montage-mpi log at chunk_rows=64", chunk_files_digest(store),
                 {3, 3383, 0x95ded5d8a57f1654ULL});
   const auto used = encodings_used(store);

@@ -200,14 +200,6 @@ TEST(ColumnStore, ParallelFillMatchesSequential) {
       EXPECT_TRUE(seq.row(i) == par.row(i)) << "row " << i;
       EXPECT_TRUE(par.row(i) == records[i]) << "row " << i;
     }
-
-    const auto pred = [](const analysis::ColumnStore& cs, std::size_t i) {
-      return trace::is_io(cs.op(i)) && cs.size_col(i) > 0;
-    };
-    const auto s1 = seq.select(pred);
-    for (int jobs : {1, 2, 4}) {
-      EXPECT_EQ(s1, seq.select(pred, jobs, 113)) << "jobs=" << jobs;
-    }
   }
 }
 
@@ -249,15 +241,18 @@ TEST(AnalyzerDeterminism, OfflineLogBitIdenticalAcrossJobCounts) {
   const std::string path =
       std::string(::testing::TempDir()) + "/determinism.wtrc";
   trace::write_log(path, sim.tracer());
-  const auto log = trace::read_log(path);
+  trace::LogReader reader(path);
+  analysis::ColumnStore log;
+  analysis::load_log(reader, log);
   std::remove(path.c_str());
+  const auto input = analysis::log_input(reader.header(), log);
   analysis::Analyzer::Options o1;
   o1.jobs = 1;
   o1.chunk_rows = 257;
   analysis::Analyzer::Options o8 = o1;
   o8.jobs = 8;
-  expect_profiles_identical(analysis::Analyzer(o1).analyze(log),
-                            analysis::Analyzer(o8).analyze(log));
+  expect_profiles_identical(analysis::Analyzer(o1).analyze(input),
+                            analysis::Analyzer(o8).analyze(input));
 }
 
 // ---------------------------------------------------------- ScenarioRunner

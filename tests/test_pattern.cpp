@@ -34,7 +34,23 @@ TEST(PatternExpr, SizeOfExpandsTemplateAndAsksProvider) {
                     return 4096;
                   }};
   EXPECT_EQ(Expr("size_of(\"/p/x/{rank}.ckpt\") / 1024").eval(ctx), 4);
-  EXPECT_EQ(expand("/p/x/{rank + 1}.out", ctx), "/p/x/4.out");
+  EXPECT_EQ(PathTemplate("/p/x/{rank + 1}.out").expand(ctx), "/p/x/4.out");
+}
+
+// A malformed size_of() template still parses; the template's diagnostic
+// surfaces when the expression is evaluated.
+TEST(PatternExpr, MalformedSizeOfTemplateThrowsWhenEvaluated) {
+  Env env;
+  EvalContext ctx{&env, [](const std::string&) -> std::int64_t { return 1; }};
+  const Expr e("size_of(\"/p/{\")");
+  try {
+    (void)e.eval(ctx);
+    ADD_FAILURE() << "evaluated a size_of() with an unmatched '{'";
+  } catch (const util::SimError& err) {
+    EXPECT_NE(std::string(err.what()).find("unmatched '{' in path template"),
+              std::string::npos)
+        << err.what();
+  }
 }
 
 TEST(PatternExpr, RejectsMalformedSource) {

@@ -363,9 +363,10 @@ TEST(PatternEquivalence, SpillBackendMatchesReferenceProfile) {
         {.dir = ::testing::TempDir() + "pattern_spill",
          .chunk_rows = 256,
          .max_resident_chunks = 2});
-    const auto spilled = testutil::analyze_log_spilled(path, store);
-    testutil::expect_profiles_identical(
-        analysis::Analyzer().analyze(trace::read_log(path)), spilled);
+    const auto spilled = testutil::analyze_log(path, store);
+    analysis::ColumnStore memory;
+    testutil::expect_profiles_identical(testutil::analyze_log(path, memory),
+                                        spilled);
     const auto characterization =
         charz::Characterizer().characterize(workload.decl, sim.spec(), spilled);
     EXPECT_EQ(characterization.to_yaml(),

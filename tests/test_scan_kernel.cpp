@@ -5,7 +5,6 @@
 // chunking (so spans get clipped at both kinds of boundary).
 #include <gtest/gtest.h>
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -35,13 +34,13 @@ std::vector<trace::Record> kernel_coverage_records(std::size_t n) {
   return trace::synthetic_records(n, o);
 }
 
-/// TraceInput over raw records with row-dependent path/size callbacks: a
+/// TraceInput over a store with row-dependent path/size callbacks: a
 /// file's resolved path and size depend on its *first* row, so a kernel
 /// that gets file_first_row wrong produces a visibly different profile
 /// instead of silently resolving the same constant string.
-analysis::TraceInput synthetic_input(std::span<const trace::Record> records) {
+analysis::TraceInput synthetic_input(const analysis::TraceStore& store) {
   analysis::TraceInput input;
-  input.records = records;
+  input.store = &store;
   input.app_names = {"alpha", "beta", "gamma", "delta", "epsilon"};
   input.path_at = [](std::size_t i) { return "/row/" + std::to_string(i); };
   input.size_at = [](std::size_t i) -> fs::Bytes { return (i * 131) + 1; };
@@ -62,7 +61,8 @@ analysis::WorkloadProfile profile_of(const analysis::TraceInput& input,
 
 TEST(ScanKernel, MatchesReferenceOnMemoryBackend) {
   const auto records = kernel_coverage_records(10007);
-  const auto input = synthetic_input(records);
+  const auto memory = analysis::ColumnStore::from_records(records);
+  const auto input = synthetic_input(memory);
 
   // chunk_rows values chosen to misalign with everything: 1000 splits the
   // trace mid-pattern, 97 makes every analysis chunk straddle boundaries.
@@ -94,10 +94,10 @@ TEST(ScanKernel, MatchesReferenceOnSpillBackend) {
   store.finalize();
   ASSERT_GT(store.num_chunks(), 3u);
 
-  auto input = synthetic_input(records);
-  input.store = &store;
+  const auto input = synthetic_input(store);
 
-  const auto mem_ref = profile_of(synthetic_input(records), 1, 1000, true);
+  const auto memory = analysis::ColumnStore::from_records(records);
+  const auto mem_ref = profile_of(synthetic_input(memory), 1, 1000, true);
   for (const std::size_t chunk_rows : {1000ul, 97ul}) {
     for (const int jobs : {1, 4}) {
       SCOPED_TRACE("jobs=" + std::to_string(jobs) +

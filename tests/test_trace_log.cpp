@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "analysis/analyzer.hpp"
 #include "io/posix.hpp"
 #include "sim_test_util.hpp"
 #include "trace/log_io.hpp"
@@ -22,6 +23,16 @@ using runtime::Simulation;
 std::string temp_path(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
 }
+
+/// A whole log streamed into an in-memory store the way wasp_analyze loads
+/// one; construction throws whatever reading the log throws.
+struct LoadedLog {
+  explicit LoadedLog(const std::string& path) : reader(path) {
+    analysis::load_log(reader, store);
+  }
+  LogReader reader;
+  analysis::ColumnStore store;
+};
 
 /// Produce a small but non-trivial trace.
 void populate(Simulation& sim) {
@@ -46,13 +57,15 @@ TEST(TraceLog, BinaryRoundTripPreservesEverything) {
   populate(sim);
   const std::string path = temp_path("roundtrip.wtrc");
   write_log(path, sim.tracer());
-  const LogData data = read_log(path);
+  const LoadedLog log(path);
+  const LogHeader& header = log.reader.header();
+  const auto input = analysis::log_input(header, log.store);
 
   const auto& original = sim.tracer().records();
-  ASSERT_EQ(data.records.size(), original.size());
+  ASSERT_EQ(log.store.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
     const Record& a = original[i];
-    const Record& b = data.records[i];
+    const Record b = log.store.row(i);
     EXPECT_EQ(a.app, b.app);
     EXPECT_EQ(a.rank, b.rank);
     EXPECT_EQ(a.node, b.node);
@@ -65,18 +78,19 @@ TEST(TraceLog, BinaryRoundTripPreservesEverything) {
     EXPECT_EQ(a.tstart, b.tstart);
     EXPECT_EQ(a.tend, b.tend);
     // Node-local paths resolve through the record's node.
-    EXPECT_EQ(data.paths[i], sim.tracer().path_of(a.file, a.node));
+    const std::string path_i = input.path_at(i);
+    EXPECT_EQ(path_i, sim.tracer().path_of(a.file, a.node));
     // Every row carries its file's end-of-run size.
-    if (data.paths[i] == "/p/gpfs1/log_t") {
-      EXPECT_EQ(data.file_sizes[i], 4096u * 16);
-    } else if (data.paths[i] == "/dev/shm/local_t") {
-      EXPECT_EQ(data.file_sizes[i], 512u * 2);
+    if (path_i == "/p/gpfs1/log_t") {
+      EXPECT_EQ(log.store.file_size_at(i), 4096u * 16);
+    } else if (path_i == "/dev/shm/local_t") {
+      EXPECT_EQ(log.store.file_size_at(i), 512u * 2);
     } else {
-      EXPECT_EQ(data.file_sizes[i], 0u);
+      EXPECT_EQ(log.store.file_size_at(i), 0u);
     }
   }
-  EXPECT_EQ(data.apps.size(), sim.tracer().num_apps());
-  EXPECT_EQ(data.fs_names.size(), sim.tracer().num_filesystems());
+  EXPECT_EQ(header.apps.size(), sim.tracer().num_apps());
+  EXPECT_EQ(header.fs_names.size(), sim.tracer().num_filesystems());
   std::remove(path.c_str());
 }
 
@@ -101,7 +115,7 @@ TEST(TraceLog, RejectsGarbageFile) {
     std::ofstream os(path, std::ios::binary);
     os << "this is not a trace log at all";
   }
-  EXPECT_THROW(read_log(path), util::SimError);
+  EXPECT_THROW(LoadedLog{path}, util::SimError);
   std::remove(path.c_str());
 }
 
@@ -121,12 +135,12 @@ TEST(TraceLog, RejectsTruncatedFile) {
     os.write(content.data(),
              static_cast<std::streamsize>(content.size() / 2));
   }
-  EXPECT_THROW(read_log(path), util::SimError);
+  EXPECT_THROW(LoadedLog{path}, util::SimError);
   std::remove(path.c_str());
 }
 
 TEST(TraceLog, MissingFileThrows) {
-  EXPECT_THROW(read_log("/nonexistent/dir/x.wtrc"), util::SimError);
+  EXPECT_THROW(LoadedLog{"/nonexistent/dir/x.wtrc"}, util::SimError);
 }
 
 TEST(TraceLog, RejectsOverstatedRecordCount) {
@@ -144,7 +158,7 @@ TEST(TraceLog, RejectsOverstatedRecordCount) {
     const std::uint64_t huge = 1000000000000000ull;
     os.write(reinterpret_cast<const char*>(&huge), 8);  // nrecords
   }
-  EXPECT_THROW(read_log(path), util::SimError);
+  EXPECT_THROW(LoadedLog{path}, util::SimError);
   EXPECT_THROW(LogReader{path}, util::SimError);
   std::remove(path.c_str());
 }
@@ -177,7 +191,7 @@ TEST(TraceLog, RejectsOutOfRangeEnumBytes) {
   populate(sim);
   const std::string path = temp_path("badenum.wtrc");
   write_log(path, sim.tracer());
-  ASSERT_NO_THROW(read_log(path));
+  ASSERT_NO_THROW(LoadedLog{path});
   std::string content;
   {
     std::ifstream is(path, std::ios::binary);
@@ -199,8 +213,8 @@ TEST(TraceLog, RejectsOutOfRangeEnumBytes) {
       os.write(patched.data(), static_cast<std::streamsize>(patched.size()));
     }
     try {
-      read_log(path);
-      ADD_FAILURE() << "read_log accepted an out-of-range enum byte";
+      LoadedLog log(path);
+      ADD_FAILURE() << "the log path accepted an out-of-range enum byte";
     } catch (const util::SimError& e) {
       const std::string msg = e.what();
       EXPECT_NE(msg.find(path), std::string::npos) << msg;
@@ -233,8 +247,8 @@ void expect_rejected(const std::string& path, const std::string& content,
     os.write(content.data(), static_cast<std::streamsize>(content.size()));
   }
   try {
-    read_log(path);
-    ADD_FAILURE() << "read_log accepted a row no tracer writes (" << what
+    LoadedLog log(path);
+    ADD_FAILURE() << "the log path accepted a row no tracer writes (" << what
                   << ")";
   } catch (const util::SimError& e) {
     const std::string msg = e.what();
@@ -315,29 +329,32 @@ TEST(TraceLog, ShortReadNamesFirstMissingRecord) {
   std::remove(path.c_str());
 }
 
+// LogReader's own chunking (7 rows) against the whole log as the analyzer's
+// log path loads it (one store chunk per read).
 TEST(TraceLog, LogReaderStreamsSameRowsAsReadLog) {
   Simulation sim(cluster::tiny(2));
   populate(sim);
   const std::string path = temp_path("stream.wtrc");
   write_log(path, sim.tracer());
-  const LogData data = read_log(path);
+  const LoadedLog data(path);
+  const auto input = analysis::log_input(data.reader.header(), data.store);
 
   LogReader reader(path);
-  EXPECT_EQ(reader.header().num_records, data.records.size());
-  EXPECT_EQ(reader.remaining(), data.records.size());
+  EXPECT_EQ(reader.header().num_records, data.store.size());
+  EXPECT_EQ(reader.remaining(), data.store.size());
   std::vector<Record> records;
   std::vector<std::uint32_t> path_idx;
   std::vector<std::uint64_t> file_sizes;
   while (reader.next_chunk(7, records, path_idx, file_sizes) > 0) {
   }
   EXPECT_EQ(reader.remaining(), 0u);
-  ASSERT_EQ(records.size(), data.records.size());
+  ASSERT_EQ(records.size(), data.store.size());
   ASSERT_EQ(path_idx.size(), records.size());
   ASSERT_EQ(file_sizes.size(), records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
-    ASSERT_TRUE(records[i] == data.records[i]) << "record " << i;
-    EXPECT_EQ(reader.header().path_table[path_idx[i]], data.paths[i]);
-    EXPECT_EQ(file_sizes[i], data.file_sizes[i]);
+    ASSERT_TRUE(records[i] == data.store.row(i)) << "record " << i;
+    EXPECT_EQ(reader.header().path_table[path_idx[i]], input.path_at(i));
+    EXPECT_EQ(file_sizes[i], data.store.file_size_at(i));
   }
   std::remove(path.c_str());
 }

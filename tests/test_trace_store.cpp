@@ -174,14 +174,14 @@ TEST(SpillStore, OfflineLogStreamsThroughAuxColumns) {
   analysis::Analyzer::Options opts;
   opts.jobs = 4;
   opts.chunk_rows = 37;
-  const auto baseline =
-      analysis::Analyzer(opts).analyze(trace::read_log(path));
+  analysis::ColumnStore memory;
+  const auto baseline = testutil::analyze_log(path, memory, opts);
 
   analysis::SpillColumnStore store({.dir = spill_dir("offline.spill"),
                                     .chunk_rows = 19,
                                     .max_resident_chunks = 4});
   expect_profiles_identical(baseline,
-                            testutil::analyze_log_spilled(path, store, opts));
+                            testutil::analyze_log(path, store, opts));
   EXPECT_TRUE(store.has_aux());
   EXPECT_EQ(store.size(), sim.tracer().records().size());
   std::remove(path.c_str());
@@ -240,7 +240,7 @@ TEST(SpillStore, CorruptChunkFailsLoudlyWithoutResidencyUnderflow) {
 
 // Regression: every chunk except the last must hold exactly chunk_rows rows.
 // A short non-final chunk used to load "successfully" and silently misalign
-// every row index after it (view_of computes base = chunk_index * chunk_rows).
+// every row index after it (chunk() computes base = chunk_index * chunk_rows).
 TEST(SpillStore, ShortNonFinalChunkRejected) {
   const auto records = synthetic_records(250);  // chunks of 100, 100, 50
   analysis::SpillColumnStore store({.dir = spill_dir("shortchunk.spill"),

@@ -1,13 +1,14 @@
-// Unit tests for util: formatting, stats, histograms, YAML, tables, RNG.
+// Unit tests for util: formatting, histograms, YAML, tables, RNG.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 #include "util/yaml.hpp"
@@ -39,50 +40,6 @@ TEST(Units, FormatPercent) {
   EXPECT_EQ(format_percent(0.75), "75%");
   EXPECT_EQ(format_percent(0.015), "1.5%");
   EXPECT_EQ(format_percent(1.0), "100%");
-}
-
-TEST(RunningStats, BasicMoments) {
-  RunningStats s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(std::sqrt(s.variance()), 2.138, 0.01);
-}
-
-TEST(RunningStats, WeightedAddMatchesRepeatedAdd) {
-  RunningStats a;
-  RunningStats b;
-  a.add_weighted(3.0, 1000);
-  a.add(7.0);
-  for (int i = 0; i < 1000; ++i) b.add(3.0);
-  b.add(7.0);
-  EXPECT_NEAR(a.mean(), b.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), b.variance(), 1e-6);
-}
-
-TEST(RunningStats, MergeEquivalentToCombinedStream) {
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  for (int i = 0; i < 50; ++i) {
-    const double v = i * 0.37;
-    (i % 2 ? a : b).add(v);
-    all.add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
-TEST(Percentile, NearestRank) {
-  std::vector<double> v = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  EXPECT_EQ(percentile(v, 0), 1);
-  EXPECT_EQ(percentile(v, 50), 5);
-  EXPECT_EQ(percentile(v, 100), 10);
-  EXPECT_THROW(percentile({}, 50), SimError);
 }
 
 TEST(SizeHistogram, PaperBucketsClassification) {
@@ -175,19 +132,30 @@ TEST(Rng, UniformInRange) {
   }
 }
 
+/// Mean and sample variance of a sample.
+std::pair<double, double> moments(const std::vector<double>& v) {
+  double sum = 0.0;
+  for (const double x : v) sum += x;
+  const double mean = sum / static_cast<double>(v.size());
+  double ss = 0.0;
+  for (const double x : v) ss += (x - mean) * (x - mean);
+  return {mean, ss / static_cast<double>(v.size() - 1)};
+}
+
 TEST(Rng, NormalMomentsRoughlyCorrect) {
   Rng r(99);
-  RunningStats s;
-  for (int i = 0; i < 20000; ++i) s.add(r.normal(10.0, 2.0));
-  EXPECT_NEAR(s.mean(), 10.0, 0.1);
-  EXPECT_NEAR(std::sqrt(s.variance()), 2.0, 0.1);
+  std::vector<double> v;
+  for (int i = 0; i < 20000; ++i) v.push_back(r.normal(10.0, 2.0));
+  const auto [mean, variance] = moments(v);
+  EXPECT_NEAR(mean, 10.0, 0.1);
+  EXPECT_NEAR(std::sqrt(variance), 2.0, 0.1);
 }
 
 TEST(Rng, GammaMeanMatchesShapeTimesScale) {
   Rng r(5);
-  RunningStats s;
-  for (int i = 0; i < 20000; ++i) s.add(r.gamma(3.0, 2.0));
-  EXPECT_NEAR(s.mean(), 6.0, 0.2);
+  std::vector<double> v;
+  for (int i = 0; i < 20000; ++i) v.push_back(r.gamma(3.0, 2.0));
+  EXPECT_NEAR(moments(v).first, 6.0, 0.2);
 }
 
 TEST(Check, ThrowsWithMessage) {

@@ -8,12 +8,12 @@
 //                [--stats] [--trace-out out.trace.json]
 //                [--report out.manifest.json]
 //
-// --backend spill streams the log through a SpillColumnStore (compressed
-// WSPCHK02 chunk files + bounded LRU + sequential prefetch) instead of
-// materializing it; the profile output is byte-identical to the memory
-// backend. --stats appends the backend's IoStats: cache behavior, prefetch
-// hit rate, and per-column compression ratios. A log that cannot be read
-// is diagnosed on stderr with exit status 1.
+// The log streams into an in-memory ColumnStore, or with --backend spill
+// into a SpillColumnStore (compressed WSPCHK02 chunk files + bounded LRU +
+// sequential prefetch) that never holds it whole; the profile output is
+// byte-identical across backends. --stats appends the backend's IoStats:
+// cache behavior, prefetch hit rate, and per-column compression ratios. A
+// log that cannot be read is diagnosed on stderr with exit status 1.
 #include <unistd.h>
 
 #include <algorithm>
@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <memory>
 
 #include "analysis/analyzer.hpp"
 #include "analysis/spill_store.hpp"
@@ -34,63 +35,6 @@
 using namespace wasp;
 
 namespace {
-
-analysis::WorkloadProfile analyze_spill(const std::string& trace_path,
-                                        std::string spill_dir,
-                                        std::size_t chunk_rows,
-                                        std::size_t max_resident,
-                                        analysis::IoStats* io_out) {
-  trace::LogReader reader(trace_path);
-  const trace::LogHeader& h = reader.header();
-  if (spill_dir.empty()) {
-    spill_dir = (std::filesystem::temp_directory_path() /
-                 ("wasp_spill_" + std::to_string(::getpid())))
-                    .string();
-  }
-  analysis::SpillColumnStore::Options opts;
-  opts.dir = spill_dir;
-  opts.chunk_rows = chunk_rows;
-  opts.max_resident_chunks = max_resident;
-  analysis::SpillColumnStore store(opts);
-
-  std::vector<trace::Record> records;
-  std::vector<std::uint32_t> path_idx;
-  std::vector<std::uint64_t> file_sizes;
-  // The store's clamped size, not the flag: a 0-row read would end the loop
-  // before the first chunk.
-  while (reader.next_chunk(store.chunk_rows(), records, path_idx,
-                           file_sizes) > 0) {
-    store.append(records, path_idx, file_sizes);
-    records.clear();
-    path_idx.clear();
-    file_sizes.clear();
-  }
-  store.finalize();
-  std::cerr << "loaded " << store.size() << " records, " << h.apps.size()
-            << " apps (spill: " << store.spilled_chunks() << " chunks in "
-            << spill_dir << ")\n";
-
-  analysis::TraceInput input;
-  input.store = &store;
-  input.app_names = h.apps;
-  input.path_at = [&](std::size_t i) {
-    return h.path_table.empty() ? std::string()
-                                : h.path_table[store.path_idx_at(i)];
-  };
-  input.size_at = [&](std::size_t i) { return store.file_size_at(i); };
-  input.fs_shared = [&](std::int16_t idx) {
-    const auto u = static_cast<std::size_t>(idx);
-    return u >= h.fs_shared.size() || h.fs_shared[u];
-  };
-  analysis::Analyzer analyzer;
-  auto profile = analyzer.analyze(input);
-  std::cerr << "spill cache: peak " << store.peak_resident_chunks() << "/"
-            << opts.max_resident_chunks << " resident chunks, "
-            << store.chunk_loads() << " loads, " << store.chunk_evictions()
-            << " evictions\n";
-  if (io_out != nullptr) *io_out = store.io_stats();
-  return profile;
-}
 
 void print_io_stats(const analysis::IoStats& io) {
   std::cout << "\nspill backend I/O:\n"
@@ -195,17 +139,40 @@ int run_main(int argc, char** argv) {
     return 2;
   }
 
-  analysis::WorkloadProfile profile;
-  analysis::IoStats io;
+  // The two backends differ only in the store the log streams into.
+  trace::LogReader reader(argv[1]);
+  std::unique_ptr<analysis::TraceStore> store;
+  analysis::SpillColumnStore* spill = nullptr;
   if (backend == "spill") {
-    profile = analyze_spill(argv[1], spill_dir, chunk_rows, max_resident,
-                            &io);
+    if (spill_dir.empty()) {
+      spill_dir = (std::filesystem::temp_directory_path() /
+                   ("wasp_spill_" + std::to_string(::getpid())))
+                      .string();
+    }
+    auto s = std::make_unique<analysis::SpillColumnStore>(
+        analysis::SpillColumnStore::Options{
+            .dir = spill_dir,
+            .chunk_rows = chunk_rows,
+            .max_resident_chunks = max_resident});
+    spill = s.get();
+    store = std::move(s);
   } else {
-    const auto log = trace::read_log(argv[1]);
-    std::cerr << "loaded " << log.records.size() << " records, "
-              << log.apps.size() << " apps\n";
-    analysis::Analyzer analyzer;
-    profile = analyzer.analyze(log);
+    store = std::make_unique<analysis::ColumnStore>();
+  }
+  analysis::load_log(reader, *store);
+  std::cerr << "loaded " << store->size() << " records, "
+            << reader.header().apps.size() << " apps";
+  if (spill != nullptr) {
+    std::cerr << " (spill: " << spill->spilled_chunks() << " chunks in "
+              << spill_dir << ")";
+  }
+  std::cerr << "\n";
+  const analysis::WorkloadProfile profile = analysis::Analyzer().analyze(
+      analysis::log_input(reader.header(), *store));
+  if (spill != nullptr) {
+    std::cerr << "spill cache: peak " << spill->peak_resident_chunks() << "/"
+              << max_resident << " resident chunks, " << spill->chunk_loads()
+              << " loads, " << spill->chunk_evictions() << " evictions\n";
   }
 
   std::cout << "job runtime:   " << util::format_seconds(profile.job_runtime_sec)
@@ -273,8 +240,8 @@ int run_main(int argc, char** argv) {
     }
   }
   if (show_stats) {
-    if (backend == "spill") {
-      print_io_stats(io);
+    if (spill != nullptr) {
+      print_io_stats(spill->io_stats());
     } else {
       std::cout << "\nspill backend I/O: none (memory backend)\n";
     }
