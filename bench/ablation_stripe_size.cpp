@@ -76,9 +76,6 @@ int main(int argc, char** argv) {
     s.make = lone_writer_workload;
     return s;
   };
-  // A lone 64-transfer writer is a few hundred engine events per cell —
-  // run_many keeps the grid serial (pool dispatch costs more than the sim).
-  sweep.est_events_per_cell = 500;
   sweep.row = [](const Cell& cell, const workloads::RunOutput& out) {
     char t[32];
     std::snprintf(t, sizeof(t), "%.2fs", out.job_seconds);

@@ -25,7 +25,6 @@
 #include "analysis/spill_store.hpp"
 #include "obs/obs.hpp"
 #include "trace/synthetic.hpp"
-#include "util/parallel.hpp"
 #include "util/parse.hpp"
 
 namespace {
@@ -172,9 +171,9 @@ int main(int argc, char** argv) {
     spill->finalize();
     store = std::move(spill);
   } else {
-    store = std::make_unique<wasp::analysis::ColumnStore>(
-        wasp::analysis::ColumnStore::from_records(
-            records, wasp::util::resolve_jobs(a.jobs)));
+    auto memory = std::make_unique<wasp::analysis::ColumnStore>();
+    for (const wasp::trace::Record& r : records) memory->push_back(r);
+    store = std::move(memory);
   }
 
   wasp::analysis::TraceInput input;

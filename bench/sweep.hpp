@@ -26,10 +26,6 @@ struct Sweep {
   std::function<std::vector<std::string>(const Cell&,
                                          const workloads::RunOutput&)>
       row;
-  /// Rough engine-event count per cell (0 = unknown), forwarded to
-  /// Scenario::est_events so run_many can skip the thread-pool fan-out for
-  /// grids of tiny cells.
-  std::uint64_t est_events_per_cell = 0;
 };
 
 /// Run the grid cell-parallel on `jobs` workers (0 -> util::default_jobs())
@@ -40,11 +36,7 @@ std::vector<workloads::RunOutput> run_sweep(const Sweep<Cell>& sweep,
                                             int jobs = 0) {
   std::vector<workloads::Scenario> scenarios;
   scenarios.reserve(sweep.cells.size());
-  for (const Cell& c : sweep.cells) {
-    workloads::Scenario s = sweep.scenario(c);
-    if (s.est_events == 0) s.est_events = sweep.est_events_per_cell;
-    scenarios.push_back(std::move(s));
-  }
+  for (const Cell& c : sweep.cells) scenarios.push_back(sweep.scenario(c));
   auto outs = workloads::run_many(scenarios, jobs);
 
   util::TablePrinter table(sweep.title);

@@ -310,15 +310,16 @@ double Analyzer::union_seconds(
 
 TraceInput tracer_input(const trace::Tracer& tracer) {
   TraceInput input;
+  input.store = &tracer.records();
   for (std::size_t a = 0; a < tracer.num_apps(); ++a) {
     input.app_names.push_back(tracer.app_name(static_cast<std::uint16_t>(a)));
   }
   input.path_at = [&tracer](std::size_t i) {
-    const trace::Record& r = tracer.records()[i];
+    const trace::Record r = tracer.records()[i];
     return tracer.path_of(r.file, r.node);
   };
   input.size_at = [&tracer](std::size_t i) -> fs::Bytes {
-    const trace::Record& r = tracer.records()[i];
+    const trace::Record r = tracer.records()[i];
     if (!r.file.valid()) return 0;
     auto& fsys = tracer.filesystem(r.file.fs);
     auto& ns = fsys.ns(fs::ProcSite{fsys.shared() ? 0 : r.node, 0});
@@ -367,12 +368,7 @@ TraceInput log_input(const trace::LogHeader& header, const TraceStore& store) {
 }
 
 WorkloadProfile Analyzer::analyze(const trace::Tracer& tracer) const {
-  ColumnStore cs = ColumnStore::from_records(tracer.records(),
-                                             util::resolve_jobs(opts_.jobs));
-  cs.set_chunk_rows(opts_.chunk_rows > 0 ? opts_.chunk_rows : 65536);
-  TraceInput input = tracer_input(tracer);
-  input.store = &cs;
-  return analyze(input);
+  return analyze(tracer_input(tracer));
 }
 
 WorkloadProfile Analyzer::analyze(const TraceInput& input) const {

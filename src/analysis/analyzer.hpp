@@ -25,9 +25,10 @@ struct TraceInput {
   std::function<bool(std::int16_t)> fs_shared;
 };
 
-/// A live tracer's registries (app names, paths, end-of-run file sizes) for
-/// a store holding its records in trace order; the caller sets `store`.
-/// The returned input borrows the tracer.
+/// A live tracer's records, read in place from its store, and its
+/// registries (app names, paths, end-of-run file sizes). Another store
+/// holding the same records in trace order may replace `store`. The
+/// returned input borrows the tracer.
 TraceInput tracer_input(const trace::Tracer& tracer);
 
 /// Stream every row of a log into `store`, one store chunk at a time, with
@@ -68,9 +69,8 @@ class Analyzer {
   Analyzer() : opts_() {}
   explicit Analyzer(const Options& opts) : opts_(opts) {}
 
-  /// Analyze a live trace: transpose its records into a ColumnStore (with
-  /// `jobs` threads, chunked at `chunk_rows`) and resolve names and paths
-  /// through the tracer's registries.
+  /// Analyze a live trace in the tracer's own store, resolving names and
+  /// paths through the tracer's registries.
   WorkloadProfile analyze(const trace::Tracer& tracer) const;
 
   /// Analyze the trace in input.store; throws SimError when it is null.

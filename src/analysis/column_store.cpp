@@ -3,51 +3,15 @@
 #include <algorithm>
 
 #include "util/error.hpp"
-#include "util/parallel.hpp"
 
 namespace wasp::analysis {
 
-void Columns::resize(std::size_t n) {
-  each(*this, false, [n](auto& col, Id) { col.resize(n); });
-}
-
-void Columns::put(std::size_t at, std::span<const trace::Record> records) {
-  if (records.empty()) return;
-  // Fill through plain pointers so the loop never re-reads a vector's
-  // bounds.
-  std::uint16_t* app_p = app.data() + at;
-  std::int32_t* rank_p = rank.data() + at;
-  std::int32_t* node_p = node.data() + at;
-  trace::Iface* iface_p = iface.data() + at;
-  trace::Op* op_p = op.data() + at;
-  std::int16_t* fs_p = fs.data() + at;
-  fs::FileId* file_p = file.data() + at;
-  fs::Bytes* offset_p = offset.data() + at;
-  fs::Bytes* size_p = size.data() + at;
-  std::uint32_t* count_p = count.data() + at;
-  sim::Time* tstart_p = tstart.data() + at;
-  sim::Time* tend_p = tend.data() + at;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const trace::Record& r = records[i];
-    app_p[i] = r.app;
-    rank_p[i] = r.rank;
-    node_p[i] = r.node;
-    iface_p[i] = r.iface;
-    op_p[i] = r.op;
-    fs_p[i] = r.file.fs;
-    file_p[i] = r.file.file;
-    offset_p[i] = r.offset;
-    size_p[i] = r.size;
-    count_p[i] = r.count;
-    tstart_p[i] = r.tstart;
-    tend_p[i] = r.tend;
-  }
-}
-
 void Columns::append(std::span<const trace::Record> records) {
+  // Grow once and write rows in place: a push_back per row would check
+  // every column's capacity on every row.
   const std::size_t at = rows();
-  resize(at + records.size());
-  put(at, records);
+  each(*this, false, [&](auto& col, Id) { col.resize(at + records.size()); });
+  for (std::size_t i = 0; i < records.size(); ++i) set(at + i, records[i]);
 }
 
 void Columns::append(std::span<const trace::Record> records,
@@ -71,74 +35,46 @@ std::int16_t Columns::max_fs() const noexcept {
   return m;
 }
 
-ChunkColumns Columns::view(std::size_t base) const noexcept {
-  ChunkColumns v;
-  v.base = base;
-  v.rows = rows();
-  v.app = app.data();
-  v.rank = rank.data();
-  v.node = node.data();
-  v.iface = iface.data();
-  v.op = op.data();
-  v.fs = fs.data();
-  v.file = file.data();
-  v.offset = offset.data();
-  v.size = size.data();
-  v.count = count.data();
-  v.tstart = tstart.data();
-  v.tend = tend.data();
-  if (!path_idx.empty()) v.path_idx = path_idx.data();
-  if (!file_size.empty()) v.file_size = file_size.data();
-  return v;
+void ColumnStore::push_back(const trace::Record& r) {
+  if (size_ % kBlockRows == 0) open_block(false);
+  blocks_.back().push_back(r);
+  ++size_;
 }
 
-ColumnStore ColumnStore::from_records(const trace::RecordView& records,
-                                      int jobs) {
-  ColumnStore cs;
-  cs.cols_.resize(records.size());
-  // First row of each piece, so a chunk finds the piece holding its start.
-  const auto& pieces = records.pieces();
-  std::vector<std::size_t> starts;
-  starts.reserve(pieces.size());
-  std::size_t at = 0;
-  for (const auto& p : pieces) {
-    starts.push_back(at);
-    at += p.size();
-  }
-  // Each chunk writes a disjoint row range of every column — no sharing.
-  util::parallel_for(
-      jobs, records.size(), 1 << 17, [&](const util::ChunkRange& c) {
-        std::size_t k = static_cast<std::size_t>(
-            std::upper_bound(starts.begin(), starts.end(), c.begin) -
-            starts.begin() - 1);
-        for (std::size_t i = c.begin; i < c.end; ++k) {
-          const std::size_t stop =
-              std::min(c.end, starts[k] + pieces[k].size());
-          cs.cols_.put(i, pieces[k].subspan(i - starts[k], stop - i));
-          i = stop;
-        }
-      });
-  return cs;
+void ColumnStore::open_block(bool aux) {
+  Columns::each(blocks_.emplace_back(), aux,
+                [](auto& col, Columns::Id) { col.reserve(kBlockRows); });
 }
 
 void ColumnStore::append(std::span<const trace::Record> records,
                          std::span<const std::uint32_t> path_idx,
                          std::span<const std::uint64_t> file_sizes) {
-  WASP_CHECK_MSG(cols_.path_idx.size() == cols_.rows(),
-                 "appending log rows to a store built from records");
-  cols_.append(records, path_idx, file_sizes);
+  WASP_CHECK_MSG(records.size() == path_idx.size() &&
+                     records.size() == file_sizes.size(),
+                 "aux columns must parallel the record span");
+  WASP_CHECK_MSG(blocks_.empty() || blocks_.back().view(0).path_idx != nullptr,
+                 "appending log rows to a store of tracer records");
+  for (std::size_t i = 0; i < records.size();) {
+    if (size_ % kBlockRows == 0) open_block(true);
+    const std::size_t n =
+        std::min(records.size() - i, kBlockRows - size_ % kBlockRows);
+    blocks_.back().append(records.subspan(i, n), path_idx.subspan(i, n),
+                          file_sizes.subspan(i, n));
+    i += n;
+    size_ += n;
+  }
 }
 
 ChunkHandle ColumnStore::chunk(std::size_t chunk_index) const {
-  const std::size_t base = chunk_index * chunk_rows_;
-  WASP_CHECK_MSG(base < size(), "chunk index out of range");
-  // The pin stays null: views borrow the store's own columns.
-  return {cols_.view(0).slice(base, base + chunk_rows_), nullptr};
+  WASP_CHECK_MSG(chunk_index < blocks_.size(), "chunk index out of range");
+  // The pin stays null: views borrow the store's own blocks.
+  return {blocks_[chunk_index].view(chunk_index * kBlockRows), nullptr};
 }
 
-ChunkHandle ColumnStore::span_at(std::size_t row) const {
-  WASP_CHECK_MSG(row < size(), "span row out of range");
-  return {cols_.view(0), nullptr};
+std::int16_t ColumnStore::max_fs() const {
+  std::int16_t m = -1;
+  for (const Columns& b : blocks_) m = std::max(m, b.max_fs());
+  return m;
 }
 
 }  // namespace wasp::analysis

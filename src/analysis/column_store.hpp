@@ -1,30 +1,31 @@
 // Column-major trace storage — the stand-in for the Analyzer's
 // Recorder-log -> parquet conversion. Row-major Recorder logs are expensive
 // to filter/aggregate; the paper converts to parquet and processes with
-// DASK. Analysis here runs over these columns, optionally filled and
-// scanned chunk-parallel (fixed chunking, chunk-order merges — results are
-// independent of the job count).
+// DASK. Analysis here runs over these columns, scanned chunk-parallel
+// (fixed chunking, chunk-order merges — results are independent of the job
+// count).
 //
-// Columns is the one column set both backends store their rows in: all of
-// a ColumnStore, and the spill store's open chunk and every chunk it loads
-// back. Records are transposed into it, and a view is taken of it, in one
-// place each.
+// Columns is the one column set both backends store their rows in: each
+// block of a ColumnStore, and the spill store's open chunk and every chunk
+// it loads back. ColumnStore is also the live tracer's buffer
+// (trace::Tracer::records()), so a simulated trace is written in columns
+// once and analyzed where it lies.
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "analysis/trace_store.hpp"
-#include "trace/record_blocks.hpp"
 
 namespace wasp::analysis {
 
 /// Leaves the elements a resize adds uninitialized: every element of a
-/// column is written (by a transposition or a decoder) right after the
-/// column grows, so zero-filling it first would be wasted work.
+/// column is written (by a decoder or Columns::set) right after the column
+/// grows, so zero-filling it first would be wasted work.
 template <typename T>
 struct UninitAllocator : std::allocator<T> {
   template <typename U>
@@ -45,7 +46,7 @@ using Column = std::vector<T, UninitAllocator<T>>;
 
 /// A trace's rows as one contiguous array per record field, plus the
 /// offline log's two auxiliary columns (empty when the rows came from
-/// records rather than a log).
+/// a tracer rather than a log).
 struct Columns {
   /// Column ids in declaration order, which is also the chunk-file order.
   enum Id : std::size_t {
@@ -96,12 +97,27 @@ struct Columns {
   }
 
   std::size_t rows() const noexcept { return app.size(); }
-  /// Resize the record columns to n rows; rows added stay uninitialized
-  /// until put() writes them.
-  void resize(std::size_t n);
-  /// Transpose records into rows [at, at + records.size()), which must
-  /// exist. Disjoint row ranges may be written concurrently.
-  void put(std::size_t at, std::span<const trace::Record> records);
+  /// Write record r into the record columns of row k, which must exist.
+  void set(std::size_t k, const trace::Record& r) noexcept {
+    app[k] = r.app;
+    rank[k] = r.rank;
+    node[k] = r.node;
+    iface[k] = r.iface;
+    op[k] = r.op;
+    fs[k] = r.file.fs;
+    file[k] = r.file.file;
+    offset[k] = r.offset;
+    size[k] = r.size;
+    count[k] = r.count;
+    tstart[k] = r.tstart;
+    tend[k] = r.tend;
+  }
+  /// Append one record as a new row of the record columns.
+  void push_back(const trace::Record& r) {
+    const std::size_t k = rows();
+    each(*this, false, [](auto& col, Id) { col.emplace_back(); });
+    set(k, r);
+  }
   /// Append records as new rows.
   void append(std::span<const trace::Record> records);
   /// Append records as new rows together with their aux values.
@@ -112,47 +128,94 @@ struct Columns {
   void clear() noexcept;
   /// Largest fs index over the rows (-1 when there are none).
   std::int16_t max_fs() const noexcept;
-  /// All rows as one view whose first row is global row `base`.
-  ChunkColumns view(std::size_t base) const noexcept;
+  /// All rows as one view whose first row is global row `base`. The aux
+  /// columns are in the view only when they hold every row.
+  ChunkColumns view(std::size_t base) const noexcept {
+    ChunkColumns v;
+    v.base = base;
+    v.rows = rows();
+    v.app = app.data();
+    v.rank = rank.data();
+    v.node = node.data();
+    v.iface = iface.data();
+    v.op = op.data();
+    v.fs = fs.data();
+    v.file = file.data();
+    v.offset = offset.data();
+    v.size = size.data();
+    v.count = count.data();
+    v.tstart = tstart.data();
+    v.tend = tend.data();
+    if (path_idx.size() == rows()) v.path_idx = path_idx.data();
+    if (file_size.size() == rows()) v.file_size = file_size.data();
+    return v;
+  }
 };
 
-/// The in-memory TraceStore: one Columns holding the whole trace.
+/// The in-memory TraceStore and the live tracer's buffer. Rows append into
+/// blocks of kBlockRows whose columns are reserved when the block opens, so
+/// a growing trace never copies a row and a block's columns never move;
+/// block c is storage chunk c. A store holds tracer records (push_back) or
+/// log rows with their aux columns (append), never both.
 class ColumnStore : public TraceStore {
  public:
-  /// Transpose records into columns, reading each piece of the view in
-  /// place. With jobs > 1 the fill runs chunk-parallel over preallocated
-  /// columns (each chunk writes a disjoint row range), producing the same
-  /// store as the sequential fill. The store has no aux columns.
-  static ColumnStore from_records(const trace::RecordView& records,
-                                  int jobs = 1);
+  static constexpr std::size_t kBlockRows = std::size_t{1} << 16;
 
-  /// Append log rows with their aux columns; an error on a store built from
-  /// records.
+  /// The rows as trace::Records, by value, in trace order.
+  class Iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = trace::Record;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = trace::Record;
+
+    Iterator(const ColumnStore& store, std::size_t i)
+        : store_(&store), i_(i) {}
+    trace::Record operator*() const noexcept { return (*store_)[i_]; }
+    Iterator& operator++() noexcept {
+      ++i_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator old = *this;
+      ++i_;
+      return old;
+    }
+    bool operator==(const Iterator& o) const noexcept { return i_ == o.i_; }
+
+   private:
+    const ColumnStore* store_;
+    std::size_t i_;
+  };
+
+  /// Append one record (the tracer's per-op path). Kept out of line:
+  /// inlined into every traced op, it made `sim.run` slower.
+  void push_back(const trace::Record& r);
+
+  /// Append log rows with their aux columns; an error on a store holding
+  /// tracer records.
   void append(std::span<const trace::Record> records,
               std::span<const std::uint32_t> path_idx,
               std::span<const std::uint64_t> file_sizes) override;
 
-  std::size_t size() const noexcept override { return cols_.rows(); }
-
-  /// Storage-chunk size of the TraceStore view. Purely a view property —
-  /// chunks are zero-copy slices of the contiguous columns, so any value
-  /// yields identical analysis results.
-  std::size_t chunk_rows() const noexcept override { return chunk_rows_; }
-  void set_chunk_rows(std::size_t rows) noexcept {
-    chunk_rows_ = rows > 0 ? rows : 1;
-  }
+  std::size_t size() const noexcept override { return size_; }
+  std::size_t chunk_rows() const noexcept override { return kBlockRows; }
   ChunkHandle chunk(std::size_t chunk_index) const override;
-  /// Every chunk view aliases the same contiguous columns, so the maximal
-  /// contiguous view is the whole store: a sequential scan (span-batched or
-  /// row-at-a-time through a Cursor) resolves residency exactly once.
-  ChunkHandle span_at(std::size_t row) const override;
+  std::int16_t max_fs() const override;
 
-  /// Direct scan over the contiguous fs column — no chunk handles needed.
-  std::int16_t max_fs() const override { return cols_.max_fs(); }
+  /// Row i as a record, unchecked like a vector's (row(i) checks).
+  trace::Record operator[](std::size_t i) const noexcept {
+    return blocks_[i / kBlockRows].view(0).record(i % kBlockRows);
+  }
+  Iterator begin() const { return {*this, 0}; }
+  Iterator end() const { return {*this, size_}; }
 
  private:
-  std::size_t chunk_rows_ = 65536;
-  Columns cols_;
+  void open_block(bool aux);
+
+  std::vector<Columns> blocks_;
+  std::size_t size_ = 0;
 };
 
 }  // namespace wasp::analysis

@@ -160,18 +160,16 @@ void SpillColumnStore::maybe_flush() {
   if (open_.rows() >= opts_.chunk_rows) flush_open_chunk();
 }
 
-void SpillColumnStore::append(const trace::RecordView& records) {
+void SpillColumnStore::append(std::span<const trace::Record> records) {
   WASP_CHECK_MSG(!finalized_, "append to finalized spill store");
   WASP_CHECK_MSG(!aux_decided_ || !has_aux_,
                  "mixing aux and non-aux appends on one spill store");
   aux_decided_ = true;
-  for (std::span<const trace::Record> piece : records.pieces()) {
-    while (!piece.empty()) {
-      const std::size_t n = std::min(piece.size(), open_room());
-      open_.append(piece.first(n));
-      piece = piece.subspan(n);
-      maybe_flush();
-    }
+  for (std::size_t i = 0; i < records.size();) {
+    const std::size_t n = std::min(records.size() - i, open_room());
+    open_.append(records.subspan(i, n));
+    i += n;
+    maybe_flush();
   }
   total_rows_ += records.size();
 }

@@ -48,7 +48,6 @@
 
 #include "analysis/column_store.hpp"
 #include "obs/metrics.hpp"
-#include "trace/record_blocks.hpp"
 
 namespace wasp::analysis {
 
@@ -73,7 +72,7 @@ class SpillColumnStore final : public TraceStore {
   SpillColumnStore& operator=(const SpillColumnStore&) = delete;
 
   // --- Write side (single-threaded, before finalize) ----------------------
-  void append(const trace::RecordView& records);
+  void append(std::span<const trace::Record> records);
   /// Append log rows with their aux columns. A store is either aux or
   /// non-aux for its whole life — the first append decides, mixing is an
   /// error.
@@ -98,7 +97,6 @@ class SpillColumnStore final : public TraceStore {
   std::size_t resident_chunks() const noexcept;
   std::size_t peak_resident_chunks() const noexcept;
   std::uint64_t chunk_loads() const noexcept { return loads_.value(); }
-  std::uint64_t chunk_hits() const noexcept { return hits_.value(); }
   std::uint64_t chunk_evictions() const noexcept {
     return evictions_.value();
   }

@@ -29,34 +29,31 @@ ChunkColumns ChunkColumns::slice(std::size_t i,
   return s;
 }
 
+namespace {
+
+/// The storage chunk holding row i. chunk() checks only the chunk index,
+/// and the last chunk's columns end at size(), so the row is checked here.
+ChunkHandle chunk_of(const TraceStore& store, std::size_t i) {
+  WASP_CHECK_MSG(i < store.size(), "trace store row out of range");
+  return store.chunk(i / store.chunk_rows());
+}
+
+}  // namespace
+
 trace::Record TraceStore::row(std::size_t i) const {
-  const ChunkHandle h = chunk(i / chunk_rows());
-  const ChunkColumns& c = h.cols;
-  const std::size_t k = i - c.base;
-  trace::Record r;
-  r.app = c.app[k];
-  r.rank = c.rank[k];
-  r.node = c.node[k];
-  r.iface = c.iface[k];
-  r.op = c.op[k];
-  r.file = {c.fs[k], c.file[k]};
-  r.offset = c.offset[k];
-  r.size = c.size[k];
-  r.count = c.count[k];
-  r.tstart = c.tstart[k];
-  r.tend = c.tend[k];
-  return r;
+  const ChunkHandle h = chunk_of(*this, i);
+  return h.cols.record(i - h.cols.base);
 }
 
 std::uint32_t TraceStore::path_idx_at(std::size_t i) const {
-  const ChunkHandle h = chunk(i / chunk_rows());
+  const ChunkHandle h = chunk_of(*this, i);
   WASP_CHECK_MSG(h.cols.path_idx != nullptr,
                  "trace store carries no path column");
   return h.cols.path_idx[i - h.cols.base];
 }
 
 fs::Bytes TraceStore::file_size_at(std::size_t i) const {
-  const ChunkHandle h = chunk(i / chunk_rows());
+  const ChunkHandle h = chunk_of(*this, i);
   WASP_CHECK_MSG(h.cols.file_size != nullptr,
                  "trace store carries no file-size column");
   return h.cols.file_size[i - h.cols.base];
@@ -66,7 +63,7 @@ void Cursor::seek(std::size_t i) {
   // Drop the old pin before fetching: a bounded spill cache must never hold
   // two chunks on this cursor's account.
   handle_ = ChunkHandle{};
-  handle_ = store_->span_at(i);
+  handle_ = chunk_of(*store_, i);
 }
 
 }  // namespace wasp::analysis

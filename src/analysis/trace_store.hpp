@@ -6,13 +6,14 @@
 // global index while pinning one chunk at a time.
 //
 // Two backends implement it, as two residencies of one column set
-// (analysis::Columns): ColumnStore (in memory; chunk views are zero-copy
-// slices of its columns) and SpillColumnStore (chunk files on disk with a
-// bounded LRU of resident chunks). Both take an offline log's rows through
-// the same append() and serve bit-identical column values through the same
-// cursor, and the analyzer's map-reduce chunking/merge order is independent
-// of the storage chunking — so profiles are byte-identical across backends
-// and job counts.
+// (analysis::Columns): ColumnStore (in memory, and the live tracer's own
+// buffer; each chunk is one of its never-moved column blocks) and
+// SpillColumnStore (chunk files on disk with a bounded LRU of resident
+// chunks). Both take an offline log's rows through the same append() and
+// serve bit-identical column values through the same cursor, and the
+// analyzer's map-reduce chunking/merge order is independent of the storage
+// chunking — so profiles are byte-identical across backends and job
+// counts.
 #pragma once
 
 #include <cstddef>
@@ -68,8 +69,8 @@ struct IoStats {
 };
 
 /// Borrowed columnar view of rows [base, base + rows): column[k] is row
-/// base + k. A storage chunk, a whole in-memory store, and a cursor's span
-/// are all views of this one shape.
+/// base + k. A storage chunk and a cursor's span are both views of this
+/// one shape.
 struct ChunkColumns {
   std::size_t base = 0;
   std::size_t rows = 0;
@@ -95,6 +96,22 @@ struct ChunkColumns {
   /// Rows [i, min(base + rows, limit)) as a view of their own; `i` must
   /// lie inside this view.
   ChunkColumns slice(std::size_t i, std::size_t limit) const noexcept;
+  /// Row base + k as a record; k < rows.
+  trace::Record record(std::size_t k) const noexcept {
+    trace::Record r;
+    r.app = app[k];
+    r.rank = rank[k];
+    r.node = node[k];
+    r.iface = iface[k];
+    r.op = op[k];
+    r.file = {fs[k], file[k]};
+    r.offset = offset[k];
+    r.size = size[k];
+    r.count = count[k];
+    r.tstart = tstart[k];
+    r.tend = tend[k];
+    return r;
+  }
 };
 
 /// A pinned chunk: the view stays valid for as long as `pin` is held, even
@@ -127,17 +144,6 @@ class TraceStore {
   /// Fetch storage chunk `chunk_index`. Thread-safe: concurrent cursors may
   /// fetch chunks from worker threads.
   virtual ChunkHandle chunk(std::size_t chunk_index) const = 0;
-  /// The maximal contiguous resident view containing `row`. The base
-  /// implementation serves the row's storage chunk — the largest view a
-  /// spill store can serve, since its chunks decode into separate
-  /// allocations. ColumnStore, whose chunk views alias one contiguous
-  /// allocation, hands out the whole store in a single view, so a
-  /// sequential scan resolves residency exactly once. Span partitioning
-  /// never changes analysis results — kernels accumulate per-row state in
-  /// row order regardless of where span boundaries fall.
-  virtual ChunkHandle span_at(std::size_t row) const {
-    return chunk(row / chunk_rows());
-  }
 
   std::size_t num_chunks() const noexcept {
     const std::size_t n = size();
@@ -154,7 +160,8 @@ class TraceStore {
   /// Purely in-memory backends report the default all-zero stats.
   virtual IoStats io_stats() const { return {}; }
 
-  /// Reconstruct one row (serial post-merge resolution, tests, CSV export).
+  /// Reconstruct one row (serial post-merge resolution, tests). Like every
+  /// row-indexed read here, throws SimError when i >= size().
   trace::Record row(std::size_t i) const;
   /// Row i's auxiliary columns: its index into the log's path table and its
   /// file's end-of-run size. Throw SimError on a store built without them.
@@ -194,12 +201,14 @@ class Cursor {
     return sim::to_seconds(c.tend[i - c.base] - c.tstart[i - c.base]);
   }
 
-  /// Batched access: the contiguous resident run starting at row `i`,
-  /// clipped to `limit` (exclusive). Scan kernels walk a range as
+  /// Batched access: the rest of row `i`'s storage chunk, clipped to
+  /// `limit` (exclusive). Scan kernels walk a range as
   ///   for (pos = begin; pos < end; pos += cursor.span(pos, end).rows)
   /// paying one residency resolution per storage chunk instead of one check
-  /// per column read. The span borrows this cursor's pin: it is invalidated
-  /// by the next span()/accessor call that seeks to a different chunk.
+  /// per column read. Span boundaries never change analysis results:
+  /// kernels accumulate per-row state in row order wherever they fall. The
+  /// span borrows this cursor's pin: it is invalidated by the next
+  /// span()/accessor call that seeks to a different chunk.
   ChunkColumns span(std::size_t i, std::size_t limit) {
     return at(i).slice(i, limit);
   }

@@ -45,11 +45,6 @@ class ParallelFS final : public FileSystemSim {
   const sim::SharedLink& server(std::size_t i) const { return *servers_.at(i); }
   std::size_t num_servers() const noexcept { return servers_.size(); }
 
-  /// Metadata-queue depth right now (tests/benchmarks).
-  std::size_t metadata_queue_length() const noexcept {
-    return mds_slots_.queue_length();
-  }
-
   /// Drop all client caches (used between the untraced staging phase and
   /// the traced run so staging writes don't fake warm caches).
   void drop_client_caches();

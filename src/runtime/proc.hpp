@@ -37,7 +37,6 @@ class Proc {
   int node() const noexcept { return node_; }
   fs::ProcSite site() const noexcept { return {node_, rank_}; }
 
-  bool has_comm() const noexcept { return comm_ != nullptr; }
   mpi::Comm& comm();
 
   /// Traced CPU compute span.

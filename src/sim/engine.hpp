@@ -36,7 +36,6 @@ class Engine {
   ~Engine();
 
   Time now() const noexcept { return now_; }
-  QueueKind queue_kind() const noexcept { return opts_.queue; }
 
   /// Wake coroutine `h` at absolute time `at`. Scheduling into the past is
   /// a contract violation: asserts in debug builds, throws util::SimError

@@ -20,13 +20,10 @@ Task<void> SharedLink::transfer(util::Bytes n, util::Bytes granularity) {
   ++active_;
   peak_ = std::max(peak_, active_);
   const double rate = snapshot_rate(granularity);
-  const double service_sec =
-      to_seconds(cfg_.latency) + static_cast<double>(n) / rate;
   co_await Delay(eng_, cfg_.latency + seconds(static_cast<double>(n) / rate));
   --active_;
   ++completed_;
   bytes_ += n;
-  busy_seconds_ += service_sec;
 }
 
 }  // namespace wasp::sim

@@ -50,8 +50,6 @@ class SharedLink {
   std::size_t peak_streams() const noexcept { return peak_; }
   std::uint64_t transfers_completed() const noexcept { return completed_; }
   util::Bytes bytes_moved() const noexcept { return bytes_; }
-  /// Sum of per-transfer service times (queueing excluded).
-  double busy_seconds() const noexcept { return busy_seconds_; }
 
  private:
   Engine& eng_;
@@ -61,7 +59,6 @@ class SharedLink {
   std::size_t peak_ = 0;
   std::uint64_t completed_ = 0;
   util::Bytes bytes_ = 0;
-  double busy_seconds_ = 0.0;
 };
 
 }  // namespace wasp::sim

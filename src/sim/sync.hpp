@@ -18,8 +18,6 @@ class Event {
  public:
   explicit Event(Engine& eng) noexcept : eng_(eng) {}
 
-  bool is_set() const noexcept { return set_; }
-
   void set() {
     set_ = true;
     for (auto h : waiters_) eng_.schedule(eng_.now(), h);
@@ -39,8 +37,6 @@ class Event {
     };
     return Awaiter{*this};
   }
-
-  std::size_t waiter_count() const noexcept { return waiters_.size(); }
 
  private:
   Engine& eng_;
@@ -84,7 +80,6 @@ class Resource {
 
   std::size_t capacity() const noexcept { return capacity_; }
   std::size_t available() const noexcept { return available_; }
-  std::size_t in_use() const noexcept { return capacity_ - available_; }
   std::size_t queue_length() const noexcept { return waiters_.size(); }
 
   /// co_await acquire() -> ResourceGuard (released on destruction).

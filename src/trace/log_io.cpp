@@ -268,20 +268,29 @@ class FileTable {
   std::uint32_t empty_path_ = kUnseen;
 };
 
+/// Calls f(record) on each of the tracer's records in trace order, reading
+/// its store one chunk view at a time.
+template <typename F>
+void for_each_record(const Tracer& tracer, F&& f) {
+  const analysis::ColumnStore& store = tracer.records();
+  for (std::size_t c = 0; c < store.num_chunks(); ++c) {
+    const analysis::ChunkColumns v = store.chunk(c).cols;
+    for (std::size_t k = 0; k < v.rows; ++k) f(v.record(k));
+  }
+}
+
 }  // namespace
 
 void write_log(const std::string& filename, const Tracer& tracer) {
   std::ofstream os(filename, std::ios::binary | std::ios::trunc);
   WASP_CHECK_MSG(os.good(), "cannot open trace log for write: " + filename);
-  const RecordBlocks& records = tracer.records();
+  const std::size_t num_records = tracer.records().size();
 
   // Resolve each distinct file once, in record order: its path goes into
   // the deduplicated path table (first-appearance order), which the header
   // carries ahead of the rows.
   FileTable files(tracer);
-  for (std::size_t b = 0; b < records.num_blocks(); ++b) {
-    for (const Record& r : records.block(b)) files.resolve(r);
-  }
+  for_each_record(tracer, [&files](const Record& r) { files.resolve(r); });
 
   CheckedWriter w(os, filename);
   w.write(kMagic, sizeof(kMagic));
@@ -297,19 +306,17 @@ void write_log(const std::string& filename, const Tracer& tracer) {
   }
   w.put_u64(files.paths().size());
   for (const std::string_view p : files.paths()) w.put_string(p);
-  w.put_u64(records.size());
-  std::vector<Row> block(std::min(records.size(), kBlockRows));
+  w.put_u64(num_records);
+  std::vector<Row> block(std::min(num_records, kBlockRows));
   std::size_t staged = 0;
-  for (std::size_t b = 0; b < records.num_blocks(); ++b) {
-    for (const Record& r : records.block(b)) {
-      const FileTable::Entry file = files.resolve(r);
-      block[staged++] = to_row(r, file.path_idx, file.size);
-      if (staged == block.size()) {
-        w.write(block.data(), staged * sizeof(Row));
-        staged = 0;
-      }
+  for_each_record(tracer, [&](const Record& r) {
+    const FileTable::Entry file = files.resolve(r);
+    block[staged++] = to_row(r, file.path_idx, file.size);
+    if (staged == block.size()) {
+      w.write(block.data(), staged * sizeof(Row));
+      staged = 0;
     }
-  }
+  });
   if (staged > 0) w.write(block.data(), staged * sizeof(Row));
   w.finish();
 }
@@ -407,12 +414,12 @@ std::size_t LogReader::next_chunk(std::size_t max_rows,
 
 void write_csv(std::ostream& os, const Tracer& tracer) {
   os << "app,rank,node,iface,op,path,offset,size,count,tstart_ns,tend_ns\n";
-  for (const auto& r : tracer.records()) {
+  for_each_record(tracer, [&](const Record& r) {
     os << tracer.app_name(r.app) << ',' << r.rank << ',' << r.node << ','
        << to_string(r.iface) << ',' << to_string(r.op) << ','
        << tracer.path_of(r.file, r.node) << ',' << r.offset << ',' << r.size
        << ',' << r.count << ',' << r.tstart << ',' << r.tend << '\n';
-  }
+  });
 }
 
 }  // namespace wasp::trace

@@ -65,8 +65,6 @@ constexpr bool is_data(Op op) noexcept {
 
 constexpr bool is_io(Op op) noexcept { return is_meta(op) || is_data(op); }
 
-constexpr bool is_compute(Op op) noexcept { return op == Op::kCompute; }
-
 /// Identifies a file across filesystems: (tracer fs registry index, inode).
 struct FileKey {
   std::int16_t fs = -1;

@@ -3,16 +3,17 @@
 // (e.g., the POSIX ops an MPI-IO aggregator issues on behalf of a collective)
 // is muted per process with runtime::Proc::Suppression, so op counts match
 // what the *application* called, exactly as the paper's per-interface tables
-// count. Records land in fixed-size blocks (trace/record_blocks.hpp).
+// count. Records land in the columns of an analysis::ColumnStore, the same
+// store the analyzer reads.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "analysis/column_store.hpp"
 #include "fs/filesystem.hpp"
 #include "trace/record.hpp"
-#include "trace/record_blocks.hpp"
 
 namespace wasp::trace {
 
@@ -38,7 +39,7 @@ class Tracer {
   /// Records observed so far (records().size()).
   std::uint64_t total_records() const noexcept { return records_.size(); }
 
-  const RecordBlocks& records() const noexcept { return records_; }
+  const analysis::ColumnStore& records() const noexcept { return records_; }
   void set_enabled(bool enabled) noexcept { enabled_ = enabled; }
   bool enabled() const noexcept { return enabled_; }
 
@@ -49,7 +50,7 @@ class Tracer {
  private:
   std::vector<fs::FileSystemSim*> filesystems_;
   std::vector<std::string> apps_;
-  RecordBlocks records_;
+  analysis::ColumnStore records_;
   bool enabled_ = true;
 };
 

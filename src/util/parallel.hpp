@@ -20,7 +20,6 @@
 #include <mutex>
 #include <thread>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace wasp::util {
@@ -69,13 +68,6 @@ class ThreadPool {
   /// are discarded) — deterministic regardless of claim order.
   void run(std::size_t count, const std::function<void(std::size_t)>& task);
 
-  /// Deterministically chunked loop: fn(ChunkRange) per chunk.
-  template <typename Fn>
-  void for_chunks(std::size_t n, std::size_t grain, Fn&& fn) {
-    const std::vector<ChunkRange> chunks = make_chunks(n, grain);
-    run(chunks.size(), [&](std::size_t i) { fn(chunks[i]); });
-  }
-
   /// Deterministically chunked map: results returned in chunk-index order.
   template <typename Fn,
             typename R = std::invoke_result_t<Fn&, const ChunkRange&>>
@@ -103,22 +95,5 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
 };
-
-/// One-shot chunked loop on a transient pool of `jobs` threads (0 = default
-/// jobs, <=1 = sequential on the caller, no thread spawned).
-template <typename Fn>
-void parallel_for(int jobs, std::size_t n, std::size_t grain, Fn&& fn) {
-  ThreadPool pool(resolve_jobs(jobs) - 1);
-  pool.for_chunks(n, grain, std::forward<Fn>(fn));
-}
-
-/// One-shot chunked map; per-chunk results in chunk-index order.
-template <typename Fn,
-          typename R = std::invoke_result_t<Fn&, const ChunkRange&>>
-std::vector<R> parallel_map(int jobs, std::size_t n, std::size_t grain,
-                            Fn&& fn) {
-  ThreadPool pool(resolve_jobs(jobs) - 1);
-  return pool.map_chunks(n, grain, std::forward<Fn>(fn));
-}
 
 }  // namespace wasp::util

@@ -45,8 +45,6 @@ struct MontageMpiParams {
 
   static MontageMpiParams paper() { return MontageMpiParams{}; }
   static MontageMpiParams test();
-
-  int fits_per_node() const { return (fits_files + nodes - 1) / nodes; }
 };
 
 Workload make_montage_mpi(const MontageMpiParams& params = MontageMpiParams{});

@@ -6,24 +6,6 @@
 #include "util/error.hpp"
 
 namespace wasp::workloads {
-namespace {
-
-/// The job count run_many uses for this batch: `jobs`, or 1 when the batch
-/// is too small to be worth fanning out (single scenario, or every scenario
-/// estimates under kSerialScenarioEvents).
-int effective_jobs(const std::vector<Scenario>& scenarios, int jobs) {
-  if (jobs <= 1 || scenarios.size() <= 1) return 1;
-  bool all_estimated = !scenarios.empty();
-  std::uint64_t max_est = 0;
-  for (const Scenario& s : scenarios) {
-    if (s.est_events == 0) all_estimated = false;
-    if (s.est_events > max_est) max_est = s.est_events;
-  }
-  if (all_estimated && max_est < kSerialScenarioEvents) return 1;
-  return jobs;
-}
-
-}  // namespace
 
 void simulate(runtime::Simulation& sim, const Workload& workload,
               const advisor::RunConfig& cfg) {
@@ -90,9 +72,9 @@ std::vector<RunOutput> run_many(const std::vector<Scenario>& scenarios,
       return run_with(sim, s.make(), s.cfg, s.analyzer_opts);
     });
   }
-  if (effective_jobs(scenarios, runner.jobs()) == 1) {
-    // Batch too small for the pool dispatch to pay off: run in order on
-    // this thread. Results are bit-identical either way.
+  if (runner.jobs() <= 1 || scenarios.size() <= 1) {
+    // Nothing to fan out: run in order on this thread. Results are
+    // bit-identical either way.
     std::vector<RunOutput> out;
     out.reserve(fns.size());
     for (auto& fn : fns) out.push_back(fn());

@@ -74,24 +74,12 @@ struct Scenario {
   std::function<Workload()> make;
   advisor::RunConfig cfg;
   analysis::Analyzer::Options analyzer_opts;
-  /// Rough expected engine-event count, when the caller knows it (e.g. a
-  /// sweep re-running a measured cell). 0 = unknown. Used only to decide
-  /// whether fanning out across threads is worth the pool dispatch cost —
-  /// never affects results.
-  std::uint64_t est_events = 0;
 };
-
-/// Batches whose largest scenario stays under this many engine events run
-/// serially even when the runner has worker threads: pool dispatch costs
-/// more than the simulations (the ablation_stripe_size sweep measured a
-/// 0.31x "speedup" at --jobs 4 on test-scale cells).
-inline constexpr std::uint64_t kSerialScenarioEvents = 10'000;
 
 /// Run independent scenarios concurrently via runtime::ScenarioRunner
 /// (jobs == 0 -> util::default_jobs()). Results are in input order and
-/// bit-identical to running each scenario sequentially. Runs serially when
-/// the batch is too small to benefit: a single scenario, or every scenario
-/// estimating under kSerialScenarioEvents.
+/// bit-identical to running each scenario sequentially. Runs serially, on
+/// the calling thread, at one job or for a single scenario.
 std::vector<RunOutput> run_many(const std::vector<Scenario>& scenarios,
                                 int jobs = 0);
 

@@ -3,9 +3,14 @@
 // I/O so the records carry realistic timing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "analysis/analyzer.hpp"
 #include "io/posix.hpp"
 #include "sim_test_util.hpp"
+#include "trace/synthetic.hpp"
 #include "util/error.hpp"
 
 namespace wasp::analysis {
@@ -42,8 +47,8 @@ TEST(ColumnStore, RoundTripsRecords) {
   r.count = 8;
   r.tstart = 5;
   r.tend = 15;
-  const std::vector<trace::Record> records = {r};
-  auto cs = ColumnStore::from_records(records);
+  ColumnStore cs;
+  cs.push_back(r);
   ASSERT_EQ(cs.size(), 1u);
   const auto back = cs.row(0);
   EXPECT_EQ(back.app, r.app);
@@ -54,11 +59,12 @@ TEST(ColumnStore, RoundTripsRecords) {
 }
 
 TEST(ColumnStore, SelectFilters) {
-  std::vector<trace::Record> records(5);
+  ColumnStore cs;
   for (std::size_t i = 0; i < 5; ++i) {
-    records[i].rank = static_cast<std::int32_t>(i);
+    trace::Record r;
+    r.rank = static_cast<std::int32_t>(i);
+    cs.push_back(r);
   }
-  auto cs = ColumnStore::from_records(records);
   Cursor c(cs);
   std::vector<std::size_t> idx;
   for (std::size_t i = 0; i < cs.size(); ++i) {
@@ -67,24 +73,99 @@ TEST(ColumnStore, SelectFilters) {
   EXPECT_EQ(idx, (std::vector<std::size_t>{3, 4}));
 }
 
-// A store built from records has no aux columns: asking for them, or
-// appending log rows after the records, is diagnosed. So is an analyzer
-// input without a store.
+// A store of tracer records has no aux columns: asking for them, or
+// appending log rows after the records, is diagnosed. So is a read at or
+// past size() — a row that would still fall inside the last block — and an
+// analyzer input without a store.
 TEST(ColumnStore, MisuseFailsLoudly) {
   const std::vector<trace::Record> one(1);
   const std::vector<std::uint32_t> idx(1, 0);
   const std::vector<std::uint64_t> sz(1, 0);
-  auto cs = ColumnStore::from_records(one);
+  ColumnStore cs;
+  cs.push_back(one[0]);
   EXPECT_THROW(cs.path_idx_at(0), util::SimError);
   EXPECT_THROW(cs.file_size_at(0), util::SimError);
   EXPECT_THROW(cs.append(one, idx, sz), util::SimError);
+  EXPECT_THROW(cs.row(cs.size()), util::SimError);
+  EXPECT_THROW(Cursor(cs).tstart(cs.size()), util::SimError);
 
   ColumnStore log;
   log.append(one, idx, sz);
   EXPECT_EQ(log.path_idx_at(0), 0u);
   EXPECT_THROW(log.append(one, idx, {}), util::SimError);
+  EXPECT_THROW(log.row(log.size()), util::SimError);
+  EXPECT_THROW(log.path_idx_at(log.size()), util::SimError);
+  EXPECT_THROW(log.file_size_at(log.size()), util::SimError);
 
   EXPECT_THROW(Analyzer().analyze(TraceInput{}), util::SimError);
+}
+
+// The store grows in fixed blocks, one storage chunk each, whether its rows
+// come as tracer pushes or as log rows in batches that straddle a block
+// boundary. Every read path serves the input rows across the boundary, and
+// a block's columns stay where they are while later rows append.
+TEST(ColumnStore, BlocksServeRowsAcrossBoundaryAndNeverMove) {
+  constexpr std::size_t kBlock = ColumnStore::kBlockRows;
+  const auto records = trace::synthetic_records(kBlock + 5);
+  std::vector<std::uint32_t> idx(records.size());
+  std::vector<std::uint64_t> sizes(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    idx[i] = static_cast<std::uint32_t>(i);
+    sizes[i] = 3 * i;
+  }
+
+  trace::Tracer tracer;
+  for (const trace::Record& r : records) tracer.add(r);
+  ColumnStore log;
+  const std::span<const trace::Record> all(records);
+  for (std::size_t i = 0; i < records.size();) {
+    const std::size_t n = std::min<std::size_t>(4099, records.size() - i);
+    log.append(all.subspan(i, n), std::span(idx).subspan(i, n),
+               std::span(sizes).subspan(i, n));
+    i += n;
+  }
+
+  const auto expect_rows = [&](const ColumnStore& store) {
+    ASSERT_EQ(store.size(), records.size());
+    ASSERT_EQ(store.num_chunks(), 2u);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      ASSERT_TRUE(store.row(i) == records[i]) << "row " << i;
+    }
+    // A span stops at the block boundary; each one serves its rows.
+    Cursor cursor(store);
+    std::vector<std::size_t> span_rows;
+    for (std::size_t pos = 0; pos < records.size();) {
+      const ChunkColumns s = cursor.span(pos, records.size());
+      for (std::size_t k = 0; k < s.rows; ++k) {
+        ASSERT_TRUE(s.record(k) == records[pos + k]) << "row " << pos + k;
+      }
+      span_rows.push_back(s.rows);
+      pos += s.rows;
+    }
+    EXPECT_EQ(span_rows, (std::vector<std::size_t>{kBlock, 5}));
+    for (std::size_t c = 0; c < store.num_chunks(); ++c) {
+      const ChunkColumns v = store.chunk(c).cols;
+      EXPECT_EQ(v.base, c * kBlock);
+      for (std::size_t k = 0; k < v.rows; ++k) {
+        ASSERT_TRUE(v.record(k) == records[v.base + k]) << "row " << v.base + k;
+      }
+    }
+  };
+  expect_rows(tracer.records());
+  expect_rows(log);
+  EXPECT_EQ(log.path_idx_at(kBlock + 4), kBlock + 4);
+  EXPECT_EQ(log.file_size_at(kBlock + 4), 3 * (kBlock + 4));
+
+  const std::uint16_t* tracer_app = tracer.records().chunk(0).cols.app;
+  const std::uint16_t* log_app = log.chunk(0).cols.app;
+  for (std::size_t i = 0; i < 2 * kBlock; ++i) tracer.add(records[i % 7]);
+  for (std::size_t i = 0; i < 2 * kBlock; i += records.size()) {
+    log.append(records, idx, sizes);
+  }
+  EXPECT_EQ(tracer.records().chunk(0).cols.app, tracer_app);
+  EXPECT_EQ(log.chunk(0).cols.app, log_app);
+  EXPECT_TRUE(tracer.records().row(kBlock) == records[kBlock]);
+  EXPECT_TRUE(log.row(kBlock) == records[kBlock]);
 }
 
 struct AnalysisFixture : ::testing::Test {

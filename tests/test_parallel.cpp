@@ -126,8 +126,9 @@ TEST(ThreadPool, RethrowsLowestIndexFailure) {
 }
 
 TEST(ParallelMap, ResultsInChunkIndexOrder) {
-  const auto ranges = util::parallel_map(
-      4, 1000, 37, [](const util::ChunkRange& c) { return c; });
+  util::ThreadPool pool(3);
+  const auto ranges = pool.map_chunks(
+      1000, 37, [](const util::ChunkRange& c) { return c; });
   const auto expect = util::make_chunks(1000, 37);
   ASSERT_EQ(ranges.size(), expect.size());
   for (std::size_t i = 0; i < ranges.size(); ++i) {
@@ -147,8 +148,9 @@ TEST(ParallelMap, FloatingPointSumBitIdenticalAcrossJobs) {
         (1.0 + static_cast<double>(state % 97));
   }
   auto chunked_sum = [&](int jobs) {
-    const auto partials = util::parallel_map(
-        jobs, values.size(), 257, [&](const util::ChunkRange& c) {
+    util::ThreadPool pool(jobs - 1);
+    const auto partials = pool.map_chunks(
+        values.size(), 257, [&](const util::ChunkRange& c) {
           double s = 0.0;
           for (std::size_t i = c.begin; i < c.end; ++i) s += values[i];
           return s;
@@ -162,45 +164,6 @@ TEST(ParallelMap, FloatingPointSumBitIdenticalAcrossJobs) {
     EXPECT_EQ(base, chunked_sum(jobs)) << "jobs=" << jobs;
   }
   EXPECT_EQ(base, chunked_sum(8));  // run-to-run
-}
-
-// ------------------------------------------------------------- ColumnStore
-
-TEST(ColumnStore, ParallelFillMatchesSequential) {
-  runtime::Simulation sim(cluster::lassen(2));
-  auto out = workloads::run_with(
-      sim, workloads::make_hacc(workloads::HaccParams::test()),
-      advisor::RunConfig{}, analysis::Analyzer::Options{});
-  // A tracer just past one record block, so transposition crosses the
-  // boundary between blocks.
-  trace::Tracer blocked;
-  for (std::size_t i = 0; i < trace::RecordBlocks::kBlockRecords + 5; ++i) {
-    trace::Record r;
-    r.app = static_cast<std::uint16_t>(i % 7);
-    r.rank = static_cast<std::int32_t>(i);
-    r.node = static_cast<std::int32_t>(i % 3);
-    r.op = i % 2 == 0 ? trace::Op::kRead : trace::Op::kWrite;
-    r.file = {0, static_cast<fs::FileId>(i % 11)};
-    r.offset = i * 4096;
-    r.size = 4096 + i % 5;
-    r.count = static_cast<std::uint32_t>(1 + i % 4);
-    r.tstart = static_cast<sim::Time>(i) * 10;
-    r.tend = r.tstart + 7;
-    blocked.add(r);
-  }
-  for (const trace::Tracer* tracer : {&sim.tracer(), &blocked}) {
-    const auto& records = tracer->records();
-    ASSERT_GT(records.size(), 100u);
-
-    const auto seq = analysis::ColumnStore::from_records(records, 1);
-    const auto par = analysis::ColumnStore::from_records(records, 4);
-    ASSERT_EQ(seq.size(), par.size());
-    ASSERT_EQ(seq.size(), records.size());
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-      EXPECT_TRUE(seq.row(i) == par.row(i)) << "row " << i;
-      EXPECT_TRUE(par.row(i) == records[i]) << "row " << i;
-    }
-  }
 }
 
 // ---------------------------------------------------------------- Analyzer

@@ -61,7 +61,8 @@ analysis::WorkloadProfile profile_of(const analysis::TraceInput& input,
 
 TEST(ScanKernel, MatchesReferenceOnMemoryBackend) {
   const auto records = kernel_coverage_records(10007);
-  const auto memory = analysis::ColumnStore::from_records(records);
+  analysis::ColumnStore memory;
+  for (const trace::Record& r : records) memory.push_back(r);
   const auto input = synthetic_input(memory);
 
   // chunk_rows values chosen to misalign with everything: 1000 splits the
@@ -96,7 +97,8 @@ TEST(ScanKernel, MatchesReferenceOnSpillBackend) {
 
   const auto input = synthetic_input(store);
 
-  const auto memory = analysis::ColumnStore::from_records(records);
+  analysis::ColumnStore memory;
+  for (const trace::Record& r : records) memory.push_back(r);
   const auto mem_ref = profile_of(synthetic_input(memory), 1, 1000, true);
   for (const std::size_t chunk_rows : {1000ul, 97ul}) {
     for (const int jobs : {1, 4}) {

@@ -40,7 +40,8 @@ TEST(TelemetryDeterminism, ProfilesIdenticalOnOffAcrossJobsAndBackends) {
   const auto out0 = workloads::run_with(
       sim, workloads::make_montage_mpi(workloads::MontageMpiParams::test()),
       advisor::RunConfig{}, analysis::Analyzer::Options{});
-  const auto& records = sim.tracer().records();
+  const std::vector<trace::Record> records(sim.tracer().records().begin(),
+                                           sim.tracer().records().end());
   ASSERT_GT(records.size(), 100u);
 
   analysis::Analyzer::Options o1;
@@ -134,7 +135,8 @@ TEST(ManifestDeterminism, FingerprintIdenticalAcrossBackends) {
   (void)workloads::run_with(
       sim, workloads::make_montage_mpi(workloads::MontageMpiParams::test()),
       advisor::RunConfig{}, analysis::Analyzer::Options{});
-  const auto& records = sim.tracer().records();
+  const std::vector<trace::Record> records(sim.tracer().records().begin(),
+                                           sim.tracer().records().end());
   ASSERT_GT(records.size(), 100u);
 
   const auto fingerprint_analyze = [&](bool spill, const char* dir) {

@@ -42,6 +42,11 @@ void populate(runtime::Simulation& sim) {
       advisor::RunConfig{}, analysis::Analyzer::Options{});
 }
 
+/// The tracer's records in one vector, for the spill store's record append.
+std::vector<trace::Record> records_of(const trace::Tracer& tracer) {
+  return {tracer.records().begin(), tracer.records().end()};
+}
+
 TEST(SpillStore, RoundTripsRowsThroughChunkFiles) {
   const auto records = synthetic_records(10007);
 
@@ -88,7 +93,7 @@ TEST(SpillStore, RoundTripsRowsThroughChunkFiles) {
 TEST(SpillStore, ProfileMatchesMemoryBackendAcrossJobCounts) {
   runtime::Simulation sim(cluster::lassen(4));
   populate(sim);
-  const auto& records = sim.tracer().records();
+  const auto records = records_of(sim.tracer());
 
   // Analysis grain deliberately misaligned with the storage chunking: the
   // map-reduce boundaries must not depend on how storage slices the trace.
@@ -148,7 +153,7 @@ TEST(SpillStore, SingleResidentChunkForcesEvictionsButNotDivergence) {
   analysis::SpillColumnStore store({.dir = spill_dir("evict.spill"),
                                     .chunk_rows = 16,
                                     .max_resident_chunks = 1});
-  store.append(sim.tracer().records());
+  store.append(records_of(sim.tracer()));
   store.finalize();
   auto input = analysis::tracer_input(sim.tracer());
   input.store = &store;
@@ -195,6 +200,22 @@ TEST(SpillStore, MisuseFailsLoudly) {
     EXPECT_THROW(store.chunk(0), util::SimError);  // not finalized
     store.finalize();
     EXPECT_THROW(store.append(one), util::SimError);  // sealed
+  }
+  {
+    // Reads at or past size() fail, though row 250 still falls inside the
+    // last chunk (rows 200..299 by chunk_rows).
+    const auto records = synthetic_records(250);
+    analysis::SpillColumnStore store(
+        {.dir = spill_dir("misuse_rows.spill"), .chunk_rows = 100});
+    const std::vector<std::uint32_t> idx(records.size(), 0);
+    const std::vector<std::uint64_t> sz(records.size(), 0);
+    store.append(records, idx, sz);
+    store.finalize();
+    EXPECT_THROW(store.row(store.size()), util::SimError);
+    EXPECT_THROW(store.path_idx_at(store.size()), util::SimError);
+    EXPECT_THROW(store.file_size_at(store.size()), util::SimError);
+    EXPECT_THROW(analysis::Cursor(store).op(store.size()), util::SimError);
+    EXPECT_TRUE(store.row(249) == records[249]);
   }
   {
     analysis::SpillColumnStore store({.dir = spill_dir("misuse2.spill")});
