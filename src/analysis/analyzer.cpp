@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <queue>
-#include <set>
-#include <unordered_map>
 
 #include "analysis/dense.hpp"
 #include "analysis/scan_kernel.hpp"
@@ -55,6 +53,9 @@ const AnalyzerMetrics& analyzer_metrics() {
   return m;
 }
 
+/// Cap on timeline bins: long jobs get coarser bins instead.
+constexpr std::size_t kMaxTimelineBins = 2048;
+
 /// Append ids from `from` that `into` lacks, preserving first-seen order.
 void merge_app_ids(std::vector<std::uint16_t>& into,
                    const std::vector<std::uint16_t>& from) {
@@ -67,44 +68,11 @@ void merge_app_ids(std::vector<std::uint16_t>& into,
 
 // ---------------------------------------------------------------------------
 // Sorted-vector reduction. ChunkState carries its large keyed state as
-// key-sorted vectors, so the reduce folds each chunk into the global state
-// with linear two-pointer merges — no per-key tree walks, no node
-// allocations. The fold still runs left-to-right in chunk-index order, so
-// every colliding key combines its per-chunk values in exactly the order
-// the map-based reduce used; floating-point sums keep their association
-// order and the profile stays bit-identical.
-
-/// Fold a chunk's sorted (key, value) vector into the global one; `combine`
-/// resolves key collisions (global value first, chunk value second).
-template <typename K, typename V, typename Combine>
-void merge_sorted(std::vector<std::pair<K, V>>& global,
-                  std::vector<std::pair<K, V>>&& chunk, Combine combine) {
-  if (chunk.empty()) return;
-  if (global.empty()) {
-    global = std::move(chunk);
-    return;
-  }
-  std::vector<std::pair<K, V>> out;
-  out.reserve(global.size() + chunk.size());
-  auto g = global.begin();
-  auto c = chunk.begin();
-  while (g != global.end() && c != chunk.end()) {
-    if (g->first < c->first) {
-      out.push_back(std::move(*g++));
-    } else if (c->first < g->first) {
-      out.push_back(std::move(*c++));
-    } else {
-      combine(g->second, c->second);
-      out.push_back(std::move(*g++));
-      ++c;
-    }
-  }
-  out.insert(out.end(), std::make_move_iterator(g),
-             std::make_move_iterator(global.end()));
-  out.insert(out.end(), std::make_move_iterator(c),
-             std::make_move_iterator(chunk.end()));
-  global = std::move(out);
-}
+// key-sorted vectors, so the reduce combines the chunks' vectors with one
+// k-way merge each — no per-key tree walks, no node allocations. Colliding
+// keys combine their per-chunk values in chunk-index order, so
+// floating-point sums keep a fixed association order and the profile stays
+// bit-identical.
 
 /// Set-union of ascending id vectors, in place on `into`.
 void union_ids(std::vector<std::int32_t>& into,
@@ -193,8 +161,6 @@ std::vector<FileAgg> merge_files(std::vector<ChunkState>& parts) {
         FileAgg& g = out.back();
         FileStats& gs = g.stats;
         const FileStats& cs = fa.stats;
-        gs.first_access = std::min(gs.first_access, cs.first_access);
-        gs.last_access = std::max(gs.last_access, cs.last_access);
         gs.ops.merge(cs.ops);
         merge_app_ids(gs.producer_apps, cs.producer_apps);
         merge_app_ids(gs.consumer_apps, cs.consumer_apps);
@@ -232,6 +198,24 @@ std::uint64_t settle_streams(std::vector<ChunkState>& parts) {
         prev_end = e.state.last_end;
       });
   return seq_ops;
+}
+
+/// Merge every chunk's transfer-size counts into one list, ascending by size.
+std::vector<std::pair<fs::Bytes, std::uint64_t>> merge_size_counts(
+    std::vector<ChunkState>& parts) {
+  using SizeCount = std::pair<fs::Bytes, std::uint64_t>;
+  std::vector<SizeCount> out;
+  kway_merge(
+      parts, &ChunkState::size_counts,
+      [](const SizeCount& e) { return e.first; },
+      [&out](const SizeCount& e) {
+        if (!out.empty() && out.back().first == e.first) {
+          out.back().second += e.second;
+        } else {
+          out.push_back(e);
+        }
+      });
+  return out;
 }
 
 }  // namespace
@@ -416,76 +400,67 @@ WorkloadProfile Analyzer::analyze(const TraceInput& input) const {
   }
 
   // --- Reduce: merge partials in chunk-index order ----------------------
-  // Large keyed state folds with linear two-pointer merges over the
-  // chunks' key-sorted vectors (see the helpers above); small keyed state
-  // merges into ordered containers the classic way.
+  // Every key-sorted partial folds through one k-way merge over the chunks'
+  // vectors (see the helpers above); apps merge by id.
   sim::Time job_t0 = parts.front().job_t0;
   sim::Time job_t1 = parts.front().job_t1;
-  std::map<std::uint16_t, AppStats> apps;
+  std::map<std::uint16_t, AppPart> apps;
   std::vector<FileAgg> files;  // sorted by ScopedFile
-  std::vector<std::pair<std::uint64_t, double>> rank_io_sec;  // sorted
-  std::set<std::pair<std::uint16_t, std::int32_t>> procs;
-  std::set<std::int32_t> nodes;
-  std::map<std::pair<std::uint16_t, trace::Iface>, std::uint64_t> iface_ops;
   std::uint64_t seq_ops = 0;
   std::uint64_t pattern_ops = 0;
-  std::vector<std::pair<fs::Bytes, std::uint64_t>> size_counts_global;
   std::vector<Interval> io_intervals;
   std::vector<std::vector<Interval>> read_iv(p.read_hist.num_buckets());
   std::vector<std::vector<Interval>> write_iv(p.write_hist.num_buckets());
-  std::map<std::uint16_t, std::vector<std::size_t>> io_by_app;
 
   {
   WASP_OBS_SPAN("analyze.merge");
   obs::TimerGuard t(om.merge_ns);
   // Size the interval/row-list concatenations exactly, so the appends below
   // never reallocate mid-merge.
+  std::map<std::uint16_t, std::size_t> n_rows;
   {
     std::size_t n_io = 0;
     std::vector<std::size_t> n_read(read_iv.size(), 0);
     std::vector<std::size_t> n_write(write_iv.size(), 0);
-    std::map<std::uint16_t, std::size_t> n_by_app;
     for (const ChunkState& c : parts) {
       n_io += c.io_intervals.size();
       for (std::size_t b = 0; b < read_iv.size(); ++b) {
         n_read[b] += c.read_iv[b].size();
         n_write[b] += c.write_iv[b].size();
       }
-      for (const auto& [aid, idx] : c.io_by_app) n_by_app[aid] += idx.size();
+      for (const auto& [aid, part] : c.apps) n_rows[aid] += part.io_rows.size();
     }
     io_intervals.reserve(n_io);
     for (std::size_t b = 0; b < read_iv.size(); ++b) {
       read_iv[b].reserve(n_read[b]);
       write_iv[b].reserve(n_write[b]);
     }
-    for (const auto& [aid, n] : n_by_app) io_by_app[aid].reserve(n);
   }
   for (ChunkState& c : parts) {
     job_t0 = std::min(job_t0, c.job_t0);
     job_t1 = std::max(job_t1, c.job_t1);
     p.totals.merge(c.totals);
-    for (auto& [id, capp] : c.apps) {
+    for (auto& [id, part] : c.apps) {
       auto [it, fresh] = apps.try_emplace(id);
+      AppPart& g = it->second;
       if (fresh) {
-        it->second = std::move(capp);
-      } else {
-        AppStats& g = it->second;
-        g.first_event = std::min(g.first_event, capp.first_event);
-        g.last_event = std::max(g.last_event, capp.last_event);
-        g.cpu_sec += capp.cpu_sec;
-        g.gpu_sec += capp.gpu_sec;
-        g.ops.merge(capp.ops);
+        g = std::move(part);
+        g.io_rows.reserve(n_rows[id]);
+        continue;
       }
+      g.stats.first_event =
+          std::min(g.stats.first_event, part.stats.first_event);
+      g.stats.last_event = std::max(g.stats.last_event, part.stats.last_event);
+      g.stats.ops.merge(part.stats.ops);
+      union_ids(g.ranks, part.ranks);
+      for (std::size_t f = 0; f < kNumIfaces; ++f) {
+        g.iface_ops[f] += part.iface_ops[f];
+      }
+      g.io_rows.insert(g.io_rows.end(), part.io_rows.begin(),
+                       part.io_rows.end());
     }
-    merge_sorted(rank_io_sec, std::move(c.rank_io_sec),
-                 [](double& g, double v) { g += v; });
-    procs.insert(c.procs.begin(), c.procs.end());
-    nodes.insert(c.nodes.begin(), c.nodes.end());
-    for (const auto& [k, n] : c.iface_ops) iface_ops[k] += n;
     seq_ops += c.seq_ops;
     pattern_ops += c.pattern_ops;
-    merge_sorted(size_counts_global, std::move(c.size_counts),
-                 [](std::uint64_t& g, std::uint64_t n) { g += n; });
     io_intervals.insert(io_intervals.end(), c.io_intervals.begin(),
                         c.io_intervals.end());
     p.read_hist.merge(c.read_hist);
@@ -496,19 +471,20 @@ WorkloadProfile Analyzer::analyze(const TraceInput& input) const {
       write_iv[b].insert(write_iv[b].end(), c.write_iv[b].begin(),
                          c.write_iv[b].end());
     }
-    for (auto& [aid, idx] : c.io_by_app) {
-      auto& dst = io_by_app[aid];
-      dst.insert(dst.end(), idx.begin(), idx.end());
-    }
   }
-  // The two ScopedFile-keyed reductions go through k-way heap merges over
-  // the chunks' sorted vectors (entries per key still combine in
-  // chunk-index order — see kway_merge).
   files = merge_files(parts);
   seq_ops += settle_streams(parts);
+  p.size_frequencies = merge_size_counts(parts);
   parts.clear();
   }
   p.job_runtime_sec = sim::to_seconds(job_t1 - job_t0);
+  // The apps in id order; each per-app pass below runs one task per app.
+  std::vector<AppPart*> app_parts;
+  app_parts.reserve(apps.size());
+  for (auto& [id, part] : apps) {
+    (void)id;
+    app_parts.push_back(&part);
+  }
 
   {
   WASP_OBS_SPAN("analyze.resolve");
@@ -536,54 +512,41 @@ WorkloadProfile Analyzer::analyze(const TraceInput& input) const {
     }
   }
 
-  // Per-app file sharing counts + dominant interface: each task writes only
-  // its own app and reads the (now frozen) file map.
-  {
-    std::vector<AppStats*> app_ptrs;
-    app_ptrs.reserve(apps.size());
-    for (auto& [id, app] : apps) {
-      (void)id;
-      app_ptrs.push_back(&app);
+  // Per-app proc and file sharing counts + dominant interface: each task
+  // writes only its own app and reads the (now frozen) file list.
+  pool.run(app_parts.size(), [&](std::size_t a) {
+    AppPart& part = *app_parts[a];
+    AppStats& app = part.stats;
+    const std::uint16_t id = app.app;
+    app.num_procs = static_cast<int>(part.ranks.size());
+    for (const FileAgg& fa : files) {
+      const FileStats& fstat = fa.stats;
+      const bool touches =
+          std::find(fstat.producer_apps.begin(), fstat.producer_apps.end(),
+                    id) != fstat.producer_apps.end() ||
+          std::find(fstat.consumer_apps.begin(), fstat.consumer_apps.end(),
+                    id) != fstat.consumer_apps.end();
+      if (!touches) continue;
+      if (fstat.shared()) {
+        ++app.shared_files;
+      } else {
+        ++app.fpp_files;
+      }
     }
-    pool.run(app_ptrs.size(), [&](std::size_t a) {
-      AppStats& app = *app_ptrs[a];
-      const std::uint16_t id = app.app;
-      for (const FileAgg& fa : files) {
-        const FileStats& fstat = fa.stats;
-        const bool touches =
-            std::find(fstat.producer_apps.begin(), fstat.producer_apps.end(),
-                      id) != fstat.producer_apps.end() ||
-            std::find(fstat.consumer_apps.begin(), fstat.consumer_apps.end(),
-                      id) != fstat.consumer_apps.end();
-        if (!touches) continue;
-        if (fstat.shared()) {
-          ++app.shared_files;
-        } else {
-          ++app.fpp_files;
-        }
+    std::uint64_t best = 0;
+    for (std::size_t f = 0; f < kNumIfaces; ++f) {
+      if (part.iface_ops[f] > best) {
+        best = part.iface_ops[f];
+        app.interface = static_cast<trace::Iface>(f);
       }
-      std::uint64_t best = 0;
-      for (const auto& [key, n] : iface_ops) {
-        if (key.first == id && n > best) {
-          best = n;
-          app.interface = key.second;
-        }
-      }
-    });
+    }
+  });
+  for (const AppPart* part : app_parts) p.num_procs += part->stats.num_procs;
   }
 
-  // Count procs per app.
-  for (const auto& [aid, rank] : procs) {
-    (void)rank;
-    ++apps[aid].num_procs;
-  }
-  p.num_procs = static_cast<int>(procs.size());
-  p.num_nodes = static_cast<int>(nodes.size());
-  }
-
-  // I/O-time fractions: wall-clock coverage (Table I) and per-rank mean.
-  // The interval unions (one per histogram bucket plus the global one) are
-  // independent sort+sweep reductions — one task each, results by slot.
+  // I/O-time fraction: wall-clock coverage (Table I). The interval unions
+  // (one per histogram bucket plus the global one) are independent
+  // sort+sweep reductions — one task each, results by slot.
   {
     WASP_OBS_SPAN("analyze.unions");
     obs::TimerGuard t(om.unions_ns);
@@ -600,15 +563,6 @@ WorkloadProfile Analyzer::analyze(const TraceInput& input) const {
     });
     if (p.job_runtime_sec > 0) {
       p.io_time_fraction = unions[0] / p.job_runtime_sec;
-      double sum = 0;
-      for (const auto& [k, v] : rank_io_sec) {
-        (void)k;
-        sum += v;
-      }
-      if (!procs.empty()) {
-        p.io_busy_fraction =
-            sum / static_cast<double>(procs.size()) / p.job_runtime_sec;
-      }
     }
     for (std::size_t b = 0; b < nb; ++b) {
       p.read_hist.add_seconds(b, unions[1 + b]);
@@ -618,18 +572,15 @@ WorkloadProfile Analyzer::analyze(const TraceInput& input) const {
 
   // --- Phases (per app, over I/O records sorted by start) ---------------
   // Each app's phase extraction is an independent sequential sweep; apps
-  // map in parallel, results concatenate in app-id order (the merged
-  // io_by_app row lists are already ascending, matching the serial pass).
+  // map in parallel, results concatenate in app-id order (the merged I/O
+  // row lists are already ascending, matching the serial pass).
   {
     WASP_OBS_SPAN("analyze.phases");
     obs::TimerGuard t(om.phases_ns);
-    std::vector<std::pair<std::uint16_t, std::vector<std::size_t>*>> by_app;
-    by_app.reserve(io_by_app.size());
-    for (auto& [aid, idx] : io_by_app) by_app.push_back({aid, &idx});
-    std::vector<std::vector<Phase>> app_phases(by_app.size());
-    pool.run(by_app.size(), [&](std::size_t a) {
-      const std::uint16_t aid = by_app[a].first;
-      const std::vector<std::size_t>& idx = *by_app[a].second;
+    std::vector<std::vector<Phase>> app_phases(app_parts.size());
+    pool.run(app_parts.size(), [&](std::size_t a) {
+      const std::uint16_t aid = app_parts[a]->stats.app;
+      const std::vector<std::size_t>& idx = app_parts[a]->io_rows;
       Cursor cs(store);
       // Extract the sort keys in one sequential pass so the sort itself
       // never touches the store — a comparator-driven sort over row indices
@@ -744,9 +695,7 @@ WorkloadProfile Analyzer::analyze(const TraceInput& input) const {
     obs::TimerGuard t(om.timeline_ns);
     sim::Time bin = opts_.timeline_bin;
     const sim::Time span = job_t1 - job_t0;
-    if (span / bin + 1 > opts_.max_timeline_bins) {
-      bin = span / opts_.max_timeline_bins + 1;
-    }
+    if (span / bin + 1 > kMaxTimelineBins) bin = span / kMaxTimelineBins + 1;
     const auto nbins = static_cast<std::size_t>(span / bin) + 1;
     p.timeline.bin_width = bin;
     p.timeline.read_bps.assign(nbins, 0.0);
@@ -799,16 +748,12 @@ WorkloadProfile Analyzer::analyze(const TraceInput& input) const {
       pattern_ops > 0
           ? static_cast<double>(seq_ops) / static_cast<double>(pattern_ops)
           : 1.0;
-  p.size_frequencies = std::move(size_counts_global);
   std::sort(p.size_frequencies.begin(), p.size_frequencies.end(),
             [](const auto& a, const auto& b) { return a.second > b.second; });
 
   // Materialize app/file vectors in stable order.
-  p.apps.reserve(apps.size());
-  for (auto& [id, app] : apps) {
-    (void)id;
-    p.apps.push_back(std::move(app));
-  }
+  p.apps.reserve(app_parts.size());
+  for (AppPart* part : app_parts) p.apps.push_back(std::move(part->stats));
   p.files.reserve(files.size());
   for (FileAgg& fa : files) {
     p.files.push_back(std::move(fa.stats));

@@ -46,10 +46,8 @@ class Analyzer {
   struct Options {
     /// Gap between consecutive I/O calls that separates two phases.
     sim::Time phase_gap = 1 * sim::kSec;
-    /// Timeline resolution.
+    /// Timeline resolution (long jobs get coarser bins, at most 2048).
     sim::Time timeline_bin = 1 * sim::kSec;
-    /// Cap on timeline bins (long jobs get coarser bins instead).
-    std::size_t max_timeline_bins = 2048;
     /// Worker threads for the chunked map-reduce passes. 0 picks up
     /// util::default_jobs() (WASP_JOBS / --jobs). The profile is
     /// bit-identical for every value: chunk boundaries depend only on the

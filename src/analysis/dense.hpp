@@ -23,7 +23,7 @@ inline std::uint64_t mix64(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
-/// Open-addressed set of int32 ids (ranks, node ids).
+/// Open-addressed set of int32 ids (ranks).
 class IdSet {
  public:
   void insert(std::int32_t v) {

@@ -1,5 +1,7 @@
 // Derived workload profile: everything Figures 1-6 and Tables I/III-V/X-XI
-// report is computed once into this structure.
+// report is computed once into this structure. Each field has a reader
+// outside the analyzer (the characterizer, the advisor, the CLIs, the
+// figure benches); a value nothing reads is not computed.
 #pragma once
 
 #include <map>
@@ -39,16 +41,11 @@ struct OpsBreakdown {
 };
 
 /// Per-file view. For node-local filesystems, files with equal ids on
-/// different nodes are distinct (node_scope >= 0); shared-FS files have
-/// node_scope == -1.
+/// different nodes are distinct files.
 struct FileStats {
-  trace::FileKey key;
-  int node_scope = -1;
   std::string path;
   fs::Bytes size = 0;
   OpsBreakdown ops;
-  sim::Time first_access = 0;
-  sim::Time last_access = 0;
   std::uint32_t reader_ranks = 0;  ///< distinct ranks that read
   std::uint32_t writer_ranks = 0;  ///< distinct ranks that wrote
   std::uint32_t accessor_ranks = 0;
@@ -63,8 +60,6 @@ struct AppStats {
   std::string name;
   int num_procs = 0;
   OpsBreakdown ops;
-  double cpu_sec = 0.0;
-  double gpu_sec = 0.0;
   sim::Time first_event = 0;
   sim::Time last_event = 0;
   std::uint64_t fpp_files = 0;
@@ -115,10 +110,7 @@ struct WorkloadProfile {
   /// Fraction of job wall time during which at least one rank was inside an
   /// I/O call (interval union) — the paper's "% of I/O time" in Table I.
   double io_time_fraction = 0.0;
-  /// Mean per-rank fraction of runtime spent inside I/O calls.
-  double io_busy_fraction = 0.0;
   int num_procs = 0;
-  int num_nodes = 0;
 
   std::vector<AppStats> apps;
   std::vector<FileStats> files;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <set>
 
 #include "analysis/dense.hpp"
 
@@ -89,15 +90,12 @@ class FileTable {
   bool memo_valid_ = false;
 };
 
-constexpr std::size_t kNumIfaces = 8;  // > every trace::Iface value
-
-/// Dense per-app state, indexed directly by the uint16 app id.
+/// Dense per-app state, indexed directly by the uint16 app id. The ranks
+/// collect in a hash set and land in `part` sorted at finalize().
 struct AppSlot {
   bool used = false;
-  AppStats stats;
+  AppPart part;
   IdSet ranks;
-  std::uint64_t iface_ops[kNumIfaces] = {};
-  std::vector<std::size_t> io_rows;
 };
 
 /// Everything the kernels accumulate for one analysis chunk. Fields that
@@ -110,8 +108,6 @@ struct DenseState {
   sim::Time job_t1 = 0;
   OpsBreakdown totals;
   std::vector<AppSlot> apps;
-  IdSet nodes;
-  FlatMap64<double> rank_io_sec;
   FlatMap64<std::uint64_t> size_counts;
   FileTable files;
   std::uint64_t seq_ops = 0;
@@ -144,9 +140,8 @@ inline bool is_io_row(trace::Iface iface, trace::Op op) noexcept {
 // work into one pass reads each span's columns once instead of once per
 // category (the spans are bigger than L2, so repeat passes re-read DRAM).
 
-/// App bookkeeping over every record: first/last event, CPU/GPU time,
-/// procs/nodes membership, the per-app I/O row lists the phase pass
-/// consumes, and the job's time range.
+/// App bookkeeping over every record: first/last event, distinct ranks, the
+/// per-app I/O row lists the phase pass consumes, and the job's time range.
 void k_apps(const ChunkColumns& s, DenseState& d,
             const std::vector<std::string>& app_names) {
   if (!d.time_init) {
@@ -161,7 +156,7 @@ void k_apps(const ChunkColumns& s, DenseState& d,
     t1 = std::max(t1, s.tend[k]);
     const std::uint16_t id = s.app[k];
     AppSlot& a = d.app(id);
-    AppStats& st = a.stats;
+    AppStats& st = a.part.stats;
     if (!a.used) {
       a.used = true;
       st.app = id;
@@ -173,26 +168,18 @@ void k_apps(const ChunkColumns& s, DenseState& d,
       st.last_event = std::max(st.last_event, s.tend[k]);
     }
     a.ranks.insert(s.rank[k]);
-    d.nodes.insert(s.node[k]);
-    const trace::Op op = s.op[k];
-    if (trace::is_io(op)) a.io_rows.push_back(s.base + k);
-    const trace::Iface iface = s.iface[k];
-    if (iface == trace::Iface::kCpu) {
-      st.cpu_sec += sim::to_seconds(s.tend[k] - s.tstart[k]);
-    } else if (iface == trace::Iface::kGpu) {
-      st.gpu_sec += sim::to_seconds(s.tend[k] - s.tstart[k]);
-    }
+    if (trace::is_io(s.op[k])) a.part.io_rows.push_back(s.base + k);
   }
   d.job_t0 = t0;
   d.job_t1 = t1;
 }
 
 /// Everything keyed off I/O rows, in one decode: op breakdowns (per-app and
-/// chunk totals, per-proc I/O time, the interval collections, per-interface
-/// data-op counts), the request-size histograms, and the file bookkeeping —
-/// interning the scoped file once per row, then updating its stats, rank
-/// sets, and access-stream state inline, plus the global transfer-size
-/// frequencies and sequentiality counters.
+/// chunk totals, the interval collections, per-interface data-op counts),
+/// the request-size histograms, and the file bookkeeping — interning the
+/// scoped file once per row, then updating its stats, rank sets, and
+/// access-stream state inline, plus the global transfer-size frequencies
+/// and sequentiality counters.
 void k_io(const ChunkColumns& s, DenseState& d,
           const std::vector<char>& fs_is_shared) {
   for (std::size_t k = 0; k < s.rows; ++k) {
@@ -205,13 +192,9 @@ void k_io(const ChunkColumns& s, DenseState& d,
     const double dur = sim::to_seconds(s.tend[k] - s.tstart[k]);
     const bool data = trace::is_data(op);
 
-    AppSlot& a = d.app(s.app[k]);
+    AppPart& a = d.app(s.app[k]).part;
     add_op(a.stats.ops, op, cnt, bytes, dur);
     add_op(d.totals, op, cnt, bytes, dur);
-    const std::uint64_t proc_key =
-        (static_cast<std::uint64_t>(s.app[k]) << 32) |
-        static_cast<std::uint32_t>(s.rank[k]);
-    d.rank_io_sec[proc_key] += dur;
     d.io_intervals.emplace_back(s.tstart[k], s.tend[k]);
     if (data) {
       a.iface_ops[static_cast<std::size_t>(iface)] += cnt;
@@ -255,16 +238,7 @@ void k_io(const ChunkColumns& s, DenseState& d,
     }
 
     FileStats& fstat = f.stats;
-    if (fnew) {
-      fstat.key = key;
-      fstat.node_scope = scope;
-      fstat.first_access = s.tstart[k];
-      fstat.last_access = s.tend[k];
-      f.first_row = s.base + k;
-    } else {
-      fstat.first_access = std::min(fstat.first_access, s.tstart[k]);
-      fstat.last_access = std::max(fstat.last_access, s.tend[k]);
-    }
+    if (fnew) f.first_row = s.base + k;
     add_op(fstat.ops, op, cnt, bytes, dur);
     if (op == trace::Op::kRead) {
       f.readers.insert(rank);
@@ -299,35 +273,13 @@ ChunkState finalize(DenseState&& d) {
   st.read_iv = std::move(d.read_iv);
   st.write_iv = std::move(d.write_iv);
 
-  // Apps ascending by id — the order the uint16-keyed maps would hold.
   for (std::size_t id = 0; id < d.apps.size(); ++id) {
     AppSlot& a = d.apps[id];
     if (!a.used) continue;
-    const auto aid = static_cast<std::uint16_t>(id);
-    st.apps.emplace_hint(st.apps.end(), aid, std::move(a.stats));
-    for (const std::int32_t r : a.ranks.sorted()) {
-      st.procs.emplace_hint(st.procs.end(), aid, r);
-    }
-    for (std::size_t ifc = 0; ifc < kNumIfaces; ++ifc) {
-      if (a.iface_ops[ifc] != 0) {
-        st.iface_ops.emplace_hint(
-            st.iface_ops.end(),
-            std::make_pair(aid, static_cast<trace::Iface>(ifc)),
-            a.iface_ops[ifc]);
-      }
-    }
-    if (!a.io_rows.empty()) {
-      st.io_by_app.emplace_hint(st.io_by_app.end(), aid,
-                                std::move(a.io_rows));
-    }
+    a.part.ranks = a.ranks.sorted();
+    st.apps.emplace_hint(st.apps.end(), static_cast<std::uint16_t>(id),
+                         std::move(a.part));
   }
-  for (const std::int32_t n : d.nodes.sorted()) {
-    st.nodes.insert(st.nodes.end(), n);
-  }
-
-  st.rank_io_sec = d.rank_io_sec.items();
-  std::sort(st.rank_io_sec.begin(), st.rank_io_sec.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   st.size_counts = d.size_counts.items();
   std::sort(st.size_counts.begin(), st.size_counts.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -403,7 +355,7 @@ ChunkState scan_chunk_reference(const TraceStore& store,
   std::map<ScopedFile, std::size_t> file_first_row;
   std::map<ScopedFile, std::set<std::int32_t>> file_readers;
   std::map<ScopedFile, std::set<std::int32_t>> file_writers;
-  std::map<std::uint64_t, double> rank_io_sec;
+  std::map<std::uint16_t, std::set<std::int32_t>> app_ranks;
   std::map<std::pair<ScopedFile, std::int32_t>, StreamState> streams;
   std::map<fs::Bytes, std::uint64_t> size_counts;
 
@@ -413,17 +365,16 @@ ChunkState scan_chunk_reference(const TraceStore& store,
     const trace::Iface iface = cs.iface(i);
     const std::uint16_t app_id = cs.app(i);
     const std::int32_t rank = cs.rank(i);
-    const std::int32_t node = cs.node(i);
     const sim::Time t0 = cs.tstart(i);
     const sim::Time t1 = cs.tend(i);
-    const double dur = sim::to_seconds(t1 - t0);
 
     st.job_t0 = std::min(st.job_t0, t0);
     st.job_t1 = std::max(st.job_t1, t1);
 
     // App bookkeeping (all records).
     auto [ait, fresh] = st.apps.try_emplace(app_id);
-    AppStats& app = ait->second;
+    AppPart& part = ait->second;
+    AppStats& app = part.stats;
     if (fresh) {
       app.app = app_id;
       app.name = app_id < app_names.size() ? app_names[app_id]
@@ -434,31 +385,19 @@ ChunkState scan_chunk_reference(const TraceStore& store,
       app.first_event = std::min(app.first_event, t0);
       app.last_event = std::max(app.last_event, t1);
     }
-    st.procs.insert({app_id, rank});
-    st.nodes.insert(node);
-    if (trace::is_io(op)) st.io_by_app[app_id].push_back(i);
-
-    if (iface == trace::Iface::kCpu) {
-      app.cpu_sec += dur;
-      continue;
-    }
-    if (iface == trace::Iface::kGpu) {
-      app.gpu_sec += dur;
-      continue;
-    }
-    if (!trace::is_io(op)) continue;
+    app_ranks[app_id].insert(rank);
+    if (trace::is_io(op)) part.io_rows.push_back(i);
+    if (!is_io_row(iface, op)) continue;
 
     const std::uint32_t cnt = cs.count(i);
     const fs::Bytes sz = cs.size_col(i);
     const fs::Bytes bytes = sz * static_cast<fs::Bytes>(cnt);
+    const double dur = sim::to_seconds(t1 - t0);
     add_op(app.ops, op, cnt, bytes, dur);
     add_op(st.totals, op, cnt, bytes, dur);
-    const std::uint64_t proc_key = (static_cast<std::uint64_t>(app_id) << 32) |
-                                   static_cast<std::uint32_t>(rank);
-    rank_io_sec[proc_key] += dur;
     st.io_intervals.emplace_back(t0, t1);
     if (trace::is_data(op)) {
-      st.iface_ops[{app_id, iface}] += cnt;
+      part.iface_ops[static_cast<std::size_t>(iface)] += cnt;
     }
 
     // Histograms + interval collections (data ops only).
@@ -470,11 +409,11 @@ ChunkState scan_chunk_reference(const TraceStore& store,
       st.write_iv[st.write_hist.bucket_index(sz)].push_back({t0, t1});
     }
 
-    // File bookkeeping — scoped from the key and node already in hand.
+    // File bookkeeping — node-local files are scoped by the row's node.
     const trace::FileKey key = cs.file(i);
     if (!key.valid()) continue;
     const int scope =
-        fs_is_shared[static_cast<std::size_t>(key.fs)] ? -1 : node;
+        fs_is_shared[static_cast<std::size_t>(key.fs)] ? -1 : cs.node(i);
     const ScopedFile sf{key.fs, scope, key.file};
 
     if (trace::is_data(op)) {
@@ -493,16 +432,7 @@ ChunkState scan_chunk_reference(const TraceStore& store,
     }
     auto [fit, fnew] = files.try_emplace(sf);
     FileStats& fstat = fit->second;
-    if (fnew) {
-      fstat.key = key;
-      fstat.node_scope = sf.node_scope;
-      fstat.first_access = t0;
-      fstat.last_access = t1;
-      file_first_row.emplace(sf, i);
-    } else {
-      fstat.first_access = std::min(fstat.first_access, t0);
-      fstat.last_access = std::max(fstat.last_access, t1);
-    }
+    if (fnew) file_first_row.emplace(sf, i);
     add_op(fstat.ops, op, cnt, bytes, dur);
     if (op == trace::Op::kRead) {
       file_readers[sf].insert(rank);
@@ -533,7 +463,9 @@ ChunkState scan_chunk_reference(const TraceStore& store,
     }
     st.files.push_back(std::move(fa));
   }
-  st.rank_io_sec.assign(rank_io_sec.begin(), rank_io_sec.end());
+  for (auto& [id, ranks] : app_ranks) {
+    st.apps[id].ranks.assign(ranks.begin(), ranks.end());
+  }
   st.size_counts.assign(size_counts.begin(), size_counts.end());
   st.streams.reserve(streams.size());
   for (const auto& [key2, state] : streams) {

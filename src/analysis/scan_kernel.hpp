@@ -6,13 +6,13 @@
 //
 //  - scan_chunk(): batched columnar kernels. The range is walked as
 //    contiguous ChunkColumns spans (one residency resolution per storage
-//    chunk) and each span goes through two tight passes: app bookkeeping +
-//    job time range over every record, then one fused decode of the I/O
-//    records (op breakdowns, size histograms + interval collection, file
-//    bookkeeping + sequentiality). Per-row state lives in dense structures
-//    (apps indexed by id, files interned once per row into an
-//    open-addressed FileTable, flat hash maps for rank/size keys) that are
-//    sorted into ChunkState's key-ordered vectors once per chunk.
+//    chunk) and each span goes through two tight passes: app bookkeeping
+//    (time range, ranks, I/O row lists) over every record, then one fused
+//    decode of the I/O records (op breakdowns, size histograms + interval
+//    collection, file bookkeeping + sequentiality). Per-row state lives in
+//    dense structures (apps indexed by id, files interned once per row into
+//    an open-addressed FileTable, flat hash maps for rank/size keys) that
+//    are sorted into ChunkState's key-ordered form once per chunk.
 //
 //  - scan_chunk_reference(): the scalar row-at-a-time loop, kept as the
 //    equivalence oracle behind Analyzer::Options::reference_scan. Tests
@@ -28,8 +28,8 @@
 // any --jobs, any chunk_rows, and on both backends.
 #pragma once
 
+#include <array>
 #include <map>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -92,10 +92,8 @@ struct StreamEntry {
   StreamState state;
 };
 
-/// Everything a chunk knows about one scoped file, consolidated from what
-/// used to be four separate ScopedFile-keyed maps so the reduce step walks
-/// one sorted vector per chunk instead of re-looking-up every key four
-/// times.
+/// Everything a chunk knows about one scoped file, in one record, so the
+/// reduce step walks one sorted vector per chunk. `sf` is the merge key.
 struct FileAgg {
   ScopedFile sf;
   FileStats stats;
@@ -104,26 +102,30 @@ struct FileAgg {
   std::vector<std::int32_t> writers;      ///< distinct ranks, ascending
 };
 
+constexpr std::size_t kNumIfaces = 8;  // > every trace::Iface value
+
+/// Everything a chunk knows about one app, in one record.
+struct AppPart {
+  AppStats stats;
+  std::vector<std::int32_t> ranks;  ///< distinct ranks, ascending
+  /// Data-op count per interface (picks the dominant one).
+  std::array<std::uint64_t, kNumIfaces> iface_ops{};
+  std::vector<std::size_t> io_rows;  ///< I/O rows, ascending (phase input)
+};
+
 /// Everything one row chunk contributes; merged in chunk-index order.
 ///
-/// Large keyed state (files, streams, per-proc I/O time, transfer sizes) is
-/// carried as key-sorted vectors, not maps: the map step emits each vector
-/// once (already sorted), and the reduce step folds chunk vectors into the
-/// global ones with linear two-pointer merges — no per-key tree walks or
-/// node allocations on either side. Small keyed state (apps, procs, nodes,
-/// per-app interface counts) stays in ordered containers; those have at
-/// most a few hundred keys and the merge cost is noise.
+/// Large keyed state (files, streams, transfer sizes) is carried as
+/// key-sorted vectors, not maps: the map step emits each vector once
+/// (already sorted), and the reduce step folds the chunks' vectors with one
+/// k-way merge each — no per-key tree walks or node allocations on either
+/// side. Apps are few, so they stay in a map.
 struct ChunkState {
   sim::Time job_t0 = 0;
   sim::Time job_t1 = 0;
   OpsBreakdown totals;
-  std::map<std::uint16_t, AppStats> apps;
+  std::map<std::uint16_t, AppPart> apps;
   std::vector<FileAgg> files;  ///< sorted by ScopedFile
-  std::vector<std::pair<std::uint64_t, double>>
-      rank_io_sec;  ///< key (app<<32|rank), sorted
-  std::set<std::pair<std::uint16_t, std::int32_t>> procs;
-  std::set<std::int32_t> nodes;
-  std::map<std::pair<std::uint16_t, trace::Iface>, std::uint64_t> iface_ops;
   std::vector<StreamEntry> streams;  ///< sorted by (sf, rank)
   std::uint64_t seq_ops = 0;  ///< excludes each stream's deferred first op
   std::uint64_t pattern_ops = 0;
@@ -134,7 +136,6 @@ struct ChunkState {
   util::SizeHistogram write_hist = util::SizeHistogram::paper_buckets();
   std::vector<std::vector<Interval>> read_iv;
   std::vector<std::vector<Interval>> write_iv;
-  std::map<std::uint16_t, std::vector<std::size_t>> io_by_app;
 };
 
 /// The batched columnar map step (the default path).

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 #include "analysis/chunk_codec.hpp"
 #include "obs/obs.hpp"
@@ -27,6 +28,12 @@ constexpr std::uint64_t kFlagAux = 1;
 // keeps two stores sharing one --spill-dir (even across processes) from
 // ever colliding on chunk file names.
 std::atomic<std::uint64_t> g_store_seq{0};
+
+// A store's destructor removes the shared dir once it is empty. Stores in
+// one process create and remove it under this lock, so that removal never
+// lands between another store creating the dir and its subdirectory in it.
+// A store in another process still can; creation retries then.
+std::mutex g_dir_mu;
 
 void write_u64(std::ostream& os, std::uint64_t v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -121,8 +128,19 @@ SpillColumnStore::SpillColumnStore(Options opts) : opts_(std::move(opts)) {
   dir_ = opts_.dir + "/store_" + std::to_string(::getpid()) + "_" +
          std::to_string(g_store_seq.fetch_add(1, std::memory_order_relaxed));
   std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
-  WASP_CHECK_MSG(!ec, "cannot create spill directory: " + dir_);
+  {
+    const std::lock_guard<std::mutex> lock(g_dir_mu);
+    for (int attempt = 0; attempt < 10000; ++attempt) {
+      std::filesystem::create_directories(dir_, ec);
+      // Either error means another process removed the dir mid-create.
+      if (ec != std::errc::no_such_file_or_directory &&
+          ec != std::errc::file_exists) {
+        break;
+      }
+    }
+  }
+  WASP_CHECK_MSG(!ec, "cannot create spill directory: " + dir_ + " (" +
+                          ec.message() + ")");
   residency_ = std::make_shared<Residency>();
 }
 
@@ -144,6 +162,7 @@ SpillColumnStore::~SpillColumnStore() {
   for (std::size_t c = 0; c < chunks_written_; ++c) {
     std::filesystem::remove(chunk_file_path(c), ec);
   }
+  const std::lock_guard<std::mutex> lock(g_dir_mu);
   std::filesystem::remove(dir_, ec);
   // Only removed when empty — a shared spill dir with other stores'
   // subdirectories stays put.
@@ -199,7 +218,7 @@ void SpillColumnStore::finalize() {
   WASP_CHECK_MSG(!finalized_, "finalize called twice");
   flush_open_chunk();
   finalized_ = true;
-  if (opts_.prefetch && chunks_written_ > 1) {
+  if (chunks_written_ > 1) {
     prefetch_thread_ = std::thread(&SpillColumnStore::prefetch_loop, this);
   }
 }
@@ -471,21 +490,22 @@ void SpillColumnStore::prefetch_loop() {
   if (obs::SpanTracer::instance().enabled()) {
     obs::SpanTracer::instance().set_thread_name("spill-prefetch");
   }
+  std::unique_lock<std::mutex> lock(pf_mu_);
   for (;;) {
-    std::size_t target;
-    {
-      std::unique_lock<std::mutex> lock(pf_mu_);
-      pf_cv_.wait(lock, [this] { return pf_stop_ || pf_target_ != kNoChunk; });
-      if (pf_stop_) return;
-      target = pf_target_;
-      pf_target_ = kNoChunk;
-    }
+    pf_cv_.wait(lock, [this] { return pf_stop_ || pf_target_ != kNoChunk; });
+    if (pf_stop_) return;
+    const std::size_t target = std::exchange(pf_target_, kNoChunk);
+    pf_busy_ = true;
+    lock.unlock();
     try {
       (void)acquire_chunk(target, /*for_prefetch=*/true);
     } catch (const std::exception&) {
       // Corrupt/unreadable chunk: drop it here — the demand load will
       // surface the error on the caller's thread.
     }
+    lock.lock();
+    pf_busy_ = false;
+    if (pf_target_ == kNoChunk) pf_idle_cv_.notify_all();
   }
 }
 
@@ -516,6 +536,11 @@ std::size_t SpillColumnStore::peak_resident_chunks() const noexcept {
 }
 
 IoStats SpillColumnStore::io_stats() const {
+  {
+    std::unique_lock<std::mutex> lock(pf_mu_);
+    pf_idle_cv_.wait(lock,
+                     [this] { return !pf_busy_ && pf_target_ == kNoChunk; });
+  }
   IoStats s;
   s.chunk_loads = loads_.value();
   s.cache_hits = hits_.value();

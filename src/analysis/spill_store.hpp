@@ -62,8 +62,6 @@ class SpillColumnStore final : public TraceStore {
     std::string dir;
     std::size_t chunk_rows = 65536;
     std::size_t max_resident_chunks = 8;
-    /// Double-buffered background read-ahead on sequential chunk scans.
-    bool prefetch = true;
   };
 
   explicit SpillColumnStore(Options opts);
@@ -90,6 +88,8 @@ class SpillColumnStore final : public TraceStore {
   std::size_t chunk_rows() const noexcept override { return opts_.chunk_rows; }
   ChunkHandle chunk(std::size_t chunk_index) const override;
   std::int16_t max_fs() const override { return max_fs_; }
+  /// Waits for the read-ahead in flight first, so every chunk load the
+  /// store has started is counted.
   IoStats io_stats() const override;
   bool has_aux() const noexcept { return has_aux_; }
 
@@ -189,11 +189,14 @@ class SpillColumnStore final : public TraceStore {
 
   // Prefetch thread state. pf_target_ holds at most the single next chunk
   // (newer sequential progress overwrites it — double buffering, not a
-  // queue).
+  // queue); pf_busy_ is set while the thread loads one, and pf_idle_cv_
+  // signals when it has none pending or in flight.
   std::thread prefetch_thread_;
   mutable std::mutex pf_mu_;
   mutable std::condition_variable pf_cv_;
+  mutable std::condition_variable pf_idle_cv_;
   mutable std::size_t pf_target_ = kNoChunk;
+  bool pf_busy_ = false;
   bool pf_stop_ = false;
 
   // I/O counters as registry cells: every increment lands in this

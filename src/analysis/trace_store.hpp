@@ -192,15 +192,6 @@ class Cursor {
   sim::Time tstart(std::size_t i) { const auto& c = at(i); return c.tstart[i - c.base]; }
   sim::Time tend(std::size_t i) { const auto& c = at(i); return c.tend[i - c.base]; }
 
-  fs::Bytes total_bytes(std::size_t i) {
-    const auto& c = at(i);
-    return c.size[i - c.base] * static_cast<fs::Bytes>(c.count[i - c.base]);
-  }
-  double duration_sec(std::size_t i) {
-    const auto& c = at(i);
-    return sim::to_seconds(c.tend[i - c.base] - c.tstart[i - c.base]);
-  }
-
   /// Batched access: the rest of row `i`'s storage chunk, clipped to
   /// `limit` (exclusive). Scan kernels walk a range as
   ///   for (pos = begin; pos < end; pos += cursor.span(pos, end).rows)

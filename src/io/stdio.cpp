@@ -23,8 +23,6 @@ sim::Task<void> Stdio::flush_writes(StdioFile& f) {
   f.write_buffered = 0;
 }
 
-sim::Task<void> Stdio::fflush(StdioFile& f) { return flush_writes(f); }
-
 sim::Task<void> Stdio::fclose(StdioFile& f) {
   co_await flush_writes(f);
   co_await posix_.close(f.base);

@@ -52,8 +52,6 @@ class Stdio {
   /// metadata ops without metadata-service time.
   sim::Task<void> fseek_batch(StdioFile& f, std::uint32_t count);
 
-  sim::Task<void> fflush(StdioFile& f);
-
  private:
   sim::Task<void> flush_writes(StdioFile& f);
 

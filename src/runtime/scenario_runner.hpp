@@ -9,6 +9,7 @@
 // deterministic replay per run (Recorder-style reproducibility).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <vector>
@@ -25,13 +26,16 @@ class ScenarioRunner {
   int jobs() const noexcept { return jobs_; }
 
   /// Run every scenario callable, at most jobs() at a time; the i-th result
-  /// is scenarios[i]()'s return value. If scenarios throw, the exception of
+  /// is scenarios[i]()'s return value. At one job or one scenario they run
+  /// in order on the calling thread. If scenarios throw, the exception of
   /// the lowest-numbered failing scenario is rethrown after all started
   /// scenarios finished.
   template <typename R>
   std::vector<R> run(const std::vector<std::function<R()>>& scenarios) const {
     std::vector<R> out(scenarios.size());
-    util::ThreadPool pool(jobs_ - 1);
+    const auto width = std::min<std::size_t>(
+        static_cast<std::size_t>(jobs_), scenarios.size());
+    util::ThreadPool pool(static_cast<int>(width) - 1);
     pool.run(scenarios.size(),
              [&](std::size_t i) { out[i] = scenarios[i](); });
     return out;

@@ -46,7 +46,6 @@ class SharedLink {
   double snapshot_rate(util::Bytes granularity) const noexcept;
 
   const Config& config() const noexcept { return cfg_; }
-  std::size_t active_streams() const noexcept { return active_; }
   std::size_t peak_streams() const noexcept { return peak_; }
   std::uint64_t transfers_completed() const noexcept { return completed_; }
   util::Bytes bytes_moved() const noexcept { return bytes_; }

@@ -87,13 +87,6 @@ struct Record {
   sim::Time tend = 0;
 
   bool operator==(const Record&) const = default;
-
-  fs::Bytes total_bytes() const noexcept {
-    return size * static_cast<fs::Bytes>(count);
-  }
-  double duration_sec() const noexcept {
-    return sim::to_seconds(tend - tstart);
-  }
 };
 
 }  // namespace wasp::trace

@@ -196,7 +196,12 @@ void ThreadPool::run(std::size_t count,
     for (std::size_t e = 1; e < b->errors.size(); ++e) {
       if (b->errors[e].first < b->errors[best].first) best = e;
     }
-    std::rethrow_exception(b->errors[best].second);
+    // Take the exception out and release the rest on this thread: a worker
+    // may drop the last Batch reference later, and must not free an
+    // exception this thread is still reading.
+    const std::exception_ptr first = std::move(b->errors[best].second);
+    b->errors.clear();
+    std::rethrow_exception(first);
   }
 }
 

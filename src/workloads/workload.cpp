@@ -55,7 +55,6 @@ RunOutput run(const cluster::ClusterSpec& spec, const Workload& workload,
 
 std::vector<RunOutput> run_many(const std::vector<Scenario>& scenarios,
                                 int jobs) {
-  const runtime::ScenarioRunner runner(jobs);
   std::vector<std::function<RunOutput()>> fns;
   fns.reserve(scenarios.size());
   for (const Scenario& s : scenarios) {
@@ -72,15 +71,7 @@ std::vector<RunOutput> run_many(const std::vector<Scenario>& scenarios,
       return run_with(sim, s.make(), s.cfg, s.analyzer_opts);
     });
   }
-  if (runner.jobs() <= 1 || scenarios.size() <= 1) {
-    // Nothing to fan out: run in order on this thread. Results are
-    // bit-identical either way.
-    std::vector<RunOutput> out;
-    out.reserve(fns.size());
-    for (auto& fn : fns) out.push_back(fn());
-    return out;
-  }
-  return runner.run<RunOutput>(fns);
+  return runtime::ScenarioRunner(jobs).run<RunOutput>(fns);
 }
 
 }  // namespace wasp::workloads

@@ -78,8 +78,7 @@ struct Scenario {
 
 /// Run independent scenarios concurrently via runtime::ScenarioRunner
 /// (jobs == 0 -> util::default_jobs()). Results are in input order and
-/// bit-identical to running each scenario sequentially. Runs serially, on
-/// the calling thread, at one job or for a single scenario.
+/// bit-identical to running each scenario sequentially.
 std::vector<RunOutput> run_many(const std::vector<Scenario>& scenarios,
                                 int jobs = 0);
 

@@ -45,9 +45,7 @@ inline void expect_profiles_identical(const analysis::WorkloadProfile& a,
   EXPECT_EQ(a.job_runtime_sec, b.job_runtime_sec);
   expect_ops_identical(a.totals, b.totals);
   EXPECT_EQ(a.io_time_fraction, b.io_time_fraction);
-  EXPECT_EQ(a.io_busy_fraction, b.io_busy_fraction);
   EXPECT_EQ(a.num_procs, b.num_procs);
-  EXPECT_EQ(a.num_nodes, b.num_nodes);
 
   ASSERT_EQ(a.apps.size(), b.apps.size());
   for (std::size_t i = 0; i < a.apps.size(); ++i) {
@@ -57,8 +55,6 @@ inline void expect_profiles_identical(const analysis::WorkloadProfile& a,
     EXPECT_EQ(x.name, y.name);
     EXPECT_EQ(x.num_procs, y.num_procs);
     expect_ops_identical(x.ops, y.ops);
-    EXPECT_EQ(x.cpu_sec, y.cpu_sec);
-    EXPECT_EQ(x.gpu_sec, y.gpu_sec);
     EXPECT_EQ(x.first_event, y.first_event);
     EXPECT_EQ(x.last_event, y.last_event);
     EXPECT_EQ(x.fpp_files, y.fpp_files);
@@ -70,13 +66,9 @@ inline void expect_profiles_identical(const analysis::WorkloadProfile& a,
   for (std::size_t i = 0; i < a.files.size(); ++i) {
     const auto& x = a.files[i];
     const auto& y = b.files[i];
-    EXPECT_TRUE(x.key == y.key);
-    EXPECT_EQ(x.node_scope, y.node_scope);
     EXPECT_EQ(x.path, y.path);
     EXPECT_EQ(x.size, y.size);
     expect_ops_identical(x.ops, y.ops);
-    EXPECT_EQ(x.first_access, y.first_access);
-    EXPECT_EQ(x.last_access, y.last_access);
     EXPECT_EQ(x.reader_ranks, y.reader_ranks);
     EXPECT_EQ(x.writer_ranks, y.writer_ranks);
     EXPECT_EQ(x.accessor_ranks, y.accessor_ranks);

@@ -55,7 +55,8 @@ TEST(ColumnStore, RoundTripsRecords) {
   EXPECT_EQ(back.rank, r.rank);
   EXPECT_EQ(back.file, r.file);
   EXPECT_EQ(back.count, r.count);
-  EXPECT_EQ(Cursor(cs).total_bytes(0), 4096u * 8);
+  Cursor cur(cs);
+  EXPECT_EQ(cur.size_col(0) * cur.count(0), 4096u * 8);
 }
 
 TEST(ColumnStore, SelectFilters) {
@@ -361,8 +362,6 @@ TEST_F(AnalysisFixture, IoTimeFractionBoundedByOne) {
   auto profile = analyze();
   EXPECT_GT(profile.io_time_fraction, 0.0);
   EXPECT_LE(profile.io_time_fraction, 1.0);
-  EXPECT_GT(profile.io_busy_fraction, 0.0);
-  EXPECT_LE(profile.io_busy_fraction, 1.0);
 }
 
 TEST(PhaseLabel, FrequencyClassification) {

@@ -330,14 +330,15 @@ TEST(FaultDegradation, MissingSpillChunkNamesPathAndErrno) {
   const auto records = trace::synthetic_records(250);
   analysis::SpillColumnStore store(
       {.dir = temp_path("missing.spill"), .chunk_rows = 100,
-       .max_resident_chunks = 1, .prefetch = false});
+       .max_resident_chunks = 1});
   store.append(records);
   store.finalize();
   const std::string victim = store.chunk_file_path(2);
-  // Chunk 2 may still be resident from the append; scan forward so the LRU
-  // (capacity 1) evicts it, then delete the file and force a reload.
+  // Load chunk 2, then chunk 0, which evicts it from the one-chunk cache;
+  // read-ahead follows only sequential reads, so it never targets chunk 2
+  // in this order. Then delete the file and force a reload.
+  (void)store.row(200);
   (void)store.row(0);
-  (void)store.row(100);
   std::filesystem::remove(victim);
   try {
     (void)store.row(200);

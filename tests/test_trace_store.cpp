@@ -6,6 +6,7 @@
 // load), plus the one double-buffered prefetch load.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -234,8 +235,7 @@ TEST(SpillStore, CorruptChunkFailsLoudlyWithoutResidencyUnderflow) {
   const auto records = synthetic_records(350);
   analysis::SpillColumnStore store({.dir = spill_dir("corrupt.spill"),
                                     .chunk_rows = 100,
-                                    .max_resident_chunks = 2,
-                                    .prefetch = false});
+                                    .max_resident_chunks = 2});
   store.append(records);
   store.finalize();
   ASSERT_EQ(store.spilled_chunks(), 4u);
@@ -266,8 +266,7 @@ TEST(SpillStore, ShortNonFinalChunkRejected) {
   const auto records = synthetic_records(250);  // chunks of 100, 100, 50
   analysis::SpillColumnStore store({.dir = spill_dir("shortchunk.spill"),
                                     .chunk_rows = 100,
-                                    .max_resident_chunks = 4,
-                                    .prefetch = false});
+                                    .max_resident_chunks = 4});
   store.append(records);
   store.finalize();
   ASSERT_EQ(store.spilled_chunks(), 3u);
@@ -327,6 +326,29 @@ TEST(SpillStore, TwoStoresShareOneSpillDirWithoutCollision) {
   for (std::size_t i = 0; i < b_records.size(); ++i) {
     ASSERT_TRUE(b.row(i) == b_records[i]) << "store b row " << i;
   }
+}
+
+// Regression: a store's destructor removes the shared dir once it is empty,
+// and that removal could land between another store's creation of the dir
+// and of its own subdirectory under it ("cannot create spill directory").
+TEST(SpillStore, StoresChurningOnOneDirSurviveItsRemoval) {
+  const std::string dir = spill_dir("churn.spill");
+  std::atomic<int> failures{0};
+  std::string first_error;  // written by the first failure only
+  auto churn = [&] {
+    for (int i = 0; i < 2000; ++i) {
+      try {
+        const analysis::SpillColumnStore store({.dir = dir});
+      } catch (const util::SimError& e) {
+        if (failures.fetch_add(1) == 0) first_error = e.what();
+      }
+    }
+  };
+  std::thread a(churn);
+  std::thread b(churn);
+  a.join();
+  b.join();
+  EXPECT_EQ(failures.load(), 0) << first_error;
 }
 
 // The background prefetcher must turn a sequential chunk scan into cache
