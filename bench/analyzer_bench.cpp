@@ -4,7 +4,11 @@
 // Generates a synthetic trace (every interface/op, file-less rows — the
 // same generator the store tests use), analyzes it with both scan paths,
 // and reports rows/sec per pipeline pass from the telemetry counter deltas
-// (analyze.scan_ns etc.), plus the kernel-vs-reference scan speedup.
+// (analyze.scan_ns etc.), plus the kernel-vs-reference scan speedup. The
+// unions and phases lines time the reduce's merges of the chunks' union
+// segments and phase clusters. Unlike a traced run, the synthetic rows are
+// not in end-time order, so the kernel's segment and cluster stacks hand
+// many of them to their sort-and-sweep fallback.
 //
 //   analyzer_bench [--rows N] [--repeat N] [--jobs N] [--chunk-rows N]
 //                  [--backend memory|spill] [--spill-dir DIR]
@@ -106,14 +110,14 @@ PassTimes run_best(const wasp::analysis::TraceInput& input, const Args& a,
 void report(const char* label, std::size_t rows, const PassTimes& t) {
   std::printf("%s:\n", label);
   const auto line = [rows](const char* pass, std::uint64_t ns) {
-    std::printf("  %-10s %10.3f ms   %12.0f rows/sec\n", pass,
+    std::printf("  %-22s %10.3f ms   %12.0f rows/sec\n", pass,
                 static_cast<double>(ns) / 1e6, rows_per_sec(rows, ns));
   };
   line("scan", t.scan);
   line("merge", t.merge);
   line("resolve", t.resolve);
-  line("unions", t.unions);
-  line("phases", t.phases);
+  line("unions (segment merge)", t.unions);
+  line("phases (cluster merge)", t.phases);
   line("timeline", t.timeline);
   line("total", t.total);
 }

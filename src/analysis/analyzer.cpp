@@ -4,7 +4,6 @@
 #include <map>
 #include <queue>
 
-#include "analysis/dense.hpp"
 #include "analysis/scan_kernel.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
@@ -74,21 +73,6 @@ void merge_app_ids(std::vector<std::uint16_t>& into,
 // floating-point sums keep a fixed association order and the profile stays
 // bit-identical.
 
-/// Set-union of ascending id vectors, in place on `into`.
-void union_ids(std::vector<std::int32_t>& into,
-               const std::vector<std::int32_t>& from) {
-  if (from.empty()) return;
-  if (into.empty()) {
-    into = from;
-    return;
-  }
-  std::vector<std::int32_t> out;
-  out.reserve(into.size() + from.size());
-  std::set_union(into.begin(), into.end(), from.begin(), from.end(),
-                 std::back_inserter(out));
-  into = std::move(out);
-}
-
 /// Size of the union of two ascending id vectors, without materializing it.
 std::size_t union_size(const std::vector<std::int32_t>& a,
                        const std::vector<std::int32_t>& b) {
@@ -110,49 +94,57 @@ std::size_t union_size(const std::vector<std::int32_t>& a,
          static_cast<std::size_t>(b.end() - j);
 }
 
-/// K-way heap merge over each chunk's sorted `field` vector. `key(entry)`
-/// orders entries; ties pop in chunk-index order, so `consume(entry)` sees
-/// every key's entries left-to-right across chunks — exactly the order a
-/// chunk-by-chunk fold would feed them in, but each global entry is built
+/// K-way heap merge over sorted lists, one per chunk in chunk-index order.
+/// `key(entry)` orders entries; ties pop in list order, so `consume(entry)`
+/// sees every key's entries left-to-right across chunks — exactly the order
+/// a chunk-by-chunk fold would feed them in, but each global entry is built
 /// once instead of being re-moved on every fold step.
-template <typename Field, typename KeyFn, typename Consume>
-void kway_merge(std::vector<ChunkState>& parts, Field field, KeyFn key,
+template <typename T, typename KeyFn, typename Consume>
+void kway_merge(std::vector<std::vector<T>>& lists, KeyFn key,
                 Consume consume) {
   struct Head {
-    std::size_t chunk;
+    std::size_t list;
     std::size_t pos;
   };
-  auto vec = [&](std::size_t chunk) -> auto& { return parts[chunk].*field; };
   auto cmp = [&](const Head& a, const Head& b) {
     // priority_queue pops the *greatest*, so invert: smallest key first,
-    // then smallest chunk index.
-    const auto& ka = key(vec(a.chunk)[a.pos]);
-    const auto& kb = key(vec(b.chunk)[b.pos]);
+    // then smallest list index.
+    const auto& ka = key(lists[a.list][a.pos]);
+    const auto& kb = key(lists[b.list][b.pos]);
     if (kb < ka) return true;
     if (ka < kb) return false;
-    return a.chunk > b.chunk;
+    return a.list > b.list;
   };
   std::priority_queue<Head, std::vector<Head>, decltype(cmp)> heap(cmp);
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (!vec(i).empty()) heap.push({i, 0});
+  for (std::size_t i = 0; i < lists.size(); ++i) {
+    if (!lists[i].empty()) heap.push({i, 0});
   }
   while (!heap.empty()) {
     Head h = heap.top();
     heap.pop();
-    consume(vec(h.chunk)[h.pos]);
-    if (++h.pos < vec(h.chunk).size()) heap.push(h);
+    consume(lists[h.list][h.pos]);
+    if (++h.pos < lists[h.list].size()) heap.push(h);
   }
 }
 
+/// Every chunk's `field` vector, moved out in chunk-index order.
+template <typename T>
+std::vector<std::vector<T>> take(std::vector<ChunkState>& parts,
+                                 std::vector<T> ChunkState::*field) {
+  std::vector<std::vector<T>> lists;
+  lists.reserve(parts.size());
+  for (ChunkState& c : parts) lists.push_back(std::move(c.*field));
+  return lists;
+}
+
 /// Merge every chunk's FileAgg vector into one global sorted vector.
-std::vector<FileAgg> merge_files(std::vector<ChunkState>& parts) {
+std::vector<FileAgg> merge_files(std::vector<std::vector<FileAgg>> lists) {
   std::vector<FileAgg> out;
   std::size_t widest = 0;
-  for (const ChunkState& c : parts) widest = std::max(widest, c.files.size());
+  for (const auto& l : lists) widest = std::max(widest, l.size());
   out.reserve(widest);
   kway_merge(
-      parts, &ChunkState::files,
-      [](const FileAgg& fa) -> const ScopedFile& { return fa.sf; },
+      lists, [](const FileAgg& fa) -> const ScopedFile& { return fa.sf; },
       [&out](FileAgg& fa) {
         if (out.empty() || out.back().sf < fa.sf) {
           out.push_back(std::move(fa));
@@ -178,14 +170,13 @@ using StreamKey = std::pair<ScopedFile, std::int32_t>;
 /// counts its head if it continues where the previous chunk's tail left
 /// off. Consumes each stream's chunk entries in chunk order; nothing else
 /// reads the stream state, so no global table is kept.
-std::uint64_t settle_streams(std::vector<ChunkState>& parts) {
+std::uint64_t settle_streams(std::vector<std::vector<StreamEntry>> lists) {
   std::uint64_t seq_ops = 0;
   bool have_prev = false;
   StreamKey prev_key{};
   fs::Bytes prev_end = 0;
   kway_merge(
-      parts, &ChunkState::streams,
-      [](const StreamEntry& e) { return StreamKey{e.sf, e.rank}; },
+      lists, [](const StreamEntry& e) { return StreamKey{e.sf, e.rank}; },
       [&](const StreamEntry& e) {
         const StreamKey k{e.sf, e.rank};
         if (!have_prev || prev_key < k) {
@@ -200,14 +191,14 @@ std::uint64_t settle_streams(std::vector<ChunkState>& parts) {
   return seq_ops;
 }
 
+using SizeCount = std::pair<fs::Bytes, std::uint64_t>;
+
 /// Merge every chunk's transfer-size counts into one list, ascending by size.
-std::vector<std::pair<fs::Bytes, std::uint64_t>> merge_size_counts(
-    std::vector<ChunkState>& parts) {
-  using SizeCount = std::pair<fs::Bytes, std::uint64_t>;
+std::vector<SizeCount> merge_size_counts(
+    std::vector<std::vector<SizeCount>> lists) {
   std::vector<SizeCount> out;
   kway_merge(
-      parts, &ChunkState::size_counts,
-      [](const SizeCount& e) { return e.first; },
+      lists, [](const SizeCount& e) { return e.first; },
       [&out](const SizeCount& e) {
         if (!out.empty() && out.back().first == e.first) {
           out.back().second += e.second;
@@ -216,6 +207,48 @@ std::vector<std::pair<fs::Bytes, std::uint64_t>> merge_size_counts(
         }
       });
   return out;
+}
+
+/// Covered time of the union of every chunk's segments (each list disjoint
+/// and ascending): one start-ordered sweep over the k-way merge.
+sim::Time merged_cover(std::vector<std::vector<Segment>>& lists) {
+  std::vector<Segment> merged;
+  kway_merge(
+      lists, [](const Segment& seg) { return seg.lo; },
+      [&merged](Segment& seg) { sweep_step(merged, std::move(seg), 0); });
+  return covered_time(merged);
+}
+
+/// One app's phases from every chunk's clusters (each list disjoint and
+/// ascending), in start order: a cluster starting at most `gap` after the
+/// phase so far ends joins it.
+void merge_phases(std::uint16_t app,
+                  std::vector<std::vector<PhaseCluster>>& lists,
+                  sim::Time gap, std::vector<Phase>& out) {
+  std::vector<PhaseCluster> merged;
+  kway_merge(
+      lists, [](const PhaseCluster& c) { return c.lo; },
+      [&](PhaseCluster& c) { sweep_step(merged, std::move(c), gap); });
+  for (const PhaseCluster& c : merged) {
+    Phase ph;
+    ph.app = app;
+    ph.t0 = c.lo;
+    ph.t1 = c.hi;
+    ph.ops = c.ops;
+    // The most frequent nonzero size; ties go to the smaller.
+    std::uint64_t dom_n = 0;
+    for (const auto& [sz, n] : c.sizes) {
+      if (n > dom_n && sz > 0) {
+        dom_n = n;
+        ph.dominant_size = sz;
+      }
+    }
+    ph.ops_per_rank = c.ranks.empty()
+                          ? 0.0
+                          : static_cast<double>(c.ops.total_ops()) /
+                                static_cast<double>(c.ranks.size());
+    out.push_back(ph);
+  }
 }
 
 }  // namespace
@@ -268,28 +301,6 @@ const Phase* WorkloadProfile::first_phase(std::uint16_t app) const {
     if (ph.app == app && (best == nullptr || ph.t0 < best->t0)) best = &ph;
   }
   return best;
-}
-
-double Analyzer::union_seconds(
-    std::vector<std::pair<sim::Time, sim::Time>> iv) {
-  if (iv.empty()) return 0.0;
-  // Traces append in retire order, so interval lists are often already
-  // start-ordered; the linear check dodges the n-log-n sort when so.
-  if (!std::is_sorted(iv.begin(), iv.end())) std::sort(iv.begin(), iv.end());
-  sim::Time covered = 0;
-  sim::Time cur_lo = iv[0].first;
-  sim::Time cur_hi = iv[0].second;
-  for (std::size_t i = 1; i < iv.size(); ++i) {
-    if (iv[i].first > cur_hi) {
-      covered += cur_hi - cur_lo;
-      cur_lo = iv[i].first;
-      cur_hi = iv[i].second;
-    } else {
-      cur_hi = std::max(cur_hi, iv[i].second);
-    }
-  }
-  covered += cur_hi - cur_lo;
-  return sim::to_seconds(covered);
 }
 
 TraceInput tracer_input(const trace::Tracer& tracer) {
@@ -394,58 +405,42 @@ WorkloadProfile Analyzer::analyze(const TraceInput& input) const {
     parts = pool.map_chunks(
         store.size(), grain, [&](const util::ChunkRange& range) {
           return ref ? scan_chunk_reference(store, range, input.app_names,
-                                            fs_is_shared)
-                     : scan_chunk(store, range, input.app_names, fs_is_shared);
+                                            fs_is_shared, opts_.phase_gap)
+                     : scan_chunk(store, range, input.app_names, fs_is_shared,
+                                  opts_.phase_gap);
         });
   }
 
   // --- Reduce: merge partials in chunk-index order ----------------------
   // Every key-sorted partial folds through one k-way merge over the chunks'
-  // vectors (see the helpers above); apps merge by id.
+  // vectors (see the helpers above); apps merge by id. Segments and phase
+  // clusters are only gathered here, one list per chunk, and merged by the
+  // unions and phases passes below.
   sim::Time job_t0 = parts.front().job_t0;
   sim::Time job_t1 = parts.front().job_t1;
   std::map<std::uint16_t, AppPart> apps;
   std::vector<FileAgg> files;  // sorted by ScopedFile
   std::uint64_t seq_ops = 0;
   std::uint64_t pattern_ops = 0;
-  std::vector<Interval> io_intervals;
-  std::vector<std::vector<Interval>> read_iv(p.read_hist.num_buckets());
-  std::vector<std::vector<Interval>> write_iv(p.write_hist.num_buckets());
+  const std::size_t nb = p.read_hist.num_buckets();
+  std::vector<std::vector<Segment>> io_segments;
+  std::vector<std::vector<std::vector<Segment>>> read_segments(nb);
+  std::vector<std::vector<std::vector<Segment>>> write_segments(nb);
+  std::map<std::uint16_t, std::vector<std::vector<PhaseCluster>>> clusters;
 
   {
   WASP_OBS_SPAN("analyze.merge");
   obs::TimerGuard t(om.merge_ns);
-  // Size the interval/row-list concatenations exactly, so the appends below
-  // never reallocate mid-merge.
-  std::map<std::uint16_t, std::size_t> n_rows;
-  {
-    std::size_t n_io = 0;
-    std::vector<std::size_t> n_read(read_iv.size(), 0);
-    std::vector<std::size_t> n_write(write_iv.size(), 0);
-    for (const ChunkState& c : parts) {
-      n_io += c.io_intervals.size();
-      for (std::size_t b = 0; b < read_iv.size(); ++b) {
-        n_read[b] += c.read_iv[b].size();
-        n_write[b] += c.write_iv[b].size();
-      }
-      for (const auto& [aid, part] : c.apps) n_rows[aid] += part.io_rows.size();
-    }
-    io_intervals.reserve(n_io);
-    for (std::size_t b = 0; b < read_iv.size(); ++b) {
-      read_iv[b].reserve(n_read[b]);
-      write_iv[b].reserve(n_write[b]);
-    }
-  }
   for (ChunkState& c : parts) {
     job_t0 = std::min(job_t0, c.job_t0);
     job_t1 = std::max(job_t1, c.job_t1);
     p.totals.merge(c.totals);
     for (auto& [id, part] : c.apps) {
+      clusters[id].push_back(std::move(part.clusters));
       auto [it, fresh] = apps.try_emplace(id);
       AppPart& g = it->second;
       if (fresh) {
         g = std::move(part);
-        g.io_rows.reserve(n_rows[id]);
         continue;
       }
       g.stats.first_event =
@@ -456,25 +451,20 @@ WorkloadProfile Analyzer::analyze(const TraceInput& input) const {
       for (std::size_t f = 0; f < kNumIfaces; ++f) {
         g.iface_ops[f] += part.iface_ops[f];
       }
-      g.io_rows.insert(g.io_rows.end(), part.io_rows.begin(),
-                       part.io_rows.end());
     }
     seq_ops += c.seq_ops;
     pattern_ops += c.pattern_ops;
-    io_intervals.insert(io_intervals.end(), c.io_intervals.begin(),
-                        c.io_intervals.end());
     p.read_hist.merge(c.read_hist);
     p.write_hist.merge(c.write_hist);
-    for (std::size_t b = 0; b < read_iv.size(); ++b) {
-      read_iv[b].insert(read_iv[b].end(), c.read_iv[b].begin(),
-                        c.read_iv[b].end());
-      write_iv[b].insert(write_iv[b].end(), c.write_iv[b].begin(),
-                         c.write_iv[b].end());
+    io_segments.push_back(std::move(c.io_segments));
+    for (std::size_t b = 0; b < nb; ++b) {
+      read_segments[b].push_back(std::move(c.read_segments[b]));
+      write_segments[b].push_back(std::move(c.write_segments[b]));
     }
   }
-  files = merge_files(parts);
-  seq_ops += settle_streams(parts);
-  p.size_frequencies = merge_size_counts(parts);
+  files = merge_files(take(parts, &ChunkState::files));
+  seq_ops += settle_streams(take(parts, &ChunkState::streams));
+  p.size_frequencies = merge_size_counts(take(parts, &ChunkState::size_counts));
   parts.clear();
   }
   p.job_runtime_sec = sim::to_seconds(job_t1 - job_t0);
@@ -544,122 +534,31 @@ WorkloadProfile Analyzer::analyze(const TraceInput& input) const {
   for (const AppPart* part : app_parts) p.num_procs += part->stats.num_procs;
   }
 
-  // I/O-time fraction: wall-clock coverage (Table I). The interval unions
-  // (one per histogram bucket plus the global one) are independent
-  // sort+sweep reductions — one task each, results by slot.
+  // I/O-time fraction: wall-clock coverage (Table I), and each histogram
+  // bucket's active seconds: the union of the chunks' segments.
   {
     WASP_OBS_SPAN("analyze.unions");
     obs::TimerGuard t(om.unions_ns);
-    const std::size_t nb = read_iv.size();
-    std::vector<double> unions(1 + 2 * nb, 0.0);
-    pool.run(unions.size(), [&](std::size_t t) {
-      if (t == 0) {
-        unions[0] = union_seconds(std::move(io_intervals));
-      } else if (t <= nb) {
-        unions[t] = union_seconds(std::move(read_iv[t - 1]));
-      } else {
-        unions[t] = union_seconds(std::move(write_iv[t - 1 - nb]));
-      }
-    });
+    const double io_sec = sim::to_seconds(merged_cover(io_segments));
     if (p.job_runtime_sec > 0) {
-      p.io_time_fraction = unions[0] / p.job_runtime_sec;
+      p.io_time_fraction = io_sec / p.job_runtime_sec;
     }
     for (std::size_t b = 0; b < nb; ++b) {
-      p.read_hist.add_seconds(b, unions[1 + b]);
-      p.write_hist.add_seconds(b, unions[1 + nb + b]);
+      p.read_hist.add_seconds(b,
+                              sim::to_seconds(merged_cover(read_segments[b])));
+      p.write_hist.add_seconds(
+          b, sim::to_seconds(merged_cover(write_segments[b])));
     }
   }
 
-  // --- Phases (per app, over I/O records sorted by start) ---------------
-  // Each app's phase extraction is an independent sequential sweep; apps
-  // map in parallel, results concatenate in app-id order (the merged I/O
-  // row lists are already ascending, matching the serial pass).
+  // --- Phases: each app's chunk clusters, joined across chunks -----------
+  // Apps in id order, each app's phases by start; the final sort orders
+  // them all by start.
   {
     WASP_OBS_SPAN("analyze.phases");
     obs::TimerGuard t(om.phases_ns);
-    std::vector<std::vector<Phase>> app_phases(app_parts.size());
-    pool.run(app_parts.size(), [&](std::size_t a) {
-      const std::uint16_t aid = app_parts[a]->stats.app;
-      const std::vector<std::size_t>& idx = app_parts[a]->io_rows;
-      Cursor cs(store);
-      // Extract the sort keys in one sequential pass so the sort itself
-      // never touches the store — a comparator-driven sort over row indices
-      // would thrash a bounded spill cache. Sorting (tstart, row) pairs
-      // lexicographically is the exact permutation the previous
-      // tstart-then-index comparator produced.
-      std::vector<std::pair<sim::Time, std::size_t>> order;
-      order.reserve(idx.size());
-      for (const std::size_t i : idx) order.emplace_back(cs.tstart(i), i);
-      // Traces are usually already time-ordered (the tracer appends events
-      // as the sim retires them); the linear check dodges the n-log-n sort
-      // in that common case and sorting is a no-op permutation otherwise.
-      if (!std::is_sorted(order.begin(), order.end())) {
-        std::sort(order.begin(), order.end());
-      }
-      std::vector<Phase>& out = app_phases[a];
-      Phase cur;
-      // Dense per-phase state, cleared (capacity kept) at each flush. The
-      // size-count map only feeds the dominant-size pick, which scans sizes
-      // ascending — sorting the surviving keys at flush reproduces the
-      // ordered map's iteration exactly, without its per-row tree walks.
-      dense::FlatMap64<std::uint64_t> size_counts;
-      dense::IdSet ranks;
-      bool open = false;
-      auto flush = [&]() {
-        if (!open) return;
-        fs::Bytes dom = 0;
-        std::uint64_t dom_n = 0;
-        auto sizes = size_counts.items();
-        std::sort(sizes.begin(), sizes.end(),
-                  [](const auto& x, const auto& y) { return x.first < y.first; });
-        for (const auto& [sz, n] : sizes) {
-          if (n > dom_n && sz > 0) {
-            dom_n = n;
-            dom = sz;
-          }
-        }
-        cur.dominant_size = dom;
-        cur.ops_per_rank =
-            ranks.empty() ? 0.0
-                          : static_cast<double>(cur.ops.total_ops()) /
-                                static_cast<double>(ranks.size());
-        out.push_back(cur);
-        size_counts.clear();
-        ranks.clear();
-        open = false;
-      };
-      sim::Time phase_end = 0;
-      for (const auto& [t_i, i] : order) {
-        // Decode the row once; the phase sweep revisits rows in time order,
-        // so each access is a random store lookup — don't multiply them.
-        // tstart rides along in the sort key, saving one lookup.
-        const sim::Time t0 = t_i;
-        const sim::Time t1 = cs.tend(i);
-        const trace::Op op = cs.op(i);
-        const std::uint32_t cnt = cs.count(i);
-        const fs::Bytes sz = cs.size_col(i);
-        if (!open || t0 > phase_end + opts_.phase_gap) {
-          flush();
-          cur = Phase{};
-          cur.app = aid;
-          cur.t0 = t0;
-          cur.t1 = t1;
-          open = true;
-          phase_end = t1;
-        }
-        cur.t1 = std::max(cur.t1, t1);
-        phase_end = std::max(phase_end, t1);
-        add_op(cur.ops, op, cnt, sz * static_cast<fs::Bytes>(cnt),
-               sim::to_seconds(t1 - t0));
-        if (trace::is_data(op)) {
-          size_counts[sz] += cnt;
-        }
-        ranks.insert(cs.rank(i));
-      }
-      flush();
-    });
-    for (const auto& phs : app_phases) {
-      p.phases.insert(p.phases.end(), phs.begin(), phs.end());
+    for (auto& [id, lists] : clusters) {
+      merge_phases(id, lists, opts_.phase_gap, p.phases);
     }
     std::sort(p.phases.begin(), p.phases.end(),
               [](const Phase& a, const Phase& b) { return a.t0 < b.t0; });

@@ -76,11 +76,6 @@ class Analyzer {
 
   const Options& options() const noexcept { return opts_; }
 
-  /// Union length (seconds) of a set of [t0,t1] intervals — the wall time a
-  /// bucket of operations was actually active, used for aggregate-bandwidth
-  /// figures. Exposed for tests.
-  static double union_seconds(std::vector<std::pair<sim::Time, sim::Time>> iv);
-
  private:
   Options opts_;
 };

@@ -1,8 +1,8 @@
 // Dense keyed containers for the analyzer's hot loops: open-addressed
-// variants of the small ordered containers the scan and phase sweeps would
-// otherwise hammer row by row. All of them trade the ordered containers'
+// variants of the small ordered containers the scan kernels would otherwise
+// hammer row by row. All of them trade the ordered containers'
 // per-row log(n) tree walks (and per-node allocations) for one hash probe,
-// then let the caller sort the surviving keys once per chunk/phase — which
+// then let the caller sort the surviving keys once per chunk/cluster — which
 // reproduces the exact iteration order the ordered container would have
 // had, keeping profiles byte-identical.
 #pragma once
@@ -40,7 +40,7 @@ class IdSet {
   }
   bool empty() const noexcept { return size_ == 0; }
   std::size_t size() const noexcept { return size_; }
-  /// Forget the members but keep the capacity (for per-phase reuse).
+  /// Forget the members but keep the capacity (for per-cluster reuse).
   void clear() noexcept {
     std::fill(slots_.begin(), slots_.end(), kEmpty);
     size_ = 0;
@@ -104,7 +104,7 @@ class FlatMap64 {
     return at_key(key, fresh);
   }
   bool empty() const noexcept { return size_ == 0; }
-  /// Forget the entries but keep the capacity (for per-phase reuse).
+  /// Forget the entries but keep the capacity (for per-cluster reuse).
   void clear() noexcept {
     for (Slot& s : slots_) s.used = false;
     size_ = 0;

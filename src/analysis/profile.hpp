@@ -38,6 +38,7 @@ struct OpsBreakdown {
     return io_sec() > 0 ? meta_sec / io_sec() : 0.0;
   }
   void merge(const OpsBreakdown& o) noexcept;
+  bool operator==(const OpsBreakdown&) const = default;
 };
 
 /// Per-file view. For node-local filesystems, files with equal ids on
@@ -74,10 +75,15 @@ struct AppStats {
 
 /// One I/O phase: a maximal burst of I/O separated from the next by more
 /// than the gap threshold (the paper's "threshold between two I/O calls").
+/// Every field is a function of the set of the phase's rows, whatever their
+/// order in the trace.
 struct Phase {
   std::uint16_t app = 0;
   sim::Time t0 = 0;
   sim::Time t1 = 0;
+  /// Op counts and bytes. The op-time sums (data_sec, meta_sec) are not
+  /// computed and stay 0: nothing reads them, and a floating-point sum
+  /// would depend on the row order.
   OpsBreakdown ops;
   fs::Bytes dominant_size = 0;  ///< most frequent transfer granularity
   double ops_per_rank = 0.0;

@@ -1,6 +1,7 @@
 #include "analysis/scan_kernel.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 #include <set>
 
@@ -16,6 +17,35 @@ namespace {
 using dense::FlatMap64;
 using dense::IdSet;
 using dense::mix64;
+
+using SizeCounts = std::vector<std::pair<fs::Bytes, std::uint64_t>>;
+
+/// Merge of size-ascending counts, in place on `into`; equal sizes add.
+void merge_sizes(SizeCounts& into, const SizeCounts& from) {
+  if (from.empty()) return;
+  if (into.empty()) {
+    into = from;
+    return;
+  }
+  SizeCounts out;
+  out.reserve(into.size() + from.size());
+  auto i = into.begin();
+  auto j = from.begin();
+  while (i != into.end() && j != from.end()) {
+    if (i->first < j->first) {
+      out.push_back(*i++);
+    } else if (j->first < i->first) {
+      out.push_back(*j++);
+    } else {
+      out.emplace_back(i->first, i->second + j->second);
+      ++i;
+      ++j;
+    }
+  }
+  out.insert(out.end(), i, into.end());
+  out.insert(out.end(), j, from.end());
+  into = std::move(out);
+}
 
 /// One interned file: FileStats plus the rank sets and stream states the
 /// ordered path kept in four separate ScopedFile-keyed maps, carried inline
@@ -90,12 +120,119 @@ class FileTable {
   bool memo_valid_ = false;
 };
 
+/// Where an interval lands on a stack of entries (Segment or PhaseCluster).
+enum class Fold { kLate, kOpen, kJoin };
+
+/// Fold [s, e] into `stack`: entries disjoint and ascending, each kept apart
+/// from the next by more than `gap`. kLate: it ends before the top entry
+/// does, so the stack cannot take it. kOpen: it starts more than `gap` after
+/// the top ends; the caller pushes the new entry. kJoin: the top now spans
+/// it, having absorbed every entry it bridges. Rows in nondecreasing end
+/// time never come back kLate, and each entry is popped at most once.
+template <typename T>
+Fold fold(std::vector<T>& stack, sim::Time s, sim::Time e, sim::Time gap) {
+  if (stack.empty()) return Fold::kOpen;
+  T& top = stack.back();
+  if (e < top.hi) return Fold::kLate;
+  if (s > top.hi + gap) return Fold::kOpen;
+  top.hi = e;
+  if (s < top.lo) {
+    top.lo = s;
+    while (stack.size() > 1 && s <= stack[stack.size() - 2].hi + gap) {
+      T bridged = std::move(stack.back());
+      stack.pop_back();
+      stack.back().absorb(std::move(bridged));
+    }
+  }
+  return Fold::kJoin;
+}
+
+/// Union segments of one interval stream; touching intervals join.
+struct SegmentStack {
+  std::vector<Segment> segs;
+  std::vector<Segment> late;  // intervals out of end-time order
+
+  void add(sim::Time s, sim::Time e) {
+    switch (fold(segs, s, e, 0)) {
+      case Fold::kLate:
+        late.push_back({s, e});
+        break;
+      case Fold::kOpen:
+        segs.push_back({s, e});
+        break;
+      case Fold::kJoin:
+        break;
+    }
+  }
+  std::vector<Segment> finish() {
+    if (late.empty()) return std::move(segs);
+    late.insert(late.end(), segs.begin(), segs.end());
+    return sort_and_sweep(std::move(late), 0);
+  }
+};
+
+/// One app's phase clusters. The top cluster's size counts and ranks
+/// collect in dense tables and sort into it only when a newer cluster opens
+/// (or at finish), so a row that joins the top costs two hash probes.
+struct ClusterStack {
+  std::vector<PhaseCluster> clusters;
+  FlatMap64<std::uint64_t> sizes;  // the top cluster's unsorted tallies
+  IdSet ranks;
+  std::vector<PhaseCluster> late;  // rows out of end-time order
+
+  void add(sim::Time s, sim::Time e, trace::Op op, std::uint32_t cnt,
+           fs::Bytes sz, std::int32_t rank, sim::Time gap) {
+    switch (fold(clusters, s, e, gap)) {
+      case Fold::kLate:
+        late.push_back(PhaseCluster::of_row(s, e, op, cnt, sz, rank));
+        return;
+      case Fold::kOpen:
+        seal();
+        clusters.emplace_back();
+        clusters.back().lo = s;
+        clusters.back().hi = e;
+        break;
+      case Fold::kJoin:
+        break;
+    }
+    add_op(clusters.back().ops, op, cnt, sz * static_cast<fs::Bytes>(cnt),
+           0.0);
+    if (trace::is_data(op)) sizes[sz] += cnt;
+    ranks.insert(rank);
+  }
+  /// Sort the dense tallies into the top cluster.
+  void seal() {
+    if (clusters.empty()) return;
+    PhaseCluster& top = clusters.back();
+    if (!sizes.empty()) {
+      auto items = sizes.items();
+      std::sort(items.begin(), items.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      merge_sizes(top.sizes, items);
+      sizes.clear();
+    }
+    if (!ranks.empty()) {
+      union_ids(top.ranks, ranks.sorted());
+      ranks.clear();
+    }
+  }
+  std::vector<PhaseCluster> finish(sim::Time gap) {
+    seal();
+    if (late.empty()) return std::move(clusters);
+    late.insert(late.end(), std::make_move_iterator(clusters.begin()),
+                std::make_move_iterator(clusters.end()));
+    return sort_and_sweep(std::move(late), gap);
+  }
+};
+
 /// Dense per-app state, indexed directly by the uint16 app id. The ranks
-/// collect in a hash set and land in `part` sorted at finalize().
+/// collect in a hash set and land in `part` sorted at finalize(), as do the
+/// phase clusters.
 struct AppSlot {
   bool used = false;
   AppPart part;
   IdSet ranks;
+  ClusterStack phases;
 };
 
 /// Everything the kernels accumulate for one analysis chunk. Fields that
@@ -112,11 +249,12 @@ struct DenseState {
   FileTable files;
   std::uint64_t seq_ops = 0;
   std::uint64_t pattern_ops = 0;
-  std::vector<Interval> io_intervals;
+  SegmentStack io;
   util::SizeHistogram read_hist = util::SizeHistogram::paper_buckets();
   util::SizeHistogram write_hist = util::SizeHistogram::paper_buckets();
-  std::vector<std::vector<Interval>> read_iv;
-  std::vector<std::vector<Interval>> write_iv;
+  std::vector<SegmentStack> read;  // per histogram bucket
+  std::vector<SegmentStack> write;
+  sim::Time phase_gap = 0;
 
   AppSlot& app(std::uint16_t id) {
     if (id >= apps.size()) apps.resize(static_cast<std::size_t>(id) + 1);
@@ -124,11 +262,10 @@ struct DenseState {
   }
 };
 
-/// True for rows the row loop classified as I/O: not a CPU/GPU compute
-/// span, and an I/O op.
-inline bool is_io_row(trace::Iface iface, trace::Op op) noexcept {
-  return iface != trace::Iface::kCpu && iface != trace::Iface::kGpu &&
-         trace::is_io(op);
+/// True for the CPU/GPU compute interfaces. An I/O op on one counts toward
+/// its app's phases but not toward the I/O breakdowns, unions or files.
+inline bool is_compute(trace::Iface iface) noexcept {
+  return iface == trace::Iface::kCpu || iface == trace::Iface::kGpu;
 }
 
 // ---------------------------------------------------------------------------
@@ -140,8 +277,8 @@ inline bool is_io_row(trace::Iface iface, trace::Op op) noexcept {
 // work into one pass reads each span's columns once instead of once per
 // category (the spans are bigger than L2, so repeat passes re-read DRAM).
 
-/// App bookkeeping over every record: first/last event, distinct ranks, the
-/// per-app I/O row lists the phase pass consumes, and the job's time range.
+/// App bookkeeping over every record: first/last event, distinct ranks, and
+/// the job's time range.
 void k_apps(const ChunkColumns& s, DenseState& d,
             const std::vector<std::string>& app_names) {
   if (!d.time_init) {
@@ -168,50 +305,54 @@ void k_apps(const ChunkColumns& s, DenseState& d,
       st.last_event = std::max(st.last_event, s.tend[k]);
     }
     a.ranks.insert(s.rank[k]);
-    if (trace::is_io(s.op[k])) a.part.io_rows.push_back(s.base + k);
   }
   d.job_t0 = t0;
   d.job_t1 = t1;
 }
 
-/// Everything keyed off I/O rows, in one decode: op breakdowns (per-app and
-/// chunk totals, the interval collections, per-interface data-op counts),
-/// the request-size histograms, and the file bookkeeping — interning the
-/// scoped file once per row, then updating its stats, rank sets, and
-/// access-stream state inline, plus the global transfer-size frequencies
-/// and sequentiality counters.
+/// Everything keyed off I/O rows, in one decode: the app's phase clusters,
+/// op breakdowns (per-app and chunk totals, per-interface data-op counts),
+/// the union segments, the request-size histograms, and the file
+/// bookkeeping — interning the scoped file once per row, then updating its
+/// stats, rank sets, and access-stream state inline, plus the global
+/// transfer-size frequencies and sequentiality counters.
 void k_io(const ChunkColumns& s, DenseState& d,
           const std::vector<char>& fs_is_shared) {
   for (std::size_t k = 0; k < s.rows; ++k) {
     const trace::Op op = s.op[k];
-    const trace::Iface iface = s.iface[k];
-    if (!is_io_row(iface, op)) continue;
+    if (!trace::is_io(op)) continue;
+    const sim::Time t0 = s.tstart[k];
+    const sim::Time t1 = s.tend[k];
     const std::uint32_t cnt = s.count[k];
     const fs::Bytes sz = s.size[k];
+    const std::int32_t rank = s.rank[k];
+    AppSlot& slot = d.app(s.app[k]);
+    slot.phases.add(t0, t1, op, cnt, sz, rank, d.phase_gap);
+    const trace::Iface iface = s.iface[k];
+    if (is_compute(iface)) continue;
     const fs::Bytes bytes = sz * static_cast<fs::Bytes>(cnt);
-    const double dur = sim::to_seconds(s.tend[k] - s.tstart[k]);
+    const double dur = sim::to_seconds(t1 - t0);
     const bool data = trace::is_data(op);
 
-    AppPart& a = d.app(s.app[k]).part;
+    AppPart& a = slot.part;
     add_op(a.stats.ops, op, cnt, bytes, dur);
     add_op(d.totals, op, cnt, bytes, dur);
-    d.io_intervals.emplace_back(s.tstart[k], s.tend[k]);
+    d.io.add(t0, t1);
     if (data) {
       a.iface_ops[static_cast<std::size_t>(iface)] += cnt;
       if (op == trace::Op::kRead) {
         const std::size_t b = d.read_hist.bucket_index(sz);
         d.read_hist.add_at(b, cnt, bytes);
-        d.read_iv[b].emplace_back(s.tstart[k], s.tend[k]);
+        d.read[b].add(t0, t1);
       } else {
         const std::size_t b = d.write_hist.bucket_index(sz);
         d.write_hist.add_at(b, cnt, bytes);
-        d.write_iv[b].emplace_back(s.tstart[k], s.tend[k]);
+        d.write[b].add(t0, t1);
       }
     }
 
     const trace::FileKey key{s.fs[k], s.file[k]};
     if (!key.valid()) continue;
-    const std::int32_t rank = s.rank[k];
     const int scope =
         fs_is_shared[static_cast<std::size_t>(key.fs)] ? -1 : s.node[k];
 
@@ -267,16 +408,17 @@ ChunkState finalize(DenseState&& d) {
   st.totals = d.totals;
   st.seq_ops = d.seq_ops;
   st.pattern_ops = d.pattern_ops;
-  st.io_intervals = std::move(d.io_intervals);
+  st.io_segments = d.io.finish();
   st.read_hist = std::move(d.read_hist);
   st.write_hist = std::move(d.write_hist);
-  st.read_iv = std::move(d.read_iv);
-  st.write_iv = std::move(d.write_iv);
+  for (SegmentStack& b : d.read) st.read_segments.push_back(b.finish());
+  for (SegmentStack& b : d.write) st.write_segments.push_back(b.finish());
 
   for (std::size_t id = 0; id < d.apps.size(); ++id) {
     AppSlot& a = d.apps[id];
     if (!a.used) continue;
     a.part.ranks = a.ranks.sorted();
+    a.part.clusters = a.phases.finish(d.phase_gap);
     st.apps.emplace_hint(st.apps.end(), static_cast<std::uint16_t>(id),
                          std::move(a.part));
   }
@@ -320,13 +462,55 @@ ChunkState finalize(DenseState&& d) {
 
 }  // namespace
 
+void union_ids(std::vector<std::int32_t>& into,
+               const std::vector<std::int32_t>& from) {
+  if (from.empty()) return;
+  if (into.empty()) {
+    into = from;
+    return;
+  }
+  std::vector<std::int32_t> out;
+  out.reserve(into.size() + from.size());
+  std::set_union(into.begin(), into.end(), from.begin(), from.end(),
+                 std::back_inserter(out));
+  into = std::move(out);
+}
+
+sim::Time covered_time(const std::vector<Segment>& segs) noexcept {
+  sim::Time covered = 0;
+  for (const Segment& s : segs) covered += s.hi - s.lo;
+  return covered;
+}
+
+PhaseCluster PhaseCluster::of_row(sim::Time t0, sim::Time t1, trace::Op op,
+                                  std::uint32_t cnt, fs::Bytes sz,
+                                  std::int32_t rank) {
+  PhaseCluster c;
+  c.lo = t0;
+  c.hi = t1;
+  add_op(c.ops, op, cnt, sz * static_cast<fs::Bytes>(cnt), 0.0);
+  if (trace::is_data(op)) c.sizes.emplace_back(sz, cnt);
+  c.ranks.push_back(rank);
+  return c;
+}
+
+void PhaseCluster::absorb(PhaseCluster&& o) {
+  lo = std::min(lo, o.lo);
+  hi = std::max(hi, o.hi);
+  ops.merge(o.ops);
+  merge_sizes(sizes, o.sizes);
+  union_ids(ranks, o.ranks);
+}
+
 ChunkState scan_chunk(const TraceStore& store, const util::ChunkRange& range,
                       const std::vector<std::string>& app_names,
-                      const std::vector<char>& fs_is_shared) {
+                      const std::vector<char>& fs_is_shared,
+                      sim::Time phase_gap) {
   Cursor cs(store);
   DenseState d;
-  d.read_iv.resize(d.read_hist.num_buckets());
-  d.write_iv.resize(d.write_hist.num_buckets());
+  d.read.resize(d.read_hist.num_buckets());
+  d.write.resize(d.write_hist.num_buckets());
+  d.phase_gap = phase_gap;
   for (std::size_t pos = range.begin; pos < range.end;) {
     const ChunkColumns s = cs.span(pos, range.end);
     k_apps(s, d, app_names);
@@ -339,11 +523,10 @@ ChunkState scan_chunk(const TraceStore& store, const util::ChunkRange& range,
 ChunkState scan_chunk_reference(const TraceStore& store,
                                 const util::ChunkRange& range,
                                 const std::vector<std::string>& app_names,
-                                const std::vector<char>& fs_is_shared) {
+                                const std::vector<char>& fs_is_shared,
+                                sim::Time phase_gap) {
   Cursor cs(store);
   ChunkState st;
-  st.read_iv.resize(st.read_hist.num_buckets());
-  st.write_iv.resize(st.write_hist.num_buckets());
   st.job_t0 = cs.tstart(range.begin);
   st.job_t1 = cs.tend(range.begin);
 
@@ -358,6 +541,12 @@ ChunkState scan_chunk_reference(const TraceStore& store,
   std::map<std::uint16_t, std::set<std::int32_t>> app_ranks;
   std::map<std::pair<ScopedFile, std::int32_t>, StreamState> streams;
   std::map<fs::Bytes, std::uint64_t> size_counts;
+  // Every interval and every app's I/O rows, as they come; sorted and swept
+  // into segments and clusters at the end.
+  std::vector<Segment> io_spans;
+  std::vector<std::vector<Segment>> read_spans(st.read_hist.num_buckets());
+  std::vector<std::vector<Segment>> write_spans(st.write_hist.num_buckets());
+  std::map<std::uint16_t, std::vector<PhaseCluster>> phase_rows;
 
   for (std::size_t i = range.begin; i < range.end; ++i) {
     // Decode the row once; every consumer below takes the held values.
@@ -386,16 +575,19 @@ ChunkState scan_chunk_reference(const TraceStore& store,
       app.last_event = std::max(app.last_event, t1);
     }
     app_ranks[app_id].insert(rank);
-    if (trace::is_io(op)) part.io_rows.push_back(i);
-    if (!is_io_row(iface, op)) continue;
+    if (!trace::is_io(op)) continue;
 
     const std::uint32_t cnt = cs.count(i);
     const fs::Bytes sz = cs.size_col(i);
+    phase_rows[app_id].push_back(
+        PhaseCluster::of_row(t0, t1, op, cnt, sz, rank));
+    if (is_compute(iface)) continue;
+
     const fs::Bytes bytes = sz * static_cast<fs::Bytes>(cnt);
     const double dur = sim::to_seconds(t1 - t0);
     add_op(app.ops, op, cnt, bytes, dur);
     add_op(st.totals, op, cnt, bytes, dur);
-    st.io_intervals.emplace_back(t0, t1);
+    io_spans.push_back({t0, t1});
     if (trace::is_data(op)) {
       part.iface_ops[static_cast<std::size_t>(iface)] += cnt;
     }
@@ -403,10 +595,10 @@ ChunkState scan_chunk_reference(const TraceStore& store,
     // Histograms + interval collections (data ops only).
     if (op == trace::Op::kRead) {
       st.read_hist.add(sz, cnt, bytes, 0.0);
-      st.read_iv[st.read_hist.bucket_index(sz)].push_back({t0, t1});
+      read_spans[st.read_hist.bucket_index(sz)].push_back({t0, t1});
     } else if (op == trace::Op::kWrite) {
       st.write_hist.add(sz, cnt, bytes, 0.0);
-      st.write_iv[st.write_hist.bucket_index(sz)].push_back({t0, t1});
+      write_spans[st.write_hist.bucket_index(sz)].push_back({t0, t1});
     }
 
     // File bookkeeping — node-local files are scoped by the row's node.
@@ -465,6 +657,16 @@ ChunkState scan_chunk_reference(const TraceStore& store,
   }
   for (auto& [id, ranks] : app_ranks) {
     st.apps[id].ranks.assign(ranks.begin(), ranks.end());
+  }
+  for (auto& [id, rows] : phase_rows) {
+    st.apps[id].clusters = sort_and_sweep(std::move(rows), phase_gap);
+  }
+  st.io_segments = sort_and_sweep(std::move(io_spans), 0);
+  for (auto& iv : read_spans) {
+    st.read_segments.push_back(sort_and_sweep(std::move(iv), 0));
+  }
+  for (auto& iv : write_spans) {
+    st.write_segments.push_back(sort_and_sweep(std::move(iv), 0));
   }
   st.size_counts.assign(size_counts.begin(), size_counts.end());
   st.streams.reserve(streams.size());

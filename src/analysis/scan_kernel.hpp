@@ -7,15 +7,21 @@
 //  - scan_chunk(): batched columnar kernels. The range is walked as
 //    contiguous ChunkColumns spans (one residency resolution per storage
 //    chunk) and each span goes through two tight passes: app bookkeeping
-//    (time range, ranks, I/O row lists) over every record, then one fused
-//    decode of the I/O records (op breakdowns, size histograms + interval
-//    collection, file bookkeeping + sequentiality). Per-row state lives in
+//    (time range, ranks) over every record, then one fused decode of the
+//    I/O records (op breakdowns, size histograms, union segments, phase
+//    clusters, file bookkeeping + sequentiality). Per-row state lives in
 //    dense structures (apps indexed by id, files interned once per row into
 //    an open-addressed FileTable, flat hash maps for rank/size keys) that
-//    are sorted into ChunkState's key-ordered form once per chunk.
+//    are sorted into ChunkState's key-ordered form once per chunk. Union
+//    segments and phase clusters build on stacks: rows a tracer wrote arrive
+//    in nondecreasing end time, so each interval either extends the top
+//    entry (absorbing any it bridges) or opens a new one, with no sort. A
+//    row that ends before the top entry does is set aside, and finalize()
+//    folds those in with sort_and_sweep().
 //
 //  - scan_chunk_reference(): the scalar row-at-a-time loop, kept as the
-//    equivalence oracle behind Analyzer::Options::reference_scan. Tests
+//    equivalence oracle behind Analyzer::Options::reference_scan. It builds
+//    the segments and clusters by sort_and_sweep() over every row. Tests
 //    assert the two produce byte-identical profiles across backends, job
 //    counts, and chunk_rows values.
 //
@@ -24,10 +30,14 @@
 // reorders accumulation *across* independent accumulators, never within
 // one), integer aggregates are order-free, and the dense->ordered sort at
 // finalize reproduces exactly the key order the std::map/std::set path
-// would have built up incrementally. Hence profiles stay byte-identical at
-// any --jobs, any chunk_rows, and on both backends.
+// would have built up incrementally. Segments and clusters are a function
+// of the set of intervals alone (the connected pieces of their union), and
+// every tally a cluster carries is an integer or a set, so stack, sort and
+// k-way merge all give the same ones in any row order. Hence profiles stay
+// byte-identical at any --jobs, any chunk_rows, and on both backends.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <string>
@@ -56,8 +66,7 @@ struct ScopedFile {
 };
 
 /// Accumulate one decoded I/O row into an ops breakdown. Callers decode the
-/// row once and pass the pieces — the scan paths and the phases pass share
-/// this instead of re-reading columns per call-site.
+/// row once and pass the pieces.
 inline void add_op(OpsBreakdown& b, trace::Op op, std::uint64_t n,
                    fs::Bytes total_bytes, double duration_sec) {
   if (op == trace::Op::kRead) {
@@ -74,7 +83,68 @@ inline void add_op(OpsBreakdown& b, trace::Op op, std::uint64_t n,
   }
 }
 
-using Interval = std::pair<sim::Time, sim::Time>;
+/// Set-union of ascending id vectors, in place on `into`.
+void union_ids(std::vector<std::int32_t>& into,
+               const std::vector<std::int32_t>& from);
+
+/// One connected piece [lo, hi] of a union of closed time intervals.
+struct Segment {
+  sim::Time lo = 0;
+  sim::Time hi = 0;
+  void absorb(Segment&& o) noexcept {
+    lo = std::min(lo, o.lo);
+    hi = std::max(hi, o.hi);
+  }
+  bool operator==(const Segment&) const = default;
+};
+
+/// Summed length of disjoint segments: the covered time.
+sim::Time covered_time(const std::vector<Segment>& segs) noexcept;
+
+/// One app's burst of I/O rows [lo, hi] (earliest start, latest end), kept
+/// apart from its neighbours by more than the phase gap: a phase, or a
+/// chunk's piece of one. Everything it tallies is order-free.
+struct PhaseCluster {
+  sim::Time lo = 0;
+  sim::Time hi = 0;
+  OpsBreakdown ops;  ///< counts and bytes; op times are not summed
+  /// Data-op count per transfer size, ascending by size.
+  std::vector<std::pair<fs::Bytes, std::uint64_t>> sizes;
+  std::vector<std::int32_t> ranks;  ///< distinct, ascending
+
+  /// A cluster of one I/O row.
+  static PhaseCluster of_row(sim::Time t0, sim::Time t1, trace::Op op,
+                             std::uint32_t cnt, fs::Bytes sz,
+                             std::int32_t rank);
+  /// Join `o` into this cluster: span, counts, sizes and ranks.
+  void absorb(PhaseCluster&& o);
+  bool operator==(const PhaseCluster&) const = default;
+};
+
+/// One step of a start-ordered sweep: `item` joins the last entry of `out`
+/// when it starts at most `gap` after that entry ends, else it opens a new
+/// one. Fed items ascending by `lo`, `out` stays disjoint and ascending.
+template <typename T>
+void sweep_step(std::vector<T>& out, T&& item, sim::Time gap) {
+  if (!out.empty() && item.lo <= out.back().hi + gap) {
+    out.back().absorb(std::move(item));
+  } else {
+    out.push_back(std::move(item));
+  }
+}
+
+/// The sort-and-sweep: the connected pieces of `items` in any order, where
+/// two pieces within `gap` of each other connect (gap 0 for union
+/// segments, the phase gap for clusters). The oracle for the stacks, and
+/// their fallback for rows out of end-time order.
+template <typename T>
+std::vector<T> sort_and_sweep(std::vector<T> items, sim::Time gap) {
+  std::sort(items.begin(), items.end(),
+            [](const T& a, const T& b) { return a.lo < b.lo; });
+  std::vector<T> out;
+  for (T& item : items) sweep_step(out, std::move(item), gap);
+  return out;
+}
 
 /// Per-(scoped file, rank) access-stream summary for the sequentiality
 /// reduction. Whether a chunk's *first* op on a stream continues the
@@ -110,7 +180,8 @@ struct AppPart {
   std::vector<std::int32_t> ranks;  ///< distinct ranks, ascending
   /// Data-op count per interface (picks the dominant one).
   std::array<std::uint64_t, kNumIfaces> iface_ops{};
-  std::vector<std::size_t> io_rows;  ///< I/O rows, ascending (phase input)
+  /// Phase clusters of the app's I/O rows, disjoint and ascending.
+  std::vector<PhaseCluster> clusters;
 };
 
 /// Everything one row chunk contributes; merged in chunk-index order.
@@ -119,7 +190,8 @@ struct AppPart {
 /// key-sorted vectors, not maps: the map step emits each vector once
 /// (already sorted), and the reduce step folds the chunks' vectors with one
 /// k-way merge each — no per-key tree walks or node allocations on either
-/// side. Apps are few, so they stay in a map.
+/// side; union segments and phase clusters merge the same way, by start.
+/// Apps are few, so they stay in a map.
 struct ChunkState {
   sim::Time job_t0 = 0;
   sim::Time job_t1 = 0;
@@ -131,23 +203,29 @@ struct ChunkState {
   std::uint64_t pattern_ops = 0;
   std::vector<std::pair<fs::Bytes, std::uint64_t>>
       size_counts;  ///< sorted by size
-  std::vector<Interval> io_intervals;
+  /// Union segments of the I/O rows, disjoint and ascending.
+  std::vector<Segment> io_segments;
   util::SizeHistogram read_hist = util::SizeHistogram::paper_buckets();
   util::SizeHistogram write_hist = util::SizeHistogram::paper_buckets();
-  std::vector<std::vector<Interval>> read_iv;
-  std::vector<std::vector<Interval>> write_iv;
+  /// Union segments of each histogram bucket's reads and writes.
+  std::vector<std::vector<Segment>> read_segments;
+  std::vector<std::vector<Segment>> write_segments;
 };
 
-/// The batched columnar map step (the default path).
+/// The batched columnar map step (the default path). I/O rows of one app
+/// that start more than `phase_gap` after all earlier ones end open a new
+/// phase cluster.
 ChunkState scan_chunk(const TraceStore& store, const util::ChunkRange& range,
                       const std::vector<std::string>& app_names,
-                      const std::vector<char>& fs_is_shared);
+                      const std::vector<char>& fs_is_shared,
+                      sim::Time phase_gap);
 
 /// The scalar row-at-a-time map step — the equivalence oracle for the
 /// kernels, selected by Analyzer::Options::reference_scan.
 ChunkState scan_chunk_reference(const TraceStore& store,
                                 const util::ChunkRange& range,
                                 const std::vector<std::string>& app_names,
-                                const std::vector<char>& fs_is_shared);
+                                const std::vector<char>& fs_is_shared,
+                                sim::Time phase_gap);
 
 }  // namespace wasp::analysis

@@ -28,18 +28,21 @@ namespace wasp::sim {
 
 namespace detail {
 
-struct PromiseBase {
-  std::coroutine_handle<> continuation;
-  std::exception_ptr error;
-
-  // Coroutine frames allocate through the size-bucketed freelist arena
-  // (sim/frame_pool.hpp) instead of the global allocator; both sized and
-  // unsized delete route back (compilers differ on which one frames call).
+/// Base of every promise type in the simulator: coroutine frames allocate
+/// through the size-bucketed freelist arena (sim/frame_pool.hpp) instead of
+/// the global allocator; both sized and unsized delete route back
+/// (compilers differ on which one frames call).
+struct PooledFrame {
   static void* operator new(std::size_t n) { return FramePool::allocate(n); }
   static void operator delete(void* p) noexcept { FramePool::deallocate(p); }
   static void operator delete(void* p, std::size_t) noexcept {
     FramePool::deallocate(p);
   }
+};
+
+struct PromiseBase : PooledFrame {
+  std::coroutine_handle<> continuation;
+  std::exception_ptr error;
 
   struct FinalAwaiter {
     bool await_ready() const noexcept { return false; }

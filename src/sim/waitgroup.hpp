@@ -16,9 +16,10 @@ namespace wasp::sim {
 
 /// Fire-and-forget coroutine: starts immediately and self-destructs on
 /// completion. Exceptions must not escape (they would std::terminate), so it
-/// is only created by WaitGroup, which routes errors into the group.
+/// is only created by WaitGroup, which routes errors into the group. Its
+/// frame comes from the frame pool, like a Task's.
 struct Detached {
-  struct promise_type {
+  struct promise_type : detail::PooledFrame {
     Detached get_return_object() noexcept { return {}; }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
+#include "analysis/scan_kernel.hpp"
 #include "io/posix.hpp"
 #include "sim_test_util.hpp"
 #include "trace/synthetic.hpp"
@@ -21,17 +22,18 @@ using runtime::Simulation;
 using sim::Task;
 
 TEST(UnionSeconds, MergesOverlapsAndGaps) {
-  EXPECT_DOUBLE_EQ(Analyzer::union_seconds({}), 0.0);
+  // Covered seconds of the union: the shared sort-and-sweep, gap 0.
+  const auto union_seconds = [](std::vector<Segment> iv) {
+    return sim::to_seconds(covered_time(sort_and_sweep(std::move(iv), 0)));
+  };
+  EXPECT_DOUBLE_EQ(union_seconds({}), 0.0);
   EXPECT_DOUBLE_EQ(
-      Analyzer::union_seconds({{0, sim::kSec}, {2 * sim::kSec, 3 * sim::kSec}}),
-      2.0);
-  EXPECT_DOUBLE_EQ(Analyzer::union_seconds({{0, 2 * sim::kSec},
-                                            {sim::kSec, 3 * sim::kSec}}),
-                   3.0);
+      union_seconds({{0, sim::kSec}, {2 * sim::kSec, 3 * sim::kSec}}), 2.0);
+  EXPECT_DOUBLE_EQ(
+      union_seconds({{0, 2 * sim::kSec}, {sim::kSec, 3 * sim::kSec}}), 3.0);
   // Nested interval adds nothing.
-  EXPECT_DOUBLE_EQ(Analyzer::union_seconds({{0, 4 * sim::kSec},
-                                            {sim::kSec, 2 * sim::kSec}}),
-                   4.0);
+  EXPECT_DOUBLE_EQ(
+      union_seconds({{0, 4 * sim::kSec}, {sim::kSec, 2 * sim::kSec}}), 4.0);
 }
 
 TEST(ColumnStore, RoundTripsRecords) {

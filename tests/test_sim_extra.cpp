@@ -8,6 +8,7 @@
 
 #include "mpi/comm.hpp"
 #include "sim/engine.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/waitgroup.hpp"
 
 namespace wasp::sim {
@@ -92,6 +93,25 @@ TEST(WaitGroupExtra, ReusableAcrossWaves) {
   eng.spawn(parent(eng));
   eng.run();
   EXPECT_EQ(completed, 12);
+}
+
+TEST(WaitGroup, ChildFramesComeFromThePool) {
+  // The children's own Task frames are made before the count starts; each
+  // launch then adds exactly one frame, the child's wrapper.
+  auto pooled = [] {
+    const FramePool::ThreadStats s = FramePool::thread_stats();
+    return s.hits + s.misses + s.oversize;
+  };
+  auto idle = []() -> Task<void> { co_return; };
+  constexpr std::uint64_t kChildren = 16;
+  std::vector<Task<void>> children;
+  for (std::uint64_t i = 0; i < kChildren; ++i) children.push_back(idle());
+  Engine eng;
+  WaitGroup wg(eng);
+  const std::uint64_t before = pooled();
+  for (Task<void>& child : children) wg.launch(std::move(child));
+  EXPECT_EQ(pooled() - before, kChildren);
+  EXPECT_EQ(wg.outstanding(), 0u);
 }
 
 TEST(WaitGroupExtra, WaitWithNoChildrenReturnsImmediately) {
