@@ -2,13 +2,15 @@
 // kernels vs the scalar reference row loop, on either store backend.
 //
 // Generates a synthetic trace (every interface/op, file-less rows — the
-// same generator the store tests use), analyzes it with both scan paths,
-// and reports rows/sec per pipeline pass from the telemetry counter deltas
-// (analyze.scan_ns etc.), plus the kernel-vs-reference scan speedup. The
-// unions and phases lines time the reduce's merges of the chunks' union
-// segments and phase clusters. Unlike a traced run, the synthetic rows are
-// not in end-time order, so the kernel's segment and cluster stacks hand
-// many of them to their sort-and-sweep fallback.
+// same generator the store tests use), stable-sorts it by end time as a
+// tracer writes it, analyzes it with both scan paths, and reports rows/sec
+// per pipeline pass from the telemetry counter deltas (analyze.scan_ns
+// etc.), plus the kernel-vs-reference scan speedup. The scan also bins the
+// timeline; the resolve line times the file reduce (merge, path and size
+// resolution, sharing counts, app edges), and the unions and phases lines
+// the merges of the chunks' union segments and phase clusters. In end-time
+// order no row takes the segment and cluster stacks' sort-and-sweep
+// fallback, as in a traced or logged trace.
 //
 //   analyzer_bench [--rows N] [--repeat N] [--jobs N] [--chunk-rows N]
 //                  [--backend memory|spill] [--spill-dir DIR]
@@ -58,7 +60,6 @@ struct PassTimes {
   std::uint64_t resolve = 0;
   std::uint64_t unions = 0;
   std::uint64_t phases = 0;
-  std::uint64_t timeline = 0;
 };
 
 double rows_per_sec(std::size_t rows, std::uint64_t ns) {
@@ -86,7 +87,6 @@ PassTimes run_once(const wasp::analysis::TraceInput& input, const Args& a,
   t.resolve = d.value("analyze.resolve_ns");
   t.unions = d.value("analyze.unions_ns");
   t.phases = d.value("analyze.phases_ns");
-  t.timeline = d.value("analyze.timeline_ns");
   return t;
 }
 
@@ -102,7 +102,6 @@ PassTimes run_best(const wasp::analysis::TraceInput& input, const Args& a,
     best.resolve = std::min(best.resolve, t.resolve);
     best.unions = std::min(best.unions, t.unions);
     best.phases = std::min(best.phases, t.phases);
-    best.timeline = std::min(best.timeline, t.timeline);
   }
   return best;
 }
@@ -118,7 +117,6 @@ void report(const char* label, std::size_t rows, const PassTimes& t) {
   line("resolve", t.resolve);
   line("unions (segment merge)", t.unions);
   line("phases (cluster merge)", t.phases);
-  line("timeline", t.timeline);
   line("total", t.total);
 }
 
@@ -160,7 +158,10 @@ int main(int argc, char** argv) {
   gen.ifaces = 7;  // include CPU/GPU/MPI spans
   gen.ops = 14;
   gen.files_per_invalid = 5;
-  const auto records = wasp::trace::synthetic_records(a.rows, gen);
+  auto records = wasp::trace::synthetic_records(a.rows, gen);
+  std::stable_sort(records.begin(), records.end(),
+                   [](const wasp::trace::Record& x,
+                      const wasp::trace::Record& y) { return x.tend < y.tend; });
 
   std::unique_ptr<wasp::analysis::TraceStore> store;
   if (a.backend == "spill") {

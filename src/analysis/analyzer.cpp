@@ -19,7 +19,11 @@
 // sums get a fixed association order from the chunk-ordered merge, so the
 // profile is bit-identical at jobs=1 and jobs=N.
 //
-// All passes read the trace through a TraceStore Cursor, never through raw
+// It is one scan and one reduce: the store's bounds fix the timeline's
+// bins before the scan, so each chunk bins its own rows, and only the file
+// resolution callbacks read the store again, one row per file.
+//
+// The scan reads the trace through a TraceStore Cursor, never through raw
 // vectors: the analysis chunking above is independent of the store's
 // storage chunking, so the in-memory and spill backends walk identical
 // value sequences and produce byte-identical profiles.
@@ -43,8 +47,6 @@ struct AnalyzerMetrics {
       obs::Registry::instance().counter("analyze.unions_ns");
   obs::Counter phases_ns =
       obs::Registry::instance().counter("analyze.phases_ns");
-  obs::Counter timeline_ns =
-      obs::Registry::instance().counter("analyze.timeline_ns");
 };
 
 const AnalyzerMetrics& analyzer_metrics() {
@@ -137,30 +139,79 @@ std::vector<std::vector<T>> take(std::vector<ChunkState>& parts,
   return lists;
 }
 
-/// Merge every chunk's FileAgg vector into one global sorted vector.
-std::vector<FileAgg> merge_files(std::vector<std::vector<FileAgg>> lists) {
-  std::vector<FileAgg> out;
-  std::size_t widest = 0;
-  for (const auto& l : lists) widest = std::max(widest, l.size());
-  out.reserve(widest);
+/// The file reduce: every chunk's files, k-way merged by ScopedFile. Each
+/// file is finished as soon as the next one starts: its path and size
+/// resolve from its first row, its ranks are counted, it adds to the
+/// workload's and each owning app's shared or file-per-process count (an
+/// app that wrote and read it counts once) and to the app edges, and its
+/// stats move into the profile. Serial and in ScopedFile order: the path
+/// and size callbacks may touch lazily-built filesystem state.
+void reduce_files(std::vector<std::vector<FileAgg>> lists,
+                  const TraceInput& input,
+                  std::map<std::uint16_t, AppPart>& apps,
+                  WorkloadProfile& p) {
+  // No more files than chunk entries: reserved once, the file vector never
+  // regrows, and a big one touches no page past its last file.
+  std::size_t entries = 0;
+  for (const auto& l : lists) entries += l.size();
+  p.files.reserve(entries);
+  std::map<std::pair<std::uint16_t, std::uint16_t>, AppEdge> edges;
+  const auto finish = [&](FileAgg& fa) {
+    FileStats& f = fa.stats;
+    f.path = input.path_at(fa.first_row);
+    f.size = input.size_at(fa.first_row);
+    // The rank vectors are ascending, so the accessor count is a
+    // two-pointer union size — no set materialization.
+    f.reader_ranks = static_cast<std::uint32_t>(fa.readers.size());
+    f.writer_ranks = static_cast<std::uint32_t>(fa.writers.size());
+    f.accessor_ranks =
+        static_cast<std::uint32_t>(union_size(fa.readers, fa.writers));
+    const bool shared = f.shared();
+    ++(shared ? p.shared_files : p.fpp_files);
+    const auto count = [&](std::uint16_t id) {
+      AppStats& app = apps.at(id).stats;
+      ++(shared ? app.shared_files : app.fpp_files);
+    };
+    for (const auto id : f.producer_apps) count(id);
+    for (const auto id : f.consumer_apps) {
+      if (std::find(f.producer_apps.begin(), f.producer_apps.end(), id) ==
+          f.producer_apps.end()) {
+        count(id);
+      }
+    }
+    for (const auto prod : f.producer_apps) {
+      for (const auto cons : f.consumer_apps) {
+        if (prod == cons) continue;
+        AppEdge& e = edges[{prod, cons}];
+        e.producer = prod;
+        e.consumer = cons;
+        e.bytes += f.size;
+        ++e.files;
+      }
+    }
+    p.files.push_back(std::move(f));
+  };
+  // The file being merged: its first chunk's entry, which later chunks'
+  // entries fold into (the first chunk touching the file keeps first_row).
+  FileAgg* cur = nullptr;
   kway_merge(
       lists, [](const FileAgg& fa) -> const ScopedFile& { return fa.sf; },
-      [&out](FileAgg& fa) {
-        if (out.empty() || out.back().sf < fa.sf) {
-          out.push_back(std::move(fa));
+      [&](FileAgg& fa) {
+        if (cur == nullptr || cur->sf < fa.sf) {
+          if (cur != nullptr) finish(*cur);
+          cur = &fa;
           return;
         }
-        FileAgg& g = out.back();
-        FileStats& gs = g.stats;
+        FileStats& gs = cur->stats;
         const FileStats& cs = fa.stats;
         gs.ops.merge(cs.ops);
         merge_app_ids(gs.producer_apps, cs.producer_apps);
         merge_app_ids(gs.consumer_apps, cs.consumer_apps);
-        // first_row: the first chunk touching the file wins — keep global's.
-        union_ids(g.readers, fa.readers);
-        union_ids(g.writers, fa.writers);
+        union_ids(cur->readers, fa.readers);
+        union_ids(cur->writers, fa.writers);
       });
-  return out;
+  if (cur != nullptr) finish(*cur);
+  for (const auto& edge : edges) p.app_edges.push_back(edge.second);
 }
 
 using StreamKey = std::pair<ScopedFile, std::int32_t>;
@@ -383,15 +434,21 @@ WorkloadProfile Analyzer::analyze(const TraceInput& input) const {
 
   // Filesystem-shared lookup table, resolved up front on this thread: the
   // callback may touch lazily-built filesystem namespaces, which must not
-  // happen concurrently from chunk workers. Backends that track the max fs
-  // index during append answer in O(1); for a spill store that avoids a
-  // full serial pass over every chunk file.
-  const std::int16_t max_fs = store.max_fs();
+  // happen concurrently from chunk workers. The store's bounds, kept as its
+  // rows were written, size it and the timeline without a pass over them.
+  const RowBounds& bounds = store.bounds();
+  const std::int16_t max_fs = bounds.max_fs;
   std::vector<char> fs_is_shared(static_cast<std::size_t>(max_fs + 1), 1);
   for (std::int16_t f = 0; f <= max_fs; ++f) {
     fs_is_shared[static_cast<std::size_t>(f)] =
         input.fs_shared(f) ? 1 : 0;
   }
+  const sim::Time span = bounds.t1 - bounds.t0;
+  p.job_runtime_sec = sim::to_seconds(span);
+  sim::Time bin = opts_.timeline_bin;
+  if (span / bin + 1 > kMaxTimelineBins) bin = span / kMaxTimelineBins + 1;
+  const TimelineGrid grid{bounds.t0, bin,
+                          static_cast<std::size_t>(span / bin) + 1};
 
   // --- Map: scan chunks in parallel -------------------------------------
   // The batched columnar kernels (scan_chunk) are the default; the scalar
@@ -405,21 +462,20 @@ WorkloadProfile Analyzer::analyze(const TraceInput& input) const {
     parts = pool.map_chunks(
         store.size(), grain, [&](const util::ChunkRange& range) {
           return ref ? scan_chunk_reference(store, range, input.app_names,
-                                            fs_is_shared, opts_.phase_gap)
+                                            fs_is_shared, opts_.phase_gap,
+                                            grid)
                      : scan_chunk(store, range, input.app_names, fs_is_shared,
-                                  opts_.phase_gap);
+                                  opts_.phase_gap, grid);
         });
   }
 
   // --- Reduce: merge partials in chunk-index order ----------------------
   // Every key-sorted partial folds through one k-way merge over the chunks'
-  // vectors (see the helpers above); apps merge by id. Segments and phase
-  // clusters are only gathered here, one list per chunk, and merged by the
-  // unions and phases passes below.
-  sim::Time job_t0 = parts.front().job_t0;
-  sim::Time job_t1 = parts.front().job_t1;
+  // vectors (see the helpers above); apps merge by id, timeline bins add.
+  // Segments, phase clusters and files are only gathered here, one list
+  // per chunk, and merged by the passes below.
   std::map<std::uint16_t, AppPart> apps;
-  std::vector<FileAgg> files;  // sorted by ScopedFile
+  std::vector<std::vector<FileAgg>> files;  // per chunk, by ScopedFile
   std::uint64_t seq_ops = 0;
   std::uint64_t pattern_ops = 0;
   const std::size_t nb = p.read_hist.num_buckets();
@@ -427,13 +483,14 @@ WorkloadProfile Analyzer::analyze(const TraceInput& input) const {
   std::vector<std::vector<std::vector<Segment>>> read_segments(nb);
   std::vector<std::vector<std::vector<Segment>>> write_segments(nb);
   std::map<std::uint16_t, std::vector<std::vector<PhaseCluster>>> clusters;
+  p.timeline.bin_width = bin;
+  p.timeline.read_bps.assign(grid.count, 0.0);
+  p.timeline.write_bps.assign(grid.count, 0.0);
 
   {
   WASP_OBS_SPAN("analyze.merge");
   obs::TimerGuard t(om.merge_ns);
   for (ChunkState& c : parts) {
-    job_t0 = std::min(job_t0, c.job_t0);
-    job_t1 = std::max(job_t1, c.job_t1);
     p.totals.merge(c.totals);
     for (auto& [id, part] : c.apps) {
       clusters[id].push_back(std::move(part.clusters));
@@ -461,77 +518,24 @@ WorkloadProfile Analyzer::analyze(const TraceInput& input) const {
       read_segments[b].push_back(std::move(c.read_segments[b]));
       write_segments[b].push_back(std::move(c.write_segments[b]));
     }
+    for (std::size_t b = 0; b < grid.count; ++b) {
+      p.timeline.read_bps[b] += c.bins.read[b];
+      p.timeline.write_bps[b] += c.bins.write[b];
+    }
   }
-  files = merge_files(take(parts, &ChunkState::files));
+  const double bin_sec = sim::to_seconds(bin);
+  for (auto& v : p.timeline.read_bps) v /= bin_sec;
+  for (auto& v : p.timeline.write_bps) v /= bin_sec;
+  files = take(parts, &ChunkState::files);
   seq_ops += settle_streams(take(parts, &ChunkState::streams));
   p.size_frequencies = merge_size_counts(take(parts, &ChunkState::size_counts));
   parts.clear();
   }
-  p.job_runtime_sec = sim::to_seconds(job_t1 - job_t0);
-  // The apps in id order; each per-app pass below runs one task per app.
-  std::vector<AppPart*> app_parts;
-  app_parts.reserve(apps.size());
-  for (auto& [id, part] : apps) {
-    (void)id;
-    app_parts.push_back(&part);
-  }
 
   {
-  WASP_OBS_SPAN("analyze.resolve");
-  obs::TimerGuard t(om.resolve_ns);
-  // Resolve per-file paths and sizes from each file's first record — these
-  // callbacks may touch lazily-built filesystem state, so they run here,
-  // serially, not in the chunk workers.
-  for (FileAgg& fa : files) {
-    fa.stats.path = input.path_at(fa.first_row);
-    fa.stats.size = std::max(fa.stats.size, input.size_at(fa.first_row));
-  }
-
-  // Resolve per-file sharing. The rank vectors are ascending, so the
-  // accessor count is a two-pointer union size — no set materialization.
-  for (FileAgg& fa : files) {
-    FileStats& fstat = fa.stats;
-    fstat.reader_ranks = static_cast<std::uint32_t>(fa.readers.size());
-    fstat.writer_ranks = static_cast<std::uint32_t>(fa.writers.size());
-    fstat.accessor_ranks =
-        static_cast<std::uint32_t>(union_size(fa.readers, fa.writers));
-    if (fstat.shared()) {
-      ++p.shared_files;
-    } else {
-      ++p.fpp_files;
-    }
-  }
-
-  // Per-app proc and file sharing counts + dominant interface: each task
-  // writes only its own app and reads the (now frozen) file list.
-  pool.run(app_parts.size(), [&](std::size_t a) {
-    AppPart& part = *app_parts[a];
-    AppStats& app = part.stats;
-    const std::uint16_t id = app.app;
-    app.num_procs = static_cast<int>(part.ranks.size());
-    for (const FileAgg& fa : files) {
-      const FileStats& fstat = fa.stats;
-      const bool touches =
-          std::find(fstat.producer_apps.begin(), fstat.producer_apps.end(),
-                    id) != fstat.producer_apps.end() ||
-          std::find(fstat.consumer_apps.begin(), fstat.consumer_apps.end(),
-                    id) != fstat.consumer_apps.end();
-      if (!touches) continue;
-      if (fstat.shared()) {
-        ++app.shared_files;
-      } else {
-        ++app.fpp_files;
-      }
-    }
-    std::uint64_t best = 0;
-    for (std::size_t f = 0; f < kNumIfaces; ++f) {
-      if (part.iface_ops[f] > best) {
-        best = part.iface_ops[f];
-        app.interface = static_cast<trace::Iface>(f);
-      }
-    }
-  });
-  for (const AppPart* part : app_parts) p.num_procs += part->stats.num_procs;
+    WASP_OBS_SPAN("analyze.resolve");
+    obs::TimerGuard t(om.resolve_ns);
+    reduce_files(std::move(files), input, apps, p);
   }
 
   // I/O-time fraction: wall-clock coverage (Table I), and each histogram
@@ -564,84 +568,6 @@ WorkloadProfile Analyzer::analyze(const TraceInput& input) const {
               [](const Phase& a, const Phase& b) { return a.t0 < b.t0; });
   }
 
-  // --- App dependency edges ---------------------------------------------
-  {
-    std::map<std::pair<std::uint16_t, std::uint16_t>, AppEdge> edges;
-    for (const FileAgg& fa : files) {
-      const FileStats& fstat = fa.stats;
-      for (auto prod : fstat.producer_apps) {
-        for (auto cons : fstat.consumer_apps) {
-          if (prod == cons) continue;
-          auto& e = edges[{prod, cons}];
-          e.producer = prod;
-          e.consumer = cons;
-          e.bytes += fstat.size;
-          ++e.files;
-        }
-      }
-    }
-    for (auto& [k, e] : edges) {
-      (void)k;
-      p.app_edges.push_back(e);
-    }
-  }
-
-  // --- Timeline ----------------------------------------------------------
-  // Needs the job extent, so it is a second chunked pass: per-chunk bin
-  // vectors, added together in chunk-index order.
-  {
-    WASP_OBS_SPAN("analyze.timeline");
-    obs::TimerGuard t(om.timeline_ns);
-    sim::Time bin = opts_.timeline_bin;
-    const sim::Time span = job_t1 - job_t0;
-    if (span / bin + 1 > kMaxTimelineBins) bin = span / kMaxTimelineBins + 1;
-    const auto nbins = static_cast<std::size_t>(span / bin) + 1;
-    p.timeline.bin_width = bin;
-    p.timeline.read_bps.assign(nbins, 0.0);
-    p.timeline.write_bps.assign(nbins, 0.0);
-    using Bins = std::pair<std::vector<double>, std::vector<double>>;
-    const std::vector<Bins> chunk_bins = pool.map_chunks(
-        store.size(), grain, [&](const util::ChunkRange& range) {
-          Cursor cs(store);
-          Bins local{std::vector<double>(nbins, 0.0),
-                     std::vector<double>(nbins, 0.0)};
-          // Span walk: one residency resolution per storage chunk, raw
-          // column reads per row. Same arithmetic as the row-at-a-time
-          // loop, so the bins stay byte-identical.
-          for (std::size_t pos = range.begin; pos < range.end;) {
-            const ChunkColumns s = cs.span(pos, range.end);
-            for (std::size_t k = 0; k < s.rows; ++k) {
-              const trace::Op op = s.op[k];
-              if (!trace::is_data(op)) continue;
-              const double bytes = static_cast<double>(
-                  s.size[k] * static_cast<fs::Bytes>(s.count[k]));
-              if (bytes <= 0) continue;
-              const sim::Time t0 = s.tstart[k] - job_t0;
-              const sim::Time t1 = std::max(s.tend[k] - job_t0, t0 + 1);
-              const auto b0 = static_cast<std::size_t>(t0 / bin);
-              const auto b1 = std::min(
-                  static_cast<std::size_t>((t1 - 1) / bin), nbins - 1);
-              const double per_bin =
-                  bytes / static_cast<double>(b1 - b0 + 1);
-              auto& series = op == trace::Op::kRead ? local.first
-                                                    : local.second;
-              for (std::size_t b = b0; b <= b1; ++b) series[b] += per_bin;
-            }
-            pos += s.rows;
-          }
-          return local;
-        });
-    for (const Bins& local : chunk_bins) {
-      for (std::size_t b = 0; b < nbins; ++b) {
-        p.timeline.read_bps[b] += local.first[b];
-        p.timeline.write_bps[b] += local.second[b];
-      }
-    }
-    const double bin_sec = sim::to_seconds(bin);
-    for (auto& v : p.timeline.read_bps) v /= bin_sec;
-    for (auto& v : p.timeline.write_bps) v /= bin_sec;
-  }
-
   // Sequentiality + global size frequencies.
   p.sequential_fraction =
       pattern_ops > 0
@@ -650,12 +576,21 @@ WorkloadProfile Analyzer::analyze(const TraceInput& input) const {
   std::sort(p.size_frequencies.begin(), p.size_frequencies.end(),
             [](const auto& a, const auto& b) { return a.second > b.second; });
 
-  // Materialize app/file vectors in stable order.
-  p.apps.reserve(app_parts.size());
-  for (AppPart* part : app_parts) p.apps.push_back(std::move(part->stats));
-  p.files.reserve(files.size());
-  for (FileAgg& fa : files) {
-    p.files.push_back(std::move(fa.stats));
+  // The apps in id order, with proc counts and the dominant interface.
+  p.apps.reserve(apps.size());
+  for (auto& [id, part] : apps) {
+    (void)id;
+    AppStats& app = part.stats;
+    app.num_procs = static_cast<int>(part.ranks.size());
+    std::uint64_t best = 0;
+    for (std::size_t f = 0; f < kNumIfaces; ++f) {
+      if (part.iface_ops[f] > best) {
+        best = part.iface_ops[f];
+        app.interface = static_cast<trace::Iface>(f);
+      }
+    }
+    p.num_procs += app.num_procs;
+    p.apps.push_back(std::move(app));
   }
   return p;
 }

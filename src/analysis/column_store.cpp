@@ -29,15 +29,10 @@ void Columns::clear() noexcept {
   each(*this, true, [](auto& col, Id) { col.clear(); });
 }
 
-std::int16_t Columns::max_fs() const noexcept {
-  std::int16_t m = -1;
-  for (const std::int16_t f : fs) m = std::max(m, f);
-  return m;
-}
-
 void ColumnStore::push_back(const trace::Record& r) {
   if (size_ % kBlockRows == 0) open_block(false);
   blocks_.back().push_back(r);
+  bounds_.add(r);
   ++size_;
 }
 
@@ -54,6 +49,7 @@ void ColumnStore::append(std::span<const trace::Record> records,
                  "aux columns must parallel the record span");
   WASP_CHECK_MSG(blocks_.empty() || blocks_.back().view(0).path_idx != nullptr,
                  "appending log rows to a store of tracer records");
+  bounds_.add(records);
   for (std::size_t i = 0; i < records.size();) {
     if (size_ % kBlockRows == 0) open_block(true);
     const std::size_t n =
@@ -69,12 +65,6 @@ ChunkHandle ColumnStore::chunk(std::size_t chunk_index) const {
   WASP_CHECK_MSG(chunk_index < blocks_.size(), "chunk index out of range");
   // The pin stays null: views borrow the store's own blocks.
   return {blocks_[chunk_index].view(chunk_index * kBlockRows), nullptr};
-}
-
-std::int16_t ColumnStore::max_fs() const {
-  std::int16_t m = -1;
-  for (const Columns& b : blocks_) m = std::max(m, b.max_fs());
-  return m;
 }
 
 }  // namespace wasp::analysis

@@ -126,8 +126,6 @@ struct Columns {
               std::span<const std::uint64_t> file_sizes);
   /// Empty every column, keeping its capacity.
   void clear() noexcept;
-  /// Largest fs index over the rows (-1 when there are none).
-  std::int16_t max_fs() const noexcept;
   /// All rows as one view whose first row is global row `base`. The aux
   /// columns are in the view only when they hold every row.
   ChunkColumns view(std::size_t base) const noexcept {
@@ -202,7 +200,6 @@ class ColumnStore : public TraceStore {
   std::size_t size() const noexcept override { return size_; }
   std::size_t chunk_rows() const noexcept override { return kBlockRows; }
   ChunkHandle chunk(std::size_t chunk_index) const override;
-  std::int16_t max_fs() const override;
 
   /// Row i as a record, unchecked like a vector's (row(i) checks).
   trace::Record operator[](std::size_t i) const noexcept {

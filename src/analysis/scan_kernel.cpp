@@ -240,9 +240,6 @@ struct AppSlot {
 /// lives in the dense tables above and is sorted into ordered form once, in
 /// finalize().
 struct DenseState {
-  bool time_init = false;
-  sim::Time job_t0 = 0;
-  sim::Time job_t1 = 0;
   OpsBreakdown totals;
   std::vector<AppSlot> apps;
   FlatMap64<std::uint64_t> size_counts;
@@ -255,6 +252,8 @@ struct DenseState {
   std::vector<SegmentStack> read;  // per histogram bucket
   std::vector<SegmentStack> write;
   sim::Time phase_gap = 0;
+  TimelineGrid grid;
+  TimelineBins bins;
 
   AppSlot& app(std::uint16_t id) {
     if (id >= apps.size()) apps.resize(static_cast<std::size_t>(id) + 1);
@@ -268,29 +267,45 @@ inline bool is_compute(trace::Iface iface) noexcept {
   return iface == trace::Iface::kCpu || iface == trace::Iface::kGpu;
 }
 
-// ---------------------------------------------------------------------------
-// Kernels. Two passes per span, each touching a disjoint set of
-// accumulators: one over every record (app bookkeeping + job time range),
-// one over the I/O records (op breakdowns, histograms, file bookkeeping) —
-// decoded once per row. Splitting the row loop this way never reorders any
-// single accumulator's row-order accumulation, and fusing the I/O-side
-// work into one pass reads each span's columns once instead of once per
-// category (the spans are bigger than L2, so repeat passes re-read DRAM).
+/// Zeroed read and write bins on `grid`.
+TimelineBins empty_bins(const TimelineGrid& grid) {
+  return {std::vector<double>(grid.count), std::vector<double>(grid.count)};
+}
 
-/// App bookkeeping over every record: first/last event, distinct ranks, and
-/// the job's time range.
+/// Add one row to a chunk's timeline: a data row's bytes, spread evenly
+/// over the bins its interval touches (at least one), go to the read or the
+/// write series. The kernel and the row loop both bin through here.
+inline void bin_row(TimelineBins& bins, const TimelineGrid& grid,
+                    trace::Op op, fs::Bytes sz, std::uint32_t cnt,
+                    sim::Time start, sim::Time end) {
+  if (!trace::is_data(op)) return;
+  const double bytes = static_cast<double>(sz * static_cast<fs::Bytes>(cnt));
+  if (bytes <= 0) return;
+  const sim::Time t0 = start - grid.t0;
+  const sim::Time t1 = std::max(end - grid.t0, t0 + 1);
+  const auto b0 = static_cast<std::size_t>(t0 / grid.width);
+  const auto b1 = std::min(static_cast<std::size_t>((t1 - 1) / grid.width),
+                           grid.count - 1);
+  const double per_bin = bytes / static_cast<double>(b1 - b0 + 1);
+  std::vector<double>& series =
+      op == trace::Op::kRead ? bins.read : bins.write;
+  for (std::size_t b = b0; b <= b1; ++b) series[b] += per_bin;
+}
+
+// ---------------------------------------------------------------------------
+// Kernels. Three passes per span, each touching a disjoint set of
+// accumulators: one over every record (app bookkeeping), one over the I/O
+// records (op breakdowns, histograms, file bookkeeping) — decoded once per
+// row — and one binning the data rows on every lane into the timeline.
+// Splitting the row loop this way never reorders any single accumulator's
+// row-order accumulation, and fusing the I/O-side work into one pass reads
+// its columns once instead of once per category (the spans are bigger than
+// L2, so repeat passes re-read DRAM).
+
+/// App bookkeeping over every record: first/last event and distinct ranks.
 void k_apps(const ChunkColumns& s, DenseState& d,
             const std::vector<std::string>& app_names) {
-  if (!d.time_init) {
-    d.time_init = true;
-    d.job_t0 = s.tstart[0];
-    d.job_t1 = s.tend[0];
-  }
-  sim::Time t0 = d.job_t0;
-  sim::Time t1 = d.job_t1;
   for (std::size_t k = 0; k < s.rows; ++k) {
-    t0 = std::min(t0, s.tstart[k]);
-    t1 = std::max(t1, s.tend[k]);
     const std::uint16_t id = s.app[k];
     AppSlot& a = d.app(id);
     AppStats& st = a.part.stats;
@@ -306,8 +321,6 @@ void k_apps(const ChunkColumns& s, DenseState& d,
     }
     a.ranks.insert(s.rank[k]);
   }
-  d.job_t0 = t0;
-  d.job_t1 = t1;
 }
 
 /// Everything keyed off I/O rows, in one decode: the app's phase clusters,
@@ -397,14 +410,21 @@ void k_io(const ChunkColumns& s, DenseState& d,
   }
 }
 
+/// The timeline over every record: each data row's bytes go to the bins its
+/// interval touches. Unlike k_io, it counts the compute lanes' rows too.
+void k_timeline(const ChunkColumns& s, DenseState& d) {
+  for (std::size_t k = 0; k < s.rows; ++k) {
+    bin_row(d.bins, d.grid, s.op[k], s.size[k], s.count[k], s.tstart[k],
+            s.tend[k]);
+  }
+}
+
 /// Sort the dense tables into ChunkState's key-ordered vectors — linear in
 /// the number of *distinct keys* (plus the sorts), paid once per chunk, not
 /// per row. The resulting ChunkState is byte-identical to the one the
 /// ordered row loop builds.
 ChunkState finalize(DenseState&& d) {
   ChunkState st;
-  st.job_t0 = d.job_t0;
-  st.job_t1 = d.job_t1;
   st.totals = d.totals;
   st.seq_ops = d.seq_ops;
   st.pattern_ops = d.pattern_ops;
@@ -413,6 +433,7 @@ ChunkState finalize(DenseState&& d) {
   st.write_hist = std::move(d.write_hist);
   for (SegmentStack& b : d.read) st.read_segments.push_back(b.finish());
   for (SegmentStack& b : d.write) st.write_segments.push_back(b.finish());
+  st.bins = std::move(d.bins);
 
   for (std::size_t id = 0; id < d.apps.size(); ++id) {
     AppSlot& a = d.apps[id];
@@ -505,16 +526,19 @@ void PhaseCluster::absorb(PhaseCluster&& o) {
 ChunkState scan_chunk(const TraceStore& store, const util::ChunkRange& range,
                       const std::vector<std::string>& app_names,
                       const std::vector<char>& fs_is_shared,
-                      sim::Time phase_gap) {
+                      sim::Time phase_gap, const TimelineGrid& grid) {
   Cursor cs(store);
   DenseState d;
   d.read.resize(d.read_hist.num_buckets());
   d.write.resize(d.write_hist.num_buckets());
   d.phase_gap = phase_gap;
+  d.grid = grid;
+  d.bins = empty_bins(grid);
   for (std::size_t pos = range.begin; pos < range.end;) {
     const ChunkColumns s = cs.span(pos, range.end);
     k_apps(s, d, app_names);
     k_io(s, d, fs_is_shared);
+    k_timeline(s, d);
     pos += s.rows;
   }
   return finalize(std::move(d));
@@ -524,11 +548,11 @@ ChunkState scan_chunk_reference(const TraceStore& store,
                                 const util::ChunkRange& range,
                                 const std::vector<std::string>& app_names,
                                 const std::vector<char>& fs_is_shared,
-                                sim::Time phase_gap) {
+                                sim::Time phase_gap,
+                                const TimelineGrid& grid) {
   Cursor cs(store);
   ChunkState st;
-  st.job_t0 = cs.tstart(range.begin);
-  st.job_t1 = cs.tend(range.begin);
+  st.bins = empty_bins(grid);
 
   // The oracle accumulates into the classic ordered containers row by row —
   // the structure the kernels' determinism argument is stated against — and
@@ -557,9 +581,6 @@ ChunkState scan_chunk_reference(const TraceStore& store,
     const sim::Time t0 = cs.tstart(i);
     const sim::Time t1 = cs.tend(i);
 
-    st.job_t0 = std::min(st.job_t0, t0);
-    st.job_t1 = std::max(st.job_t1, t1);
-
     // App bookkeeping (all records).
     auto [ait, fresh] = st.apps.try_emplace(app_id);
     AppPart& part = ait->second;
@@ -579,6 +600,7 @@ ChunkState scan_chunk_reference(const TraceStore& store,
 
     const std::uint32_t cnt = cs.count(i);
     const fs::Bytes sz = cs.size_col(i);
+    bin_row(st.bins, grid, op, sz, cnt, t0, t1);
     phase_rows[app_id].push_back(
         PhaseCluster::of_row(t0, t1, op, cnt, sz, rank));
     if (is_compute(iface)) continue;

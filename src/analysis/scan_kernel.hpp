@@ -6,10 +6,11 @@
 //
 //  - scan_chunk(): batched columnar kernels. The range is walked as
 //    contiguous ChunkColumns spans (one residency resolution per storage
-//    chunk) and each span goes through two tight passes: app bookkeeping
-//    (time range, ranks) over every record, then one fused decode of the
+//    chunk) and each span goes through three tight passes: app bookkeeping
+//    (first/last events, ranks) over every record, one fused decode of the
 //    I/O records (op breakdowns, size histograms, union segments, phase
-//    clusters, file bookkeeping + sequentiality). Per-row state lives in
+//    clusters, file bookkeeping + sequentiality), and the timeline binning
+//    of the data rows. Per-row state lives in
 //    dense structures (apps indexed by id, files interned once per row into
 //    an open-addressed FileTable, flat hash maps for rank/size keys) that
 //    are sorted into ChunkState's key-ordered form once per chunk. Union
@@ -174,6 +175,21 @@ struct FileAgg {
 
 constexpr std::size_t kNumIfaces = 8;  // > every trace::Iface value
 
+/// The bandwidth timeline's bins, fixed before the scan from the store's
+/// bounds: `count` bins of `width`, the first starting at the job's
+/// earliest start `t0`.
+struct TimelineGrid {
+  sim::Time t0 = 0;
+  sim::Time width = 1;
+  std::size_t count = 1;
+};
+
+/// Bytes per timeline bin of one chunk's data rows, reads and writes.
+struct TimelineBins {
+  std::vector<double> read;
+  std::vector<double> write;
+};
+
 /// Everything a chunk knows about one app, in one record.
 struct AppPart {
   AppStats stats;
@@ -193,8 +209,6 @@ struct AppPart {
 /// side; union segments and phase clusters merge the same way, by start.
 /// Apps are few, so they stay in a map.
 struct ChunkState {
-  sim::Time job_t0 = 0;
-  sim::Time job_t1 = 0;
   OpsBreakdown totals;
   std::map<std::uint16_t, AppPart> apps;
   std::vector<FileAgg> files;  ///< sorted by ScopedFile
@@ -210,15 +224,17 @@ struct ChunkState {
   /// Union segments of each histogram bucket's reads and writes.
   std::vector<std::vector<Segment>> read_segments;
   std::vector<std::vector<Segment>> write_segments;
+  /// The chunk's data rows on `grid`, every lane's, compute lanes included.
+  TimelineBins bins;
 };
 
 /// The batched columnar map step (the default path). I/O rows of one app
 /// that start more than `phase_gap` after all earlier ones end open a new
-/// phase cluster.
+/// phase cluster; data rows are binned on `grid`.
 ChunkState scan_chunk(const TraceStore& store, const util::ChunkRange& range,
                       const std::vector<std::string>& app_names,
                       const std::vector<char>& fs_is_shared,
-                      sim::Time phase_gap);
+                      sim::Time phase_gap, const TimelineGrid& grid);
 
 /// The scalar row-at-a-time map step — the equivalence oracle for the
 /// kernels, selected by Analyzer::Options::reference_scan.
@@ -226,6 +242,6 @@ ChunkState scan_chunk_reference(const TraceStore& store,
                                 const util::ChunkRange& range,
                                 const std::vector<std::string>& app_names,
                                 const std::vector<char>& fs_is_shared,
-                                sim::Time phase_gap);
+                                sim::Time phase_gap, const TimelineGrid& grid);
 
 }  // namespace wasp::analysis

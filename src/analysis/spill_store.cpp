@@ -191,6 +191,7 @@ void SpillColumnStore::append(std::span<const trace::Record> records) {
     maybe_flush();
   }
   total_rows_ += records.size();
+  bounds_.add(records);
 }
 
 void SpillColumnStore::append(std::span<const trace::Record> records,
@@ -212,6 +213,7 @@ void SpillColumnStore::append(std::span<const trace::Record> records,
     maybe_flush();
   }
   total_rows_ += records.size();
+  bounds_.add(records);
 }
 
 void SpillColumnStore::finalize() {
@@ -309,7 +311,6 @@ void SpillColumnStore::flush_open_chunk() {
   std::uint64_t raw_total = 0;
   for (const std::uint64_t b : col_raw_) raw_total += b;
   raw_bytes_.add(raw_total - raw_bytes_.value());
-  max_fs_ = std::max(max_fs_, open_.max_fs());
   open_.clear();
   ++chunks_written_;
 }

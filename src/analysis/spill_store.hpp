@@ -87,7 +87,6 @@ class SpillColumnStore final : public TraceStore {
   std::size_t size() const noexcept override { return total_rows_; }
   std::size_t chunk_rows() const noexcept override { return opts_.chunk_rows; }
   ChunkHandle chunk(std::size_t chunk_index) const override;
-  std::int16_t max_fs() const override { return max_fs_; }
   /// Waits for the read-ahead in flight first, so every chunk load the
   /// store has started is counted.
   IoStats io_stats() const override;
@@ -170,7 +169,6 @@ class SpillColumnStore final : public TraceStore {
   bool finalized_ = false;
   std::size_t total_rows_ = 0;
   std::size_t chunks_written_ = 0;
-  std::int16_t max_fs_ = -1;
   Columns open_;
   /// Encoded-payload scratch reused by every column of every flush.
   std::vector<std::uint8_t> encode_buf_;

@@ -16,8 +16,10 @@
 // counts.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -114,6 +116,25 @@ struct ChunkColumns {
   }
 };
 
+/// What a store knows of its rows without reading them back, kept as they
+/// are written: the earliest start, the latest end and the largest fs
+/// registry index (-1 when every row is file-less). The analyzer sizes its
+/// timeline and its filesystem table from them before it scans.
+struct RowBounds {
+  sim::Time t0 = std::numeric_limits<sim::Time>::max();
+  sim::Time t1 = 0;
+  std::int16_t max_fs = -1;
+
+  void add(const trace::Record& r) noexcept {
+    t0 = std::min(t0, r.tstart);
+    t1 = std::max(t1, r.tend);
+    max_fs = std::max(max_fs, r.file.fs);
+  }
+  void add(std::span<const trace::Record> records) noexcept {
+    for (const trace::Record& r : records) add(r);
+  }
+};
+
 /// A pinned chunk: the view stays valid for as long as `pin` is held, even
 /// if the backend's cache evicts the chunk meanwhile. The in-memory backend
 /// leaves pin null (its buffers live as long as the store).
@@ -150,11 +171,8 @@ class TraceStore {
     return n == 0 ? 0 : (n - 1) / chunk_rows() + 1;
   }
 
-  /// Largest fs registry index across all rows (-1 when every row is
-  /// file-less or the store is empty), answered without a pass over the
-  /// chunks: for a spill store that saves one full serial pass over every
-  /// chunk file per analyze() call.
-  virtual std::int16_t max_fs() const = 0;
+  /// The rows' time range and largest fs index, kept by every append.
+  const RowBounds& bounds() const noexcept { return bounds_; }
 
   /// Backend I/O counters (loads, cache behavior, bytes, compression).
   /// Purely in-memory backends report the default all-zero stats.
@@ -167,6 +185,9 @@ class TraceStore {
   /// file's end-of-run size. Throw SimError on a store built without them.
   std::uint32_t path_idx_at(std::size_t i) const;
   fs::Bytes file_size_at(std::size_t i) const;
+
+ protected:
+  RowBounds bounds_;
 };
 
 /// Row-indexed access over a TraceStore, caching the chunk that served the

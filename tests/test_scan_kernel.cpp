@@ -194,9 +194,12 @@ analysis::ChunkState scan_rows(const std::vector<trace::Record>& rows,
   const std::vector<std::string> names = {"a", "b", "c"};
   const std::vector<char> shared = {1};
   const util::ChunkRange all{0, rows.size(), 0};
-  return reference
-             ? analysis::scan_chunk_reference(store, all, names, shared, gap)
-             : analysis::scan_chunk(store, all, names, shared, gap);
+  const analysis::RowBounds& b = store.bounds();
+  const analysis::TimelineGrid grid{b.t0, 1, b.t1 - b.t0 + 1};
+  return reference ? analysis::scan_chunk_reference(store, all, names, shared,
+                                                    gap, grid)
+                   : analysis::scan_chunk(store, all, names, shared, gap,
+                                          grid);
 }
 
 bool on_io_lane(const trace::Record& r) {

@@ -6,6 +6,7 @@
 // load), plus the one double-buffered prefetch load.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -13,6 +14,8 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -145,6 +148,9 @@ TEST(SpillStore, ProfileMatchesMemoryBackendAcrossJobCounts) {
 TEST(SpillStore, SingleResidentChunkForcesEvictionsButNotDivergence) {
   runtime::Simulation sim(cluster::lassen(4));
   populate(sim);
+  const std::string path =
+      std::string(::testing::TempDir()) + "/evict_spill.wtrc";
+  trace::write_log(path, sim.tracer());
 
   analysis::Analyzer::Options opts;
   opts.jobs = 1;
@@ -154,19 +160,18 @@ TEST(SpillStore, SingleResidentChunkForcesEvictionsButNotDivergence) {
   analysis::SpillColumnStore store({.dir = spill_dir("evict.spill"),
                                     .chunk_rows = 16,
                                     .max_resident_chunks = 1});
-  store.append(records_of(sim.tracer()));
-  store.finalize();
-  auto input = analysis::tracer_input(sim.tracer());
-  input.store = &store;
-  const auto spill = analysis::Analyzer(opts).analyze(input);
+  const auto spill = testutil::analyze_log(path, store, opts);
+  std::remove(path.c_str());
   expect_profiles_identical(mem, spill);
 
   // K=1 cursor=1 prefetch=1: the cap still bounds the cache itself, but a
   // pinned chunk plus the prefetch double-buffer can coexist with it.
   EXPECT_LE(store.peak_resident_chunks(), 1u + 1u + 1u);
   EXPECT_GT(store.chunk_evictions(), 0u);
-  // The analyzer makes several passes; with one resident chunk every pass
-  // re-loads, so loads must exceed the chunk count.
+  // The scan reads each chunk once. File resolution then reads each file's
+  // first row back through the store (the log's path and size columns), in
+  // file order rather than row order, so with one resident chunk those
+  // reads re-load chunks and loads must exceed the chunk count.
   EXPECT_GT(store.chunk_loads(), store.spilled_chunks());
 }
 
@@ -191,6 +196,106 @@ TEST(SpillStore, OfflineLogStreamsThroughAuxColumns) {
   EXPECT_TRUE(store.has_aux());
   EXPECT_EQ(store.size(), sim.tracer().records().size());
   std::remove(path.c_str());
+}
+
+// ------------------------------------------------------------------ bounds
+
+/// The store's bounds are the rows' earliest start, latest end and largest
+/// fs index (-1 when every row is file-less), found by a pass over the rows.
+void expect_bounds_of(const analysis::TraceStore& store,
+                      std::span<const trace::Record> rows) {
+  ASSERT_FALSE(rows.empty());
+  sim::Time t0 = rows.front().tstart;
+  sim::Time t1 = rows.front().tend;
+  std::int16_t max_fs = rows.front().file.fs;
+  for (const trace::Record& r : rows) {
+    t0 = std::min(t0, r.tstart);
+    t1 = std::max(t1, r.tend);
+    max_fs = std::max(max_fs, r.file.fs);
+  }
+  EXPECT_EQ(store.bounds().t0, t0);
+  EXPECT_EQ(store.bounds().t1, t1);
+  EXPECT_EQ(store.bounds().max_fs, max_fs);
+}
+
+/// Synthetic rows in no time order: neither the first row starts earliest
+/// nor the last ends latest.
+std::vector<trace::Record> shuffled_records(std::size_t n) {
+  auto rows = synthetic_records(n);
+  std::mt19937_64 rng(7);
+  std::shuffle(rows.begin(), rows.end(), rng);
+  return rows;
+}
+
+/// The same rows with no file: the largest fs index is -1.
+std::vector<trace::Record> fileless(std::vector<trace::Record> rows) {
+  for (trace::Record& r : rows) r.file = {};
+  return rows;
+}
+
+// Every write path keeps the bounds: tracer pushes, and log rows appended
+// in batches that straddle the 2^16-row block boundary.
+TEST(ColumnStore, BoundsMatchTheRowsOnEveryWritePath) {
+  EXPECT_EQ(analysis::ColumnStore().bounds().max_fs, -1);
+  const auto rows = shuffled_records(analysis::ColumnStore::kBlockRows + 500);
+  ASSERT_FALSE(std::is_sorted(rows.begin(), rows.end(),
+                              [](const trace::Record& a,
+                                 const trace::Record& b) {
+                                return a.tend < b.tend;
+                              }));
+  for (const auto& input : {rows, fileless(rows)}) {
+    analysis::ColumnStore pushed;
+    for (const trace::Record& r : input) pushed.push_back(r);
+    expect_bounds_of(pushed, input);
+
+    const std::vector<std::uint32_t> idx(input.size(), 0);
+    const std::vector<std::uint64_t> sz(input.size(), 0);
+    const std::span<const trace::Record> all(input);
+    analysis::ColumnStore log;
+    for (std::size_t i = 0; i < input.size();) {
+      const std::size_t n = std::min<std::size_t>(4099, input.size() - i);
+      log.append(all.subspan(i, n), std::span(idx).subspan(i, n),
+                 std::span(sz).subspan(i, n));
+      i += n;
+      expect_bounds_of(log, all.first(i));
+    }
+    EXPECT_EQ(log.num_chunks(), 2u);
+  }
+}
+
+// Both spill appends keep the bounds across chunk flushes, before and after
+// the store is sealed.
+TEST(SpillStore, BoundsMatchTheRowsAcrossChunkFlushes) {
+  const auto rows = shuffled_records(1000);
+  for (const auto& input : {rows, fileless(rows)}) {
+    const std::span<const trace::Record> all(input);
+    analysis::SpillColumnStore plain(
+        {.dir = spill_dir("bounds_plain.spill"), .chunk_rows = 64});
+    EXPECT_EQ(plain.bounds().max_fs, -1);
+    for (std::size_t i = 0; i < input.size();) {
+      const std::size_t n = std::min<std::size_t>(37, input.size() - i);
+      plain.append(all.subspan(i, n));
+      i += n;
+      expect_bounds_of(plain, all.first(i));
+    }
+    plain.finalize();
+    EXPECT_GT(plain.spilled_chunks(), 1u);
+    expect_bounds_of(plain, all);
+
+    const std::vector<std::uint32_t> idx(input.size(), 0);
+    const std::vector<std::uint64_t> sz(input.size(), 0);
+    analysis::SpillColumnStore aux(
+        {.dir = spill_dir("bounds_aux.spill"), .chunk_rows = 64});
+    for (std::size_t i = 0; i < input.size();) {
+      const std::size_t n = std::min<std::size_t>(101, input.size() - i);
+      aux.append(all.subspan(i, n), std::span(idx).subspan(i, n),
+                 std::span(sz).subspan(i, n));
+      i += n;
+      expect_bounds_of(aux, all.first(i));
+    }
+    aux.finalize();
+    expect_bounds_of(aux, all);
+  }
 }
 
 TEST(SpillStore, MisuseFailsLoudly) {
