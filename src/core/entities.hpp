@@ -3,9 +3,12 @@
 // attributes (Tables II–XI). Storage systems consume these to configure
 // themselves for the workload.
 //
-// Every entity exposes `attributes()` (name/value string pairs) so the same
-// objects drive YAML emission (the Vani Analyzer's output format), the
-// table-reproduction benches, and the advisor's rule engine.
+// Each entity's attributes are declared once, in one table per entity
+// (entities.cpp): a row gives the attribute's YAML key, how its value prints
+// and how that text reads back. `attributes()` (name/value string pairs for
+// the table-reproduction benches), `to_yaml()` (the Vani Analyzer's output
+// format) and `from_yaml()` (what a storage system loads) all walk those
+// tables, so a new attribute is one row, written and read.
 #pragma once
 
 #include <cstdint>
@@ -174,5 +177,16 @@ struct WorkloadCharacterization {
   /// Vani-style YAML document of all entities and attributes.
   std::string to_yaml() const;
 };
+
+/// Load a characterization back from its YAML document, the paper's end
+/// vision: "these features can be loaded by any storage system and perform
+/// automatic configurations for optimizing I/O". An absent section or key
+/// keeps the struct default. Throws util::SimError naming the section, key
+/// and value when a value is not in its attribute's format, and on a
+/// section of the wrong shape or a missing entity group.
+WorkloadCharacterization from_yaml(const std::string& text);
+
+/// from_yaml() of a file's contents.
+WorkloadCharacterization load_yaml_file(const std::string& path);
 
 }  // namespace wasp::charz

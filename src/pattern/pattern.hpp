@@ -161,7 +161,6 @@ struct DagStage {
 struct DagDecl {
   int slots = 0;
   int nodes = 1;
-  bool locality_aware = false;
   util::Bytes stdio_buffer = 4 * util::kKiB;
   std::vector<DagStage> stages;
 

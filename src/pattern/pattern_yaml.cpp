@@ -6,10 +6,15 @@
 // Loading a dumped pattern and dumping it again reproduces the bytes
 // exactly; that property is what makes `wasp_pattern dump | edit | replay`
 // trustworthy and is locked in by tests/test_pattern.cpp.
+#include <concepts>
 #include <cstdlib>
+#include <limits>
+#include <type_traits>
+#include <utility>
 
 #include "pattern/pattern.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 #include "util/yaml.hpp"
 #include "util/yaml_reader.hpp"
 
@@ -134,60 +139,55 @@ void dump_ops(Writer& y, const char* key, const std::vector<Op>& ops) {
   throw util::SimError("pattern yaml: " + what);
 }
 
-std::int64_t to_i64(const std::string& s, const std::string& key) {
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0') {
-    bad("field '" + key + "' is not an integer: '" + s + "'");
-  }
-  return v;
+// Each parse() overload reads one field's text into its type, diagnosing a
+// value the type cannot hold.
+void parse(const std::string& s, const std::string&, std::string& out) {
+  out = s;
 }
 
-double to_f64(const std::string& s, const std::string& key) {
+void parse(const std::string& s, const std::string& key, bool& out) {
+  if (s != "true" && s != "false") {
+    bad("field '" + key + "' is not a bool: '" + s + "'");
+  }
+  out = s == "true";
+}
+
+void parse(const std::string& s, const std::string& key, double& out) {
   char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
+  out = std::strtod(s.c_str(), &end);
   if (end == s.c_str() || *end != '\0') {
     bad("field '" + key + "' is not a number: '" + s + "'");
   }
-  return v;
 }
 
-std::int64_t get_int(const Node& n, const std::string& key,
-                     std::int64_t fallback) {
-  const Node* f = n.find(key);
-  if (f == nullptr) return fallback;
-  return to_i64(f->scalar(), key);
+template <std::integral T>
+  requires(!std::same_as<T, bool>)
+void parse(const std::string& s, const std::string& key, T& out) {
+  const auto v = [&s] {
+    if constexpr (std::is_signed_v<T>) return util::parse_int(s);
+    else return util::parse_uint(s);
+  }();
+  if (!v || !std::in_range<T>(*v)) {
+    bad("field '" + key + "' is not an integer in [" +
+        std::to_string(std::numeric_limits<T>::min()) + ", " +
+        std::to_string(std::numeric_limits<T>::max()) + "]: '" + s + "'");
+  }
+  out = static_cast<T>(*v);
 }
 
-double get_double(const Node& n, const std::string& key, double fallback) {
-  const Node* f = n.find(key);
-  if (f == nullptr) return fallback;
-  return to_f64(f->scalar(), key);
-}
-
-bool get_bool(const Node& n, const std::string& key, bool fallback) {
-  const Node* f = n.find(key);
-  if (f == nullptr) return fallback;
-  const std::string& s = f->scalar();
-  if (s == "true") return true;
-  if (s == "false") return false;
-  bad("field '" + key + "' is not a bool: '" + s + "'");
-}
-
-std::string get_str(const Node& n, const std::string& key,
-                    const std::string& fallback = "") {
-  const Node* f = n.find(key);
-  return f == nullptr ? fallback : f->scalar();
-}
-
-Expr get_expr(const Node& n, const std::string& key) {
-  const Node* f = n.find(key);
-  if (f == nullptr) return {};
+void parse(const std::string& s, const std::string& key, Expr& out) {
   try {
-    return Expr(f->scalar());
+    out = Expr(s);
   } catch (const util::SimError& e) {
     bad("field '" + key + "': " + e.what());
   }
+}
+
+/// Override `out` when `key` is present. An absent key leaves the default
+/// of the struct being loaded, which every loader default-constructs.
+template <class T>
+void load(const Node& n, const std::string& key, T& out) {
+  if (const Node* f = n.find(key)) parse(f->scalar(), key, out);
 }
 
 std::vector<Op> load_ops(const Node* seq, const std::string& where);
@@ -200,32 +200,29 @@ Op load_op(const Node& n, const std::string& where) {
   }
   Op o;
   o.kind = op_kind_from(kind->scalar());
-  const std::string layer = get_str(n, "layer");
-  if (!layer.empty()) o.layer = layer_from(layer);
-  o.handle = get_str(n, "handle");
-  o.path = get_str(n, "path");
-  const std::string mode = get_str(n, "mode");
-  if (!mode.empty()) o.mode = open_mode_from(mode);
-  o.offset = get_expr(n, "offset");
-  o.size = get_expr(n, "size");
-  o.count = get_expr(n, "count");
-  o.fetch_ops = get_expr(n, "fetch_ops");
-  o.wrap_bytes = get_expr(n, "wrap_bytes");
-  o.wrap_limit = get_expr(n, "wrap_limit");
-  o.duration_ns = static_cast<std::uint64_t>(
-      get_int(n, o.kind == OpKind::kPacedRead ? "floor_ns" : "duration_ns",
-              0));
-  o.jitter_lo = get_double(n, "jitter_lo", 1.0);
-  o.jitter_span = get_double(n, "jitter_span", 0.0);
-  o.comm = get_str(n, "comm");
-  o.record = get_bool(n, "record", true);
-  o.event = get_str(n, "event");
-  o.app = get_str(n, "app");
-  o.var = get_str(n, "var");
-  o.begin = get_expr(n, "begin");
-  o.end = get_expr(n, "end");
-  o.step = get_expr(n, "step");
-  o.when = get_expr(n, "when");
+  if (const Node* f = n.find("layer")) o.layer = layer_from(f->scalar());
+  load(n, "handle", o.handle);
+  load(n, "path", o.path);
+  if (const Node* f = n.find("mode")) o.mode = open_mode_from(f->scalar());
+  load(n, "offset", o.offset);
+  load(n, "size", o.size);
+  load(n, "count", o.count);
+  load(n, "fetch_ops", o.fetch_ops);
+  load(n, "wrap_bytes", o.wrap_bytes);
+  load(n, "wrap_limit", o.wrap_limit);
+  load(n, o.kind == OpKind::kPacedRead ? "floor_ns" : "duration_ns",
+       o.duration_ns);
+  load(n, "jitter_lo", o.jitter_lo);
+  load(n, "jitter_span", o.jitter_span);
+  load(n, "comm", o.comm);
+  load(n, "record", o.record);
+  load(n, "event", o.event);
+  load(n, "app", o.app);
+  load(n, "var", o.var);
+  load(n, "begin", o.begin);
+  load(n, "end", o.end);
+  load(n, "step", o.step);
+  load(n, "when", o.when);
   o.body = load_ops(n.find("body"), where);
   return o;
 }
@@ -320,7 +317,6 @@ std::string to_yaml(const JobPattern& pat) {
     y.begin_map("dag");
     y.scalar("slots", pat.dag.slots);
     y.scalar("nodes", pat.dag.nodes);
-    y.scalar("locality_aware", pat.dag.locality_aware);
     y.scalar("stdio_buffer",
              static_cast<std::uint64_t>(pat.dag.stdio_buffer));
     y.begin_seq("stages");
@@ -352,7 +348,7 @@ JobPattern pattern_from_yaml(const std::string& text) {
   const Node root = util::yaml::parse(text);
   if (!root.is_map()) bad("document root is not a map");
   JobPattern pat;
-  pat.name = get_str(root, "name");
+  load(root, "name", pat.name);
   if (const Node* faults = root.find("faults")) {
     if (!faults->is_scalar()) bad("'faults' is not a scalar spec string");
     pat.faults = sim::FaultPlan::parse(faults->scalar());
@@ -364,102 +360,89 @@ JobPattern pattern_from_yaml(const std::string& text) {
   if (const Node* comms = root.find("comms")) {
     if (!comms->is_seq()) bad("'comms' is not a sequence");
     for (const Node& c : comms->items()) {
-      CommDecl d;
-      d.name = get_str(c, "name");
+      CommDecl& d = pat.comms.emplace_back();
+      load(c, "name", d.name);
       if (d.name.empty()) bad("comm missing 'name'");
-      d.procs = static_cast<int>(get_int(c, "procs", 0));
-      d.nodes = static_cast<int>(get_int(c, "nodes", 1));
-      d.per_node = get_bool(c, "per_node", false);
-      pat.comms.push_back(std::move(d));
+      load(c, "procs", d.procs);
+      load(c, "nodes", d.nodes);
+      load(c, "per_node", d.per_node);
     }
   }
   if (const Node* events = root.find("events")) {
     if (!events->is_seq()) bad("'events' is not a sequence");
     for (const Node& e : events->items()) {
-      EventDecl d;
-      d.name = get_str(e, "name");
+      EventDecl& d = pat.events.emplace_back();
+      load(e, "name", d.name);
       if (d.name.empty()) bad("event missing 'name'");
-      d.countdown = static_cast<int>(get_int(e, "countdown", 1));
-      pat.events.push_back(std::move(d));
+      load(e, "countdown", d.countdown);
     }
   }
   if (const Node* meta = root.find("meta")) {
     if (!meta->is_seq()) bad("'meta' is not a sequence");
     for (const Node& m : meta->items()) {
-      pat.meta.emplace_back(get_str(m, "key"), get_str(m, "value"));
+      auto& [key, value] = pat.meta.emplace_back();
+      load(m, "key", key);
+      load(m, "value", value);
     }
   }
   if (const Node* groups = root.find("groups")) {
     if (!groups->is_seq()) bad("'groups' is not a sequence");
     for (const Node& gn : groups->items()) {
-      LaneGroup g;
-      g.comm = get_str(gn, "comm");
+      LaneGroup& g = pat.groups.emplace_back();
+      load(gn, "comm", g.comm);
       if (g.comm.empty()) bad("group missing 'comm'");
-      g.rng_seed = static_cast<std::uint64_t>(get_int(gn, "rng_seed", 0));
-      g.stdio_buffer = static_cast<util::Bytes>(
-          get_int(gn, "stdio_buffer", 4 * static_cast<int>(util::kKiB)));
+      load(gn, "rng_seed", g.rng_seed);
+      load(gn, "stdio_buffer", g.stdio_buffer);
       if (const Node* h5 = gn.find("hdf5")) {
-        g.hdf5.chunk_size =
-            static_cast<util::Bytes>(get_int(*h5, "chunk_size", 0));
-        g.hdf5.use_mpiio = get_bool(*h5, "use_mpiio", true);
-        g.hdf5.meta_reads_per_open =
-            static_cast<int>(get_int(*h5, "meta_reads_per_open", 4));
-        g.hdf5.meta_reads_per_access =
-            static_cast<int>(get_int(*h5, "meta_reads_per_access", 2));
+        load(*h5, "chunk_size", g.hdf5.chunk_size);
+        load(*h5, "use_mpiio", g.hdf5.use_mpiio);
+        load(*h5, "meta_reads_per_open", g.hdf5.meta_reads_per_open);
+        load(*h5, "meta_reads_per_access", g.hdf5.meta_reads_per_access);
       }
       if (const Node* m = gn.find("mpiio")) {
-        g.mpiio.cb_buffer = static_cast<util::Bytes>(
-            get_int(*m, "cb_buffer",
-                    static_cast<std::int64_t>(16 * util::kMiB)));
-        g.mpiio.aggregators_per_node =
-            static_cast<int>(get_int(*m, "aggregators_per_node", 1));
+        load(*m, "cb_buffer", g.mpiio.cb_buffer);
+        load(*m, "aggregators_per_node", g.mpiio.aggregators_per_node);
       }
       if (const Node* c = gn.find("codec")) {
-        g.codec.cpu_bps = get_double(*c, "cpu_bps", 600e6);
-        g.codec.gpu_bps = get_double(*c, "gpu_bps", 12e9);
-        g.codec.use_gpu = get_bool(*c, "use_gpu", false);
-        g.codec.ratio = get_double(*c, "ratio", 0.5);
+        load(*c, "cpu_bps", g.codec.cpu_bps);
+        load(*c, "gpu_bps", g.codec.gpu_bps);
+        load(*c, "use_gpu", g.codec.use_gpu);
+        load(*c, "ratio", g.codec.ratio);
       }
       if (const Node* phases = gn.find("phases")) {
         if (!phases->is_seq()) bad("group 'phases' is not a sequence");
         for (const Node& pn : phases->items()) {
-          PhasePattern ph;
-          ph.app = get_str(pn, "app");
+          PhasePattern& ph = g.phases.emplace_back();
+          load(pn, "app", ph.app);
           if (ph.app.empty()) bad("phase missing 'app'");
           ph.ops = load_ops(pn.find("ops"), "phase '" + ph.app + "'");
-          g.phases.push_back(std::move(ph));
         }
       }
-      pat.groups.push_back(std::move(g));
     }
   }
   if (const Node* dag = root.find("dag")) {
     if (!dag->is_map()) bad("'dag' is not a map");
-    pat.dag.slots = static_cast<int>(get_int(*dag, "slots", 0));
-    pat.dag.nodes = static_cast<int>(get_int(*dag, "nodes", 1));
-    pat.dag.locality_aware = get_bool(*dag, "locality_aware", false);
-    pat.dag.stdio_buffer = static_cast<util::Bytes>(
-        get_int(*dag, "stdio_buffer", 4 * static_cast<int>(util::kKiB)));
+    load(*dag, "slots", pat.dag.slots);
+    load(*dag, "nodes", pat.dag.nodes);
+    load(*dag, "stdio_buffer", pat.dag.stdio_buffer);
     if (const Node* stages = dag->find("stages")) {
       if (!stages->is_seq()) bad("dag 'stages' is not a sequence");
       for (const Node& sn : stages->items()) {
-        DagStage s;
-        s.app = get_str(sn, "app");
+        DagStage& s = pat.dag.stages.emplace_back();
+        load(sn, "app", s.app);
         if (s.app.empty()) bad("dag stage missing 'app'");
-        s.count = static_cast<int>(get_int(sn, "count", 1));
-        s.rng_seed = static_cast<std::uint64_t>(get_int(sn, "rng_seed", 0));
+        load(sn, "count", s.count);
+        load(sn, "rng_seed", s.rng_seed);
         if (const Node* deps = sn.find("deps")) {
           if (!deps->is_seq()) bad("stage 'deps' is not a sequence");
           for (const Node& dn : deps->items()) {
-            DagDep d;
-            d.stage = static_cast<int>(get_int(dn, "stage", -1));
+            DagDep& d = s.deps.emplace_back();
+            load(dn, "stage", d.stage);
             if (d.stage < 0) bad("dag dep missing 'stage'");
-            d.index = get_expr(dn, "index");
-            s.deps.push_back(std::move(d));
+            load(dn, "index", d.index);
           }
         }
         s.ops = load_ops(sn.find("ops"), "dag stage '" + s.app + "'");
-        pat.dag.stages.push_back(std::move(s));
       }
     }
   }

@@ -613,7 +613,6 @@ sim::Task<void> dag_driver(std::shared_ptr<RunState> st) {
   workflow::PegasusScheduler::Options opts;
   opts.slots = D.slots;
   opts.nodes = D.nodes;
-  opts.locality_aware = D.locality_aware;
   workflow::PegasusScheduler sched(st->sim, opts);
   auto& tracer = st->sim.tracer();
   std::map<std::string, std::uint16_t> app_ids;

@@ -50,7 +50,8 @@ std::optional<Bytes> parse_bytes(const std::string& text) {
   } else {
     return std::nullopt;
   }
-  if (v < 0) return std::nullopt;
+  // Negative, NaN, or too large for Bytes (the cast would be undefined).
+  if (!(v >= 0) || v * mult >= 18446744073709551616.0) return std::nullopt;
   return static_cast<Bytes>(v * mult + 0.5);
 }
 
@@ -96,16 +97,19 @@ std::optional<std::pair<std::uint64_t, std::uint64_t>> parse_fpp_shared(
     const std::string& text) {
   const auto slash = text.find('/');
   if (slash == std::string::npos) return std::nullopt;
-  try {
-    return std::make_pair(std::stoull(text.substr(0, slash)),
-                          std::stoull(text.substr(slash + 1)));
-  } catch (...) {
-    return std::nullopt;
-  }
+  const auto fpp = parse_uint(text.substr(0, slash));
+  const auto shared = parse_uint(text.substr(slash + 1));
+  if (!fpp || !shared) return std::nullopt;
+  return std::make_pair(*fpp, *shared);
 }
 
 std::optional<long long> parse_int(const std::string& text) {
-  if (text.empty()) return std::nullopt;
+  // strtoll alone would also skip leading blanks and take a '+'.
+  const std::size_t first = !text.empty() && text.front() == '-' ? 1 : 0;
+  if (first >= text.size() ||
+      std::isdigit(static_cast<unsigned char>(text[first])) == 0) {
+    return std::nullopt;
+  }
   errno = 0;
   char* end = nullptr;
   const long long v = std::strtoll(text.c_str(), &end, 10);
@@ -116,7 +120,11 @@ std::optional<long long> parse_int(const std::string& text) {
 }
 
 std::optional<unsigned long long> parse_uint(const std::string& text) {
-  if (text.empty() || text.front() == '-') return std::nullopt;
+  // strtoull alone would also take a sign and wrap " -1" to 2^64 - 1.
+  if (text.empty() ||
+      std::isdigit(static_cast<unsigned char>(text.front())) == 0) {
+    return std::nullopt;
+  }
   errno = 0;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(text.c_str(), &end, 10);

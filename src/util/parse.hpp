@@ -29,9 +29,10 @@ std::optional<double> parse_ops_dist(const std::string& text);
 std::optional<std::pair<std::uint64_t, std::uint64_t>> parse_fpp_shared(
     const std::string& text);
 
-/// Strict base-10 integer parse: the whole string must be a number
-/// (optional leading '-'), no trailing junk, no overflow. Unlike std::stoi
-/// these never throw — CLIs use them to reject "--jobs banana" gracefully.
+/// Strict base-10 integer parse: the whole string must be digits (after
+/// one leading '-' for parse_int), no blanks, no '+', no trailing junk, no
+/// overflow. Unlike std::stoi these never throw — CLIs use them to reject
+/// "--jobs banana" gracefully.
 std::optional<long long> parse_int(const std::string& text);
 std::optional<unsigned long long> parse_uint(const std::string& text);
 

@@ -23,10 +23,9 @@ bool needs_quotes(const std::string& v) {
 
 }  // namespace
 
-// The header keeps a trivial depth counter for cheap sanity checks; the real
-// layout state lives here in a per-writer frame stack keyed by `this`.
-// To keep the implementation self-contained (no pimpl), we re-derive
-// indentation from depth_ and track sequence-item state with pending_item_.
+// A writer's whole layout state is depth_ (two columns of indent per level)
+// and pending_item_: the next line opens a sequence item, so the last two
+// columns of its indent become "- ".
 
 void Writer::indent() {
   for (int i = 0; i < depth_; ++i) out_ << "  ";

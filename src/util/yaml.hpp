@@ -47,7 +47,7 @@ class Writer {
 
   std::ostringstream out_;
   int depth_ = 0;
-  // When >0, the next emitted line at this depth is a "- " sequence element.
+  // True when the next emitted line is a "- " sequence element.
   bool pending_item_ = false;
 };
 

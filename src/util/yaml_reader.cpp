@@ -167,12 +167,6 @@ const Node* Node::find(const std::string& key) const {
   return nullptr;
 }
 
-std::string Node::get(const std::string& key,
-                      const std::string& fallback) const {
-  const Node* n = find(key);
-  return n != nullptr && n->is_scalar() ? n->scalar() : fallback;
-}
-
 Node Node::make_scalar(std::string value) {
   Node n;
   n.kind_ = Kind::kScalar;

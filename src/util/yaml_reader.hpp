@@ -25,9 +25,6 @@ class Node {
 
   /// Map access: nullptr when the key is absent or this is not a map.
   const Node* find(const std::string& key) const;
-  /// Map access with a default for missing scalar keys.
-  std::string get(const std::string& key,
-                  const std::string& fallback = "") const;
 
   /// Sequence elements (empty when not a sequence).
   const std::vector<Node>& items() const noexcept { return seq_; }

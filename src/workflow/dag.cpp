@@ -55,14 +55,6 @@ PegasusScheduler::PegasusScheduler(runtime::Simulation& sim, Options opts)
   WASP_CHECK_MSG(opts_.nodes > 0, "scheduler needs at least one node");
 }
 
-int PegasusScheduler::pick_node(const TaskSpec& spec, int slot_index) const {
-  if (opts_.locality_aware && spec.preferred_node >= 0 &&
-      spec.preferred_node < opts_.nodes) {
-    return spec.preferred_node;
-  }
-  return slot_index % opts_.nodes;
-}
-
 namespace {
 
 struct RunState {
@@ -106,7 +98,7 @@ sim::Task<void> PegasusScheduler::run(
   auto run_task = [this, &app_id_of](RunState& s, int id) -> sim::Task<void> {
     auto slot = co_await s.slots->acquire();
     const TaskSpec& spec = s.dag->task(id);
-    const int node = pick_node(spec, s.dispatch_counter++);
+    const int node = s.dispatch_counter++ % opts_.nodes;
     runtime::Proc proc(sim_, app_id_of(spec.app), /*rank=*/id, node);
     try {
       co_await spec.body(proc);

@@ -5,8 +5,8 @@
 //    the workload code drives that directly.
 //  * Pegasus-style (Montage-with-Pegasus): thousands of single-process
 //    tasks scheduled by pegasus-mpi-cluster onto a fixed pool of MPI worker
-//    slots. PegasusScheduler models that master/worker slot pool, with
-//    optional locality-aware placement (the §IV-D.4 optimization).
+//    slots. PegasusScheduler models that master/worker slot pool, placing
+//    tasks round-robin over the pool's nodes in dispatch order.
 #pragma once
 
 #include <functional>
@@ -24,9 +24,6 @@ struct TaskSpec {
   std::string app;  ///< kernel name ("mProject", "mDiff", ...)
   /// Body runs in a Proc placed on the node the scheduler picks.
   std::function<sim::Task<void>(runtime::Proc&)> body;
-  /// Preferred node for locality-aware placement (-1 = any). Typically the
-  /// node where the task's inputs were produced.
-  int preferred_node = -1;
 };
 
 class Dag {
@@ -57,8 +54,6 @@ class PegasusScheduler {
   struct Options {
     int slots = 64;            ///< total worker processes
     int nodes = 1;             ///< nodes the pool spans
-    bool locality_aware = false;
-    std::uint16_t scheduler_app = 0;  ///< tracer app id for scheduler ranks
   };
 
   PegasusScheduler(runtime::Simulation& sim, Options opts);
@@ -75,8 +70,6 @@ class PegasusScheduler {
   std::uint64_t tasks_executed() const noexcept { return executed_; }
 
  private:
-  int pick_node(const TaskSpec& spec, int slot_index) const;
-
   runtime::Simulation& sim_;
   Options opts_;
   std::uint64_t executed_ = 0;

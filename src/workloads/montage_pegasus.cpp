@@ -62,7 +62,6 @@ pattern::JobPattern compile_montage_pegasus(const MontagePegasusParams& P,
   pat.name = "montage-pegasus";
   pat.dag.slots = P.slots;
   pat.dag.nodes = P.nodes;
-  pat.dag.locality_aware = cfg.locality_aware_placement;
   pat.dag.stdio_buffer = cfg.stdio_buffer;
 
   auto& stages = pat.dag.stages;

@@ -1,6 +1,10 @@
-// Shared helpers for tests that drive coroutines inside a Simulation.
+// Shared helpers for tests that drive coroutines inside a Simulation, and
+// for tests that edit a YAML document's text.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -11,6 +15,19 @@
 #include "trace/record.hpp"
 
 namespace wasp::testutil {
+
+/// `yaml` with the value of its first `key:` line replaced by `value`.
+inline std::string with_value(std::string yaml, const std::string& key,
+                              const std::string& value) {
+  const std::size_t at = yaml.find(" " + key + ": ");
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no '" << key << "' line";
+    return yaml;
+  }
+  const std::size_t begin = at + key.size() + 3;
+  yaml.replace(begin, yaml.find('\n', begin) - begin, value);
+  return yaml;
+}
 
 /// Spawn all tasks at t=0 and run to completion.
 inline void run_all(sim::Engine& eng, std::vector<sim::Task<void>> tasks) {

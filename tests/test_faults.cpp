@@ -360,8 +360,13 @@ TEST(CliParse, ParseIntIsStrict) {
   EXPECT_EQ(util::parse_int("12abc"), std::nullopt);
   EXPECT_EQ(util::parse_int(""), std::nullopt);
   EXPECT_EQ(util::parse_int("99999999999999999999999"), std::nullopt);
+  EXPECT_EQ(util::parse_int("+5"), std::nullopt);
+  EXPECT_EQ(util::parse_int(" 5"), std::nullopt);
+  EXPECT_EQ(util::parse_int("-"), std::nullopt);
   EXPECT_EQ(util::parse_uint("42"), 42u);
   EXPECT_EQ(util::parse_uint("-7"), std::nullopt);
+  EXPECT_EQ(util::parse_uint(" -1"), std::nullopt);
+  EXPECT_EQ(util::parse_uint("+5"), std::nullopt);
   EXPECT_EQ(util::parse_uint("4.5"), std::nullopt);
 }
 

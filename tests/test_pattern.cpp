@@ -3,8 +3,12 @@
 // malformed input and on patterns the replayer cannot run.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+
 #include "pattern/pattern.hpp"
 #include "pattern/replayer.hpp"
+#include "sim_test_util.hpp"
 #include "util/error.hpp"
 #include "workloads/registry.hpp"
 
@@ -145,6 +149,135 @@ TEST(PatternYaml, MalformedInputsThrowDiagnostics) {
   } catch (const util::SimError& e) {
     EXPECT_NE(std::string(e.what()).find("comm"), std::string::npos);
   }
+}
+
+// Integers load through the checked parsers and must fit the field's type:
+// a value outside it is diagnosed by field name instead of wrapping.
+TEST(PatternYaml, IntegerFieldsLoadOnlyValuesTheirTypeHolds) {
+  runtime::Simulation sim(cluster::lassen(4));
+  const std::string dump = to_yaml(
+      workloads::make_hacc(workloads::HaccParams::test())
+          .compile(sim, advisor::RunConfig{}));
+
+  const std::string max_seed =
+      testutil::with_value(dump, "rng_seed", "18446744073709551615");
+  const JobPattern loaded = pattern_from_yaml(max_seed);
+  EXPECT_EQ(loaded.groups.at(0).rng_seed,
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(to_yaml(loaded), max_seed);
+
+  const std::pair<const char*, const char*> out_of_range[] = {
+      {"rng_seed", "-5"},
+      {"rng_seed", "-1"},
+      {"rng_seed", "18446744073709551616"},
+      {"stdio_buffer", "-1"},
+      {"stdio_buffer", " -1"},
+      {"duration_ns", "+7"},
+      {"procs", "2147483648"},
+      {"procs", "-2147483649"},
+      {"meta_reads_per_open", "4.5"},
+  };
+  for (const auto& [key, value] : out_of_range) {
+    SCOPED_TRACE(std::string(key) + ": '" + value + "'");
+    try {
+      pattern_from_yaml(testutil::with_value(dump, key, value));
+      ADD_FAILURE() << "loaded without a diagnostic";
+    } catch (const util::SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("pattern yaml: field '" +
+                                           std::string(key) + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Each struct loads into a default-constructed value and a key overrides
+// its field only when present, so absent keys keep the struct defaults.
+TEST(PatternYaml, AbsentKeysKeepStructDefaults) {
+  const JobPattern pat = pattern_from_yaml(
+      "name: x\n"
+      "comms:\n"
+      "  - name: world\n"
+      "events:\n"
+      "  - name: done\n"
+      "groups:\n"
+      "  - comm: world\n"
+      "  - comm: world\n"
+      "    hdf5:\n"
+      "    mpiio:\n"
+      "    codec:\n"
+      "    phases:\n"
+      "      - app: a\n"
+      "        ops:\n"
+      "          - op: compute\n"
+      "          - op: allreduce\n"
+      "dag:\n"
+      "  locality_aware: true\n"  // an unknown key, as in older dumps
+      "  stages:\n"
+      "    - app: a\n"
+      "    - app: b\n"
+      "      deps:\n"
+      "        - stage: 0\n");
+  const CommDecl comm;
+  EXPECT_EQ(pat.comms.at(0).procs, comm.procs);
+  EXPECT_EQ(pat.comms.at(0).nodes, comm.nodes);
+  EXPECT_EQ(pat.comms.at(0).per_node, comm.per_node);
+  EXPECT_EQ(pat.events.at(0).countdown, EventDecl{}.countdown);
+
+  const LaneGroup group;
+  ASSERT_EQ(pat.groups.size(), 2u);
+  for (const LaneGroup& g : pat.groups) {
+    EXPECT_EQ(g.rng_seed, group.rng_seed);
+    EXPECT_EQ(g.stdio_buffer, group.stdio_buffer);
+    EXPECT_EQ(g.hdf5.chunk_size, group.hdf5.chunk_size);
+    EXPECT_EQ(g.hdf5.use_mpiio, group.hdf5.use_mpiio);
+    EXPECT_EQ(g.hdf5.meta_reads_per_open, group.hdf5.meta_reads_per_open);
+    EXPECT_EQ(g.hdf5.meta_reads_per_access,
+              group.hdf5.meta_reads_per_access);
+    EXPECT_EQ(g.mpiio.cb_buffer, group.mpiio.cb_buffer);
+    EXPECT_EQ(g.mpiio.aggregators_per_node,
+              group.mpiio.aggregators_per_node);
+    EXPECT_EQ(g.codec.cpu_bps, group.codec.cpu_bps);
+    EXPECT_EQ(g.codec.gpu_bps, group.codec.gpu_bps);
+    EXPECT_EQ(g.codec.use_gpu, group.codec.use_gpu);
+    EXPECT_EQ(g.codec.ratio, group.codec.ratio);
+  }
+
+  const Op op;
+  const auto& ops = pat.groups.at(1).phases.at(0).ops;
+  ASSERT_EQ(ops.size(), 2u);
+  for (const Op& o : ops) {
+    EXPECT_EQ(o.layer, op.layer);
+    EXPECT_EQ(o.mode, op.mode);
+    EXPECT_EQ(o.duration_ns, op.duration_ns);
+    EXPECT_EQ(o.jitter_lo, op.jitter_lo);
+    EXPECT_EQ(o.jitter_span, op.jitter_span);
+    EXPECT_EQ(o.record, op.record);
+    EXPECT_TRUE(o.size.empty());
+  }
+
+  const DagDecl dag;
+  EXPECT_EQ(pat.dag.slots, dag.slots);
+  EXPECT_EQ(pat.dag.nodes, dag.nodes);
+  EXPECT_EQ(pat.dag.stdio_buffer, dag.stdio_buffer);
+  const DagStage stage;
+  ASSERT_EQ(pat.dag.stages.size(), 2u);
+  for (const DagStage& s : pat.dag.stages) {
+    EXPECT_EQ(s.count, stage.count);
+    EXPECT_EQ(s.rng_seed, stage.rng_seed);
+    EXPECT_TRUE(s.ops.empty());
+  }
+  ASSERT_EQ(pat.dag.stages[1].deps.size(), 1u);
+  EXPECT_EQ(pat.dag.stages[1].deps[0].stage, 0);
+  EXPECT_TRUE(pat.dag.stages[1].deps[0].index.empty());
+  // DagDep's default stage (-1) names no stage, so the key is required.
+  EXPECT_THROW(pattern_from_yaml("name: x\n"
+                                 "dag:\n"
+                                 "  stages:\n"
+                                 "    - app: b\n"
+                                 "      deps:\n"
+                                 "        - index: \"id\"\n"),
+               util::SimError);
 }
 
 // A handle keeps the layer it was opened on. mShrink's STDIO handle `in`,

@@ -13,10 +13,9 @@ using runtime::Proc;
 using runtime::Simulation;
 
 TaskSpec noop_task(const std::string& app, std::vector<int>* order, int id,
-                   sim::Time dur = 10 * sim::kMs, int preferred = -1) {
+                   sim::Time dur = 10 * sim::kMs) {
   TaskSpec spec;
   spec.app = app;
-  spec.preferred_node = preferred;
   spec.body = [order, id, dur](Proc& p) -> sim::Task<void> {
     co_await p.compute(dur);
     if (order != nullptr) order->push_back(id);
@@ -106,33 +105,6 @@ TEST(PegasusScheduler, WideFanoutCompletes) {
   sim.engine().run();
   EXPECT_EQ(sched.tasks_executed(), 202u);
   EXPECT_TRUE(sim.engine().all_roots_done());
-}
-
-TEST(PegasusScheduler, LocalityAwarePlacementHonorsPreferredNode) {
-  Simulation sim(cluster::tiny(4));
-  std::vector<int> nodes_used;
-  Dag dag;
-  for (int i = 0; i < 8; ++i) {
-    TaskSpec spec;
-    spec.app = "t";
-    spec.preferred_node = 2;
-    spec.body = [&nodes_used](Proc& p) -> sim::Task<void> {
-      co_await p.compute(1 * sim::kMs);
-      nodes_used.push_back(p.node());
-    };
-    dag.add_task(std::move(spec));
-  }
-  PegasusScheduler::Options opts;
-  opts.slots = 4;
-  opts.nodes = 4;
-  opts.locality_aware = true;
-  PegasusScheduler sched(sim, opts);
-  auto& tracer = sim.tracer();
-  sim.engine().spawn(sched.run(dag, [&tracer](const std::string& name) {
-    return tracer.register_app(name);
-  }));
-  sim.engine().run();
-  for (int n : nodes_used) EXPECT_EQ(n, 2);
 }
 
 TEST(PegasusScheduler, RoundRobinWithoutLocality) {

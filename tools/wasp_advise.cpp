@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "advisor/rules.hpp"
-#include "core/yaml_loader.hpp"
+#include "core/entities.hpp"
 #include "util/error.hpp"
 
 using namespace wasp;
